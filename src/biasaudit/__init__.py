@@ -17,13 +17,15 @@ from .attack import (
 )
 from .config import AuditConfig, build_config, parse_config_file
 from .detection import (
+    BaseMetrics,
     DcfParams,
+    DesignPoint,
     GroupMetricVector,
     OperatingPoint,
     SweepCurve,
+    base_metrics,
     compute_sweep,
     disaggregate_at_threshold,
-    disaggregate_trial_metric,
     eer,
     min_cdet,
     rates_at_threshold,

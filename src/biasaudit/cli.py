@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``audit`` (full pipeline), ``metrics``, ``fdr``, ``nrb``
-(single slices of the pipeline), ``scenario`` (attack exposure from
-hand-given FPRs), and ``synth`` (fixture generation). All pipeline
-subcommands read the same key=value config file; flags override it.
+Subcommands: ``audit`` (full pipeline, writes the report file set),
+``scenario`` (attack exposure from hand-given FPRs), and ``synth``
+(fixture generation). ``audit`` reads a key=value config file; flags
+override it.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 degenerate-group error under ``--strict``.
@@ -19,20 +19,14 @@ from typing import Sequence
 import click
 
 from .attack import AttackScenario, attempts_for_probability, expected_time_to_success
-from .config import AuditConfig, build_config, parse_config_file
+from .config import AuditConfig, _parse_floats, build_config, parse_config_file
 from .errors import (
     AuditError,
     ConfigError,
     DataError,
     DegenerateGroupError,
 )
-from .report import (
-    emit,
-    run_audit,
-    write_base_metrics_csv,
-    write_fdr_grid_csv,
-    write_nrb_suite_csv,
-)
+from .report import emit, run_audit
 from .synth import generate, load_synth_spec
 from .trials import GroupingPolicy, write_metadata, write_trials
 
@@ -68,27 +62,20 @@ def _config_options(command):
     return command
 
 
-def _parse_float_list(raw: str | None) -> tuple[float, ...] | None:
-    if raw is None:
-        return None
-    try:
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list from {raw!r}") from exc
-
-
 def _assemble_config(config_path, preset, **flags) -> AuditConfig:
     file_values = parse_config_file(config_path) if config_path else None
     groups = flags.pop("groups")
     policy = flags.pop("policy")
+    fprs = flags.pop("design_fprs")
+    alphas = flags.pop("alphas")
     overrides = {
         "scores_path": flags.pop("scores"),
         "metadata_path": flags.pop("metadata"),
         "group_attributes": tuple(
             p.strip() for p in groups.split(",") if p.strip()
         ) if groups else None,
-        "design_fprs": _parse_float_list(flags.pop("design_fprs")),
-        "alphas": _parse_float_list(flags.pop("alphas")),
+        "design_fprs": None if fprs is None else _parse_floats(fprs, "--design-fprs"),
+        "alphas": None if alphas is None else _parse_floats(alphas, "--alphas"),
         "dcf_p_target": flags.pop("dcf_pt"),
         "dcf_c_miss": flags.pop("dcf_cmiss"),
         "dcf_c_fa": flags.pop("dcf_cfa"),
@@ -120,39 +107,6 @@ def audit(config_path, preset, **flags):
         click.echo(f"warning: {warning}", err=True)
     for path in written:
         click.echo(f"wrote {path}")
-
-
-@cli.command()
-@_config_options
-def metrics(config_path, preset, **flags):
-    """Compute disaggregated base metrics only."""
-    config = _assemble_config(config_path, preset, **flags)
-    report = run_audit(config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    click.echo(f"wrote {write_base_metrics_csv(report, out)}")
-
-
-@cli.command()
-@_config_options
-def fdr(config_path, preset, **flags):
-    """Compute the FDR grid only."""
-    config = _assemble_config(config_path, preset, **flags)
-    report = run_audit(config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    click.echo(f"wrote {write_fdr_grid_csv(report, out)}")
-
-
-@cli.command()
-@_config_options
-def nrb(config_path, preset, **flags):
-    """Compute the NRB base-metric suite only."""
-    config = _assemble_config(config_path, preset, **flags)
-    report = run_audit(config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    click.echo(f"wrote {write_nrb_suite_csv(report, out)}")
 
 
 @cli.command()

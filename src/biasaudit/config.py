@@ -10,6 +10,7 @@ Defaults reproduce the standard audit preset: design FPRs
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -54,6 +55,16 @@ class AuditConfig:
             raise ConfigError("design_fprs must be nonempty, each in (0, 1]")
         if not self.alphas or any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ConfigError("alphas must be nonempty, each in [0, 1]")
+        # base metrics are named fpr@{:g}, so two design FPRs must not share a label
+        clashes = _sharing_a_key(self.design_fprs, lambda f: f"{f:g}")
+        if clashes:
+            raise ConfigError(
+                "design_fprs must be distinct and name distinct metrics; got "
+                + ", ".join(f"{f!r} (fpr@{f:g})" for f in clashes)
+            )
+        clashes = _sharing_a_key(self.alphas, lambda a: a)
+        if clashes:
+            raise ConfigError(f"alphas must be distinct; got {clashes}")
         if self.zero_policy not in ZERO_POLICIES:
             raise ConfigError(f"zero_policy must be one of {ZERO_POLICIES}")
         if self.average_mode not in AVERAGE_MODES:
@@ -62,6 +73,12 @@ class AuditConfig:
             raise ConfigError("attempts_per_hour must be positive")
         if not 0.0 < self.target_probability < 1.0:
             raise ConfigError("target_probability must lie in (0, 1)")
+
+
+def _sharing_a_key(values: tuple[float, ...], key) -> list[float]:
+    """The values whose key another value also has, in input order."""
+    counts = Counter(key(v) for v in values)
+    return [v for v in values if counts[key(v)] > 1]
 
 
 def parse_config_file(path: Union[str, Path]) -> dict[str, str]:

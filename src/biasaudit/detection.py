@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,6 +90,38 @@ class GroupMetricVector:
         return tuple(sorted(self.per_group))
 
 
+@dataclass(frozen=True)
+class DesignPoint:
+    """Per-group FPR and FNR at the pooled threshold calibrated for one design FPR."""
+
+    design_fpr: float
+    operating_point: OperatingPoint
+    fpr: GroupMetricVector
+    fnr: GroupMetricVector
+
+
+@dataclass(frozen=True)
+class BaseMetrics:
+    """Every base metric of one audit; all tables and meta-measures derive from it.
+
+    ``design_points`` are ordered by descending design FPR. Counts are
+    (n_target, n_nontarget) per group and for the pooled population.
+    """
+
+    eer: GroupMetricVector
+    min_cdet: GroupMetricVector
+    design_points: tuple[DesignPoint, ...]
+    group_sizes: dict[GroupKey, tuple[int, int]]
+    pooled_counts: tuple[int, int]
+
+    def vectors(self) -> list[GroupMetricVector]:
+        """EER, minCDet, then an FPR/FNR pair per design point."""
+        vectors = [self.eer, self.min_cdet]
+        for point in self.design_points:
+            vectors += [point.fpr, point.fnr]
+        return vectors
+
+
 def split_scores(trials: Iterable[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Split trials into (target_scores, nontarget_scores) arrays."""
     tar, non = [], []
@@ -101,14 +133,8 @@ def split_scores(trials: Iterable[TrialRecord]) -> tuple[np.ndarray, np.ndarray]
 def compute_sweep(
     target_scores: Sequence[float],
     nontarget_scores: Sequence[float],
-    max_thresholds: int | None = None,
 ) -> SweepCurve:
-    """Evaluate FPR and FNR over the exact threshold grid.
-
-    ``max_thresholds`` optionally subsamples the distinct-score grid at
-    evenly spaced quantiles (endpoints kept); rates stay exact at the
-    retained thresholds. Intended for very large score sets.
-    """
+    """Evaluate FPR and FNR over the exact threshold grid."""
     tar = np.asarray(target_scores, dtype=float)
     non = np.asarray(nontarget_scores, dtype=float)
     if tar.size == 0:
@@ -118,13 +144,7 @@ def compute_sweep(
     if not (np.isfinite(tar).all() and np.isfinite(non).all()):
         raise ValueError("scores must be finite")
 
-    taus = np.unique(np.concatenate([tar, non]))
-    if max_thresholds is not None and taus.size > max_thresholds:
-        idx = np.unique(
-            np.round(np.linspace(0, taus.size - 1, num=max_thresholds)).astype(int)
-        )
-        taus = taus[idx]
-    taus = np.append(taus, np.inf)
+    taus = np.append(np.unique(np.concatenate([tar, non])), np.inf)
 
     tar_sorted = np.sort(tar)
     non_sorted = np.sort(non)
@@ -207,52 +227,64 @@ def threshold_for_fpr(curve: SweepCurve, target_fpr: float) -> OperatingPoint:
     )
 
 
-def _group_scores(
+def base_metrics(
     grouped: GroupedTrials,
-) -> dict[GroupKey, tuple[np.ndarray, np.ndarray]]:
-    return {key: split_scores(trials) for key, trials in sorted(grouped.groups.items())}
+    design_fprs: Sequence[float],
+    dcf: DcfParams = DcfParams(),
+) -> BaseMetrics:
+    """Every base metric of one audit, from one split and one sweep per population.
 
-
-def disaggregate_trial_metric(
-    grouped: GroupedTrials,
-    metric: str,
-    dcf: DcfParams | None = None,
-) -> GroupMetricVector:
-    """Per-group EER or minCDet, each on the group's own sweep and threshold.
-
-    ``metric`` is ``"eer"`` or ``"min_cdet"``. The aggregate is the same
-    metric on the pooled full trial list (unassigned trials included).
+    Each group's trials and the pooled trials (unassigned included) are
+    split once and swept once; EER and minCDet are read off that sweep,
+    each design threshold is calibrated on the pooled sweep, and every
+    group's FPR and FNR are counted at it.
     """
-    if metric not in ("eer", "min_cdet"):
-        raise ValueError(f"unknown trial metric {metric!r}")
-    params = dcf if dcf is not None else DcfParams()
-
-    def evaluate(tar: np.ndarray, non: np.ndarray) -> float:
-        curve = compute_sweep(tar, non)
-        return eer(curve)[0] if metric == "eer" else min_cdet(curve, params)[0]
-
-    per_group: dict[GroupKey, float] = {}
-    for key, (tar, non) in _group_scores(grouped).items():
+    split = {key: split_scores(trials) for key, trials in sorted(grouped.groups.items())}
+    for key, (tar, non) in split.items():
         if tar.size == 0 or non.size == 0:
             raise DegenerateGroupError(key)
-        per_group[key] = evaluate(tar, non)
+    pooled = split_scores(grouped.all_trials())
+    curves = {key: compute_sweep(tar, non) for key, (tar, non) in split.items()}
+    pooled_curve = compute_sweep(*pooled)
 
-    pooled_tar, pooled_non = split_scores(grouped.all_trials())
-    aggregate = evaluate(pooled_tar, pooled_non)
-    return GroupMetricVector(metric_name=metric, per_group=per_group, aggregate=aggregate)
+    design_points = []
+    for design in sorted(design_fprs, reverse=True):
+        op = threshold_for_fpr(pooled_curve, design)
+        design_points.append(DesignPoint(
+            design_fpr=design,
+            operating_point=op,
+            fpr=disaggregate_at_threshold(split, pooled, op.threshold, "fpr", f"fpr@{design:g}"),
+            fnr=disaggregate_at_threshold(split, pooled, op.threshold, "fnr", f"fnr@{design:g}"),
+        ))
+    return BaseMetrics(
+        eer=GroupMetricVector(
+            "eer", {k: eer(c)[0] for k, c in curves.items()}, eer(pooled_curve)[0]
+        ),
+        min_cdet=GroupMetricVector(
+            "min_cdet",
+            {k: min_cdet(c, dcf)[0] for k, c in curves.items()},
+            min_cdet(pooled_curve, dcf)[0],
+        ),
+        design_points=tuple(design_points),
+        group_sizes={k: (c.n_target, c.n_nontarget) for k, c in curves.items()},
+        pooled_counts=(pooled_curve.n_target, pooled_curve.n_nontarget),
+    )
 
 
 def disaggregate_at_threshold(
-    grouped: GroupedTrials,
+    group_scores: Mapping[GroupKey, tuple[np.ndarray, np.ndarray]],
+    pooled_scores: tuple[np.ndarray, np.ndarray],
     threshold: float,
     which: str,
     label: str | None = None,
 ) -> GroupMetricVector:
     """Per-group FPR or FNR at one shared threshold.
 
-    ``which`` is ``"fpr"`` or ``"fnr"``. The aggregate is the pooled rate
-    at the same threshold. Error/population counts are recorded for the
-    'smooth' zero-policy.
+    ``group_scores`` maps each group to its (target, nontarget) score
+    arrays and ``pooled_scores`` holds the pooled pair, as returned by
+    ``split_scores``. ``which`` is ``"fpr"`` or ``"fnr"``. The aggregate
+    is the pooled rate at the same threshold. Error/population counts
+    are recorded for the 'smooth' zero-policy.
     """
     if which not in ("fpr", "fnr"):
         raise ValueError(f"unknown rate {which!r}")
@@ -271,13 +303,12 @@ def disaggregate_at_threshold(
 
     per_group: dict[GroupKey, float] = {}
     per_group_counts: dict[GroupKey, tuple[int, int]] = {}
-    for key, (tar, non) in _group_scores(grouped).items():
+    for key, (tar, non) in group_scores.items():
         value, errors, population = rate(tar, non, key)
         per_group[key] = value
         per_group_counts[key] = (errors, population)
 
-    pooled_tar, pooled_non = split_scores(grouped.all_trials())
-    aggregate, agg_errors, agg_population = rate(pooled_tar, pooled_non, "pooled")
+    aggregate, agg_errors, agg_population = rate(*pooled_scores, "pooled")
     return GroupMetricVector(
         metric_name=metric_name,
         per_group=per_group,

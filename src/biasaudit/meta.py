@@ -16,18 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detection import (
-    DcfParams,
-    GroupMetricVector,
-    compute_sweep,
-    disaggregate_at_threshold,
-    disaggregate_trial_metric,
-    split_scores,
-    threshold_for_fpr,
-)
+from .detection import BaseMetrics, GroupMetricVector
 from .errors import GroupSetMismatchError
 from .measures import g2avg_log_ratio
-from .trials import GroupedTrials, GroupKey
+from .trials import GroupKey
 
 DEFAULT_DESIGN_FPRS = (0.001, 0.01, 0.025, 0.05, 0.1)
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -100,29 +92,22 @@ def fdr(
 
 
 def fdr_grid(
-    grouped: GroupedTrials,
-    design_fprs: tuple[float, ...] = DEFAULT_DESIGN_FPRS,
+    base: BaseMetrics,
     alphas: tuple[float, ...] = DEFAULT_ALPHAS,
 ) -> list[FdrResult]:
     """FDR over the (design_fpr, alpha) grid, ordered ascending by both.
 
-    For each design FPR the shared threshold is calibrated on the pooled
-    population, then every group's FPR and FNR at that threshold feed
+    Each design point carries the shared threshold calibrated on the
+    pooled population and every group's FPR and FNR at it; those feed
     the FDR at each alpha.
     """
-    if not design_fprs or not alphas:
+    if not base.design_points or not alphas:
         raise ValueError("design_fprs and alphas must be nonempty")
-    pooled_tar, pooled_non = split_scores(grouped.all_trials())
-    pooled_curve = compute_sweep(pooled_tar, pooled_non)
-
-    results: list[FdrResult] = []
-    for design in sorted(design_fprs):
-        op = threshold_for_fpr(pooled_curve, design)
-        fprs = disaggregate_at_threshold(grouped, op.threshold, "fpr", label=f"fpr@{design:g}")
-        fnrs = disaggregate_at_threshold(grouped, op.threshold, "fnr", label=f"fnr@{design:g}")
-        for alpha in sorted(alphas):
-            results.append(fdr(fprs, fnrs, alpha, design, op.threshold))
-    return results
+    return [
+        fdr(point.fpr, point.fnr, alpha, point.design_fpr, point.operating_point.threshold)
+        for point in reversed(base.design_points)
+        for alpha in sorted(alphas)
+    ]
 
 
 def nrb(
@@ -147,9 +132,7 @@ def nrb(
 
 
 def nrb_suite(
-    grouped: GroupedTrials,
-    design_fprs: tuple[float, ...] = DEFAULT_DESIGN_FPRS,
-    dcf: DcfParams = DcfParams(),
+    base: BaseMetrics,
     zero_policy: str = "error",
     average_mode: str = "pooled",
 ) -> list[NrbResult]:
@@ -158,17 +141,4 @@ def nrb_suite(
     Order: EER, minCDet, then an FPR/FNR pair per design FPR, pairs
     sorted by descending design FPR.
     """
-    results = [
-        nrb(disaggregate_trial_metric(grouped, "eer"), zero_policy, average_mode),
-        nrb(disaggregate_trial_metric(grouped, "min_cdet", dcf), zero_policy, average_mode),
-    ]
-    pooled_tar, pooled_non = split_scores(grouped.all_trials())
-    pooled_curve = compute_sweep(pooled_tar, pooled_non)
-    for design in sorted(design_fprs, reverse=True):
-        op = threshold_for_fpr(pooled_curve, design)
-        for which in ("fpr", "fnr"):
-            vector = disaggregate_at_threshold(
-                grouped, op.threshold, which, label=f"{which}@{design:g}"
-            )
-            results.append(nrb(vector, zero_policy, average_mode))
-    return results
+    return [nrb(v, zero_policy, average_mode) for v in base.vectors()]

@@ -1,7 +1,8 @@
 """Audit pipeline orchestration and deterministic report emission.
 
-``run_audit`` executes load -> group -> disaggregate -> bias measures ->
-FDR grid -> NRB suite -> attack exposure and returns a ``BiasReport``.
+``run_audit`` executes load -> group -> base metrics -> bias measures ->
+FDR grid -> NRB suite -> attack exposure and returns a ``BiasReport``;
+every stage after ``base_metrics`` reads that one result.
 ``emit`` writes ``report.json`` plus CSV mirrors of each table/figure.
 Identical inputs and config produce byte-identical files. Rates are
 serialized both as fractions (machine field) and percent (display
@@ -19,15 +20,7 @@ from typing import Any, Union
 
 from .attack import GroupExposure, compare_group_exposure
 from .config import AuditConfig, config_as_dict
-from .detection import (
-    GroupMetricVector,
-    OperatingPoint,
-    compute_sweep,
-    disaggregate_at_threshold,
-    disaggregate_trial_metric,
-    split_scores,
-    threshold_for_fpr,
-)
+from .detection import DesignPoint, GroupMetricVector, base_metrics
 from .errors import DataError, DegenerateGroupError
 from .measures import (
     MEASURE_NAMES,
@@ -36,7 +29,7 @@ from .measures import (
     g2avg_log_ratio,
     g2min_diff,
 )
-from .meta import FdrResult, NrbResult, fdr, nrb_suite
+from .meta import FdrResult, NrbResult, fdr_grid, nrb_suite
 from .trials import (
     GroupedTrials,
     GroupKey,
@@ -63,9 +56,7 @@ _RATE_METRICS_PREFIXES = ("eer", "fpr@", "fnr@")
 class ThresholdDecomposition:
     """Per-group FPR with its difference and log-ratio bias measures at one design FPR."""
 
-    design_fpr: float
-    operating_point: OperatingPoint
-    fprs: GroupMetricVector
+    point: DesignPoint
     diff: BiasVector
     log_ratio: BiasVector
 
@@ -155,67 +146,23 @@ def run_audit(config: AuditConfig) -> BiasReport:
             "pooled metrics only"
         )
 
-    group_sizes = {
-        key: (
-            sum(1 for t in trials if t.label is Label.TARGET),
-            sum(1 for t in trials if t.label is Label.NONTARGET),
-        )
-        for key, trials in grouped.groups.items()
-    }
-    pooled_tar, pooled_non = split_scores(grouped.all_trials())
-    pooled_curve = compute_sweep(pooled_tar, pooled_non)
-
-    # base metrics: per-group EER and minCDet, plus FPR/FNR at each design FPR
-    base_metrics: list[GroupMetricVector] = [
-        disaggregate_trial_metric(grouped, "eer"),
-        disaggregate_trial_metric(grouped, "min_cdet", config.dcf),
-    ]
-    operating_points: dict[float, OperatingPoint] = {}
-    for design in sorted(config.design_fprs, reverse=True):
-        op = threshold_for_fpr(pooled_curve, design)
-        operating_points[design] = op
-        for which in ("fpr", "fnr"):
-            base_metrics.append(
-                disaggregate_at_threshold(
-                    grouped, op.threshold, which, label=f"{which}@{design:g}"
-                )
-            )
-
+    base = base_metrics(grouped, config.design_fprs, config.dcf)
     bias_vectors = [
         compute_measure(measure, vector, config.zero_policy, config.average_mode)
-        for vector in base_metrics
+        for vector in base.vectors()
         for measure in MEASURE_NAMES
     ]
-
-    decomposition = []
-    for design in sorted(config.design_fprs, reverse=True):
-        op = operating_points[design]
-        fprs = next(v for v in base_metrics if v.metric_name == f"fpr@{design:g}")
-        decomposition.append(
-            ThresholdDecomposition(
-                design_fpr=design,
-                operating_point=op,
-                fprs=fprs,
-                diff=g2min_diff(fprs),
-                log_ratio=g2avg_log_ratio(fprs, config.zero_policy, config.average_mode),
-            )
+    decomposition = [
+        ThresholdDecomposition(
+            point=point,
+            diff=g2min_diff(point.fpr),
+            log_ratio=g2avg_log_ratio(point.fpr, config.zero_policy, config.average_mode),
         )
+        for point in base.design_points
+    ]
+    grid = fdr_grid(base, config.alphas)
 
-    grid = []
-    for design in sorted(config.design_fprs):
-        op = operating_points[design]
-        fprs = next(v for v in base_metrics if v.metric_name == f"fpr@{design:g}")
-        fnrs = next(v for v in base_metrics if v.metric_name == f"fnr@{design:g}")
-        for alpha in sorted(config.alphas):
-            grid.append(fdr(fprs, fnrs, alpha, design, op.threshold))
-
-    suite = nrb_suite(
-        grouped,
-        design_fprs=config.design_fprs,
-        dcf=config.dcf,
-        zero_policy=config.zero_policy,
-        average_mode=config.average_mode,
-    )
+    suite = nrb_suite(base, config.zero_policy, config.average_mode)
     for result in suite:
         if result.zero_value_groups:
             warnings.append(
@@ -224,30 +171,32 @@ def run_audit(config: AuditConfig) -> BiasReport:
             )
 
     exposures = []
-    for design in sorted(config.design_fprs, reverse=True):
-        op = operating_points[design]
-        fprs = next(v for v in base_metrics if v.metric_name == f"fpr@{design:g}")
+    for point in base.design_points:
         entries = compare_group_exposure(
-            fprs,
+            point.fpr,
             attempts_per_hour=config.attempts_per_hour,
             target_probability=config.target_probability,
         )
         if any(e.zero_fpr for e in entries):
             warnings.append(
-                f"fpr@{design:g}: zero-FPR groups have unbounded expected attack "
+                f"fpr@{point.design_fpr:g}: zero-FPR groups have unbounded expected attack "
                 "time; flagged in the exposure table"
             )
         exposures.append(
-            ExposureBlock(design_fpr=design, threshold=op.threshold, entries=tuple(entries))
+            ExposureBlock(
+                design_fpr=point.design_fpr,
+                threshold=point.operating_point.threshold,
+                entries=tuple(entries),
+            )
         )
 
     return BiasReport(
         config=config,
         warnings=warnings,
-        group_sizes=group_sizes,
+        group_sizes=base.group_sizes,
         unassigned_count=len(grouped.unassigned),
-        pooled_counts=(int(pooled_tar.size), int(pooled_non.size)),
-        base_metrics=base_metrics,
+        pooled_counts=base.pooled_counts,
+        base_metrics=base.vectors(),
         bias_vectors=bias_vectors,
         decomposition=decomposition,
         fdr_grid=grid,
@@ -321,18 +270,18 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         ],
         "threshold_decomposition": [
             {
-                "design_fpr": d.design_fpr,
-                "threshold": d.operating_point.threshold,
-                "pooled_fpr": d.operating_point.fpr,
-                "pooled_fnr": d.operating_point.fnr,
+                "design_fpr": d.point.design_fpr,
+                "threshold": d.point.operating_point.threshold,
+                "pooled_fpr": d.point.operating_point.fpr,
+                "pooled_fnr": d.point.operating_point.fnr,
                 "rows": [
                     {
                         "group": g.label(),
-                        "fpr": d.fprs.per_group[g],
+                        "fpr": d.point.fpr.per_group[g],
                         "g2min_diff": d.diff.per_group[g],
                         "g2avg_log_ratio": d.log_ratio.per_group[g],
                     }
-                    for g in sorted(d.fprs.per_group)
+                    for g in sorted(d.point.fpr.per_group)
                 ],
             }
             for d in report.decomposition
@@ -429,15 +378,15 @@ def write_bias_measures_csv(report: BiasReport, output_dir: Union[str, Path]) ->
 def write_decomposition_csv(report: BiasReport, output_dir: Union[str, Path]) -> Path:
     rows = [
         [
-            _fmt(d.design_fpr),
-            _fmt(d.operating_point.threshold),
+            _fmt(d.point.design_fpr),
+            _fmt(d.point.operating_point.threshold),
             g.label(),
-            _fmt(d.fprs.per_group[g]),
+            _fmt(d.point.fpr.per_group[g]),
             _fmt(d.diff.per_group[g]),
             _fmt(d.log_ratio.per_group[g]),
         ]
         for d in report.decomposition
-        for g in sorted(d.fprs.per_group)
+        for g in sorted(d.point.fpr.per_group)
     ]
     path = Path(output_dir) / TABLE_DECOMPOSITION
     _write_csv(

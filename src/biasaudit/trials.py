@@ -123,10 +123,6 @@ class GroupedTrials:
     def n_trials(self) -> int:
         return sum(len(t) for t in self.groups.values()) + len(self.unassigned)
 
-    def to_records(self) -> list[TrialRecord]:
-        """Deterministic flat trial list (sorted groups, then unassigned)."""
-        return self.all_trials()
-
 
 def _open_text(source: Source) -> tuple[IO[str], bool]:
     """Return a text stream for a path, bytes, or file-like source."""

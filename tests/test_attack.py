@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from biasaudit import (
@@ -79,13 +80,23 @@ def test_success_probability_monotone_in_fpr(f1, f2, n):
 
 
 @given(fprs, fprs, st.floats(1.0, 1000.0))
+@example(1.0000000000000002e-06, 1e-06, 1.5)
 def test_expected_hours_strictly_decreasing_in_fpr(f1, f2, rate):
+    """Expected hours fall strictly as the FPR rises, in exact arithmetic.
+
+    Two adjacent FPRs can round to the same hours (the example above), so
+    in floats each step must be one correctly rounded division of the
+    exact quantities, which keeps the order and can only tie it.
+    """
     lo, hi = sorted((f1, f2))
     if lo == hi:
         return
     _, hours_lo = expected_time_to_success(AttackScenario(lo, rate))
     _, hours_hi = expected_time_to_success(AttackScenario(hi, rate))
-    assert hours_hi < hours_lo
+    assert hours_hi <= hours_lo
+    for fpr, hours in ((lo, hours_lo), (hi, hours_hi)):
+        attempts = float(1 / Fraction(fpr))
+        assert hours == float(Fraction(attempts) / Fraction(rate))
 
 
 @given(st.floats(1e-6, 0.999), st.floats(0.01, 0.99))

@@ -7,7 +7,15 @@ import json
 import pytest
 
 from biasaudit.cli import main
-from biasaudit import GroupScoreModel, SynthSpec, generate, write_metadata, write_trials
+from biasaudit import (
+    AuditConfig,
+    ConfigError,
+    GroupScoreModel,
+    SynthSpec,
+    generate,
+    write_metadata,
+    write_trials,
+)
 from helpers import gk
 
 SYNTH_SPEC = {
@@ -67,19 +75,9 @@ def test_cli_determinism(data_dir):
         assert (data_dir / "a" / name).read_bytes() == snapshots[name]
 
 
-def test_metrics_fdr_nrb_slices(data_dir):
-    common = audit_args(data_dir, out="slice")[1:]
-    assert main(["metrics", *common]) == 0
-    assert (data_dir / "slice" / "table_base_metrics.csv").exists()
-    assert main(["fdr", *common]) == 0
-    assert (data_dir / "slice" / "fig_fdr_grid.csv").exists()
-    assert main(["nrb", *common]) == 0
-    assert (data_dir / "slice" / "fig_nrb_suite.csv").exists()
-
-
 def test_preset_paper_pins_grids(data_dir):
     args = [
-        "fdr",
+        "audit",
         "--scores", str(data_dir / "scores.csv"),
         "--metadata", str(data_dir / "metadata.csv"),
         "--groups", "gender",
@@ -104,7 +102,7 @@ def test_config_file_with_cli_override(data_dir):
         encoding="utf-8",
     )
     # flag overrides the config file's alphas
-    assert main(["fdr", "--config", str(config_path), "--alphas", "0,1"]) == 0
+    assert main(["audit", "--config", str(config_path), "--alphas", "0,1"]) == 0
     lines = (data_dir / "cfg_out" / "fig_fdr_grid.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2
 
@@ -115,6 +113,26 @@ def test_usage_error_exits_one(data_dir):
     config_path = data_dir / "bad.cfg"
     config_path.write_text("unknown_key = 1\n", encoding="utf-8")
     assert main(["audit", "--config", str(config_path)]) == 1
+
+
+@pytest.mark.parametrize("field, values", [
+    ("design_fprs", (0.01, 0.01)),
+    ("design_fprs", (0.001, 0.0010000001)),  # both would be named fpr@0.001
+    ("alphas", (0.5, 0.5)),
+])
+def test_config_rejects_repeated_grid_values(field, values):
+    with pytest.raises(ConfigError, match=field) as info:
+        AuditConfig(
+            scores_path="s.csv", metadata_path="m.csv", group_attributes=("g",),
+            **{field: values},
+        )
+    assert all(repr(v) in str(info.value) for v in values)
+
+
+def test_repeated_design_fprs_exit_one(data_dir, capsys):
+    # the later --design-fprs flag overrides the one audit_args sets
+    assert main(audit_args(data_dir, extra=("--design-fprs", "0.001,0.0010000001"))) == 1
+    assert "0.0010000001" in capsys.readouterr().err
 
 
 def test_missing_data_exits_two(tmp_path):

@@ -13,15 +13,22 @@ from biasaudit import (
     DcfParams,
     DegenerateGroupError,
     EmptyPopulationError,
+    base_metrics,
     compute_sweep,
     disaggregate_at_threshold,
-    disaggregate_trial_metric,
     eer,
+    split_scores,
     min_cdet,
     rates_at_threshold,
     threshold_for_fpr,
 )
 from helpers import gk, grouped_from_scores
+
+
+def split_groups(grouped):
+    """Per-group and pooled (target, nontarget) arrays, as base_metrics splits them."""
+    per_group = {key: split_scores(trials) for key, trials in sorted(grouped.groups.items())}
+    return per_group, split_scores(grouped.all_trials())
 
 score_lists = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=80
@@ -197,22 +204,6 @@ def test_threshold_for_fpr_antitone_in_target(tar, non):
     assert thresholds == sorted(thresholds)
 
 
-def test_sweep_quantile_subsampling():
-    rng = np.random.default_rng(5)
-    tar = rng.normal(1.0, 1.0, 2000)
-    non = rng.normal(0.0, 1.0, 2000)
-    full = compute_sweep(tar, non)
-    small = compute_sweep(tar, non, max_thresholds=128)
-    assert small.thresholds.size <= 129
-    assert small.thresholds[0] == full.thresholds[0]
-    assert math.isinf(small.thresholds[-1])
-    # rates stay exact at the retained thresholds
-    for i, t in enumerate(small.thresholds[:-1]):
-        j = int(np.searchsorted(full.thresholds, t))
-        assert small.fpr[i] == full.fpr[j]
-        assert small.fnr[i] == full.fnr[j]
-
-
 def test_rates_at_threshold_matches_sweep_grid():
     tar, non = [0.5, 1.5, 2.5], [-1.0, 0.0, 1.0]
     curve = compute_sweep(tar, non)
@@ -224,7 +215,7 @@ def test_rates_at_threshold_matches_sweep_grid():
 def test_disaggregate_identical_groups_are_symmetric():
     scores = ([1.0, 2.0, 3.0], [-1.0, 0.0, 1.5])
     grouped = grouped_from_scores({gk(g="a"): scores, gk(g="b"): scores})
-    vector = disaggregate_trial_metric(grouped, "eer")
+    vector = base_metrics(grouped, ()).eer
     values = list(vector.per_group.values())
     assert values[0] == values[1] == vector.aggregate
 
@@ -236,7 +227,7 @@ def test_disaggregate_two_gaussian_groups():
         gk(g="a"): (rng.normal(2, 1, n).tolist(), rng.normal(0, 1, n).tolist()),
         gk(g="b"): (rng.normal(1, 1, n).tolist(), rng.normal(0, 1, n).tolist()),
     })
-    vector = disaggregate_trial_metric(grouped, "eer")
+    vector = base_metrics(grouped, ()).eer
     assert vector.per_group[gk(g="a")] == pytest.approx(0.15866, abs=0.01)
     assert vector.per_group[gk(g="b")] == pytest.approx(0.30854, abs=0.01)
 
@@ -245,13 +236,13 @@ def test_disaggregate_degenerate_group_raises():
     grouped = grouped_from_scores({gk(g="a"): ([1.0], [0.0])})
     grouped.groups[gk(g="b")] = grouped.groups[gk(g="a")][:1]  # targets only
     with pytest.raises(DegenerateGroupError):
-        disaggregate_trial_metric(grouped, "eer")
+        base_metrics(grouped, ())
 
 
 def test_disaggregate_min_cdet_uses_params():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 3.0], [0.0, 2.0])})
     params = DcfParams(c_miss=1.0, c_fa=1.0, p_target=0.5, normalize=False)
-    vector = disaggregate_trial_metric(grouped, "min_cdet", params)
+    vector = base_metrics(grouped, (), params).min_cdet
     assert vector.per_group[gk(g="a")] == 0.25
     assert vector.metric_name == "min_cdet"
 
@@ -261,13 +252,14 @@ def test_disaggregate_at_threshold_boundaries():
         gk(g="a"): ([1.0, 2.0], [0.0, 0.5]),
         gk(g="b"): ([1.5], [0.25]),
     })
-    low = disaggregate_at_threshold(grouped, -10.0, "fpr")
+    split = split_groups(grouped)
+    low = disaggregate_at_threshold(*split, -10.0, "fpr")
     assert all(v == 1.0 for v in low.per_group.values())
-    low_fnr = disaggregate_at_threshold(grouped, -10.0, "fnr")
+    low_fnr = disaggregate_at_threshold(*split, -10.0, "fnr")
     assert all(v == 0.0 for v in low_fnr.per_group.values())
-    high = disaggregate_at_threshold(grouped, 10.0, "fpr")
+    high = disaggregate_at_threshold(*split, 10.0, "fpr")
     assert all(v == 0.0 for v in high.per_group.values())
-    high_fnr = disaggregate_at_threshold(grouped, 10.0, "fnr")
+    high_fnr = disaggregate_at_threshold(*split, 10.0, "fnr")
     assert all(v == 1.0 for v in high_fnr.per_group.values())
 
 
@@ -275,15 +267,16 @@ def test_disaggregate_at_threshold_pooled_equals_group_when_identical():
     # a group identical to the pooled population reproduces the pooled rate exactly
     scores = ([0.5, 1.5, 2.5], [-0.5, 0.0, 1.0])
     grouped = grouped_from_scores({gk(g="only"): scores})
-    vector = disaggregate_at_threshold(grouped, 0.75, "fpr")
+    vector = disaggregate_at_threshold(*split_groups(grouped), 0.75, "fpr")
     assert vector.per_group[gk(g="only")] == vector.aggregate
 
 
 def test_disaggregate_at_threshold_records_counts():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 2.0], [0.0, 0.5, 1.5])})
-    vector = disaggregate_at_threshold(grouped, 1.0, "fpr")
+    split = split_groups(grouped)
+    vector = disaggregate_at_threshold(*split, 1.0, "fpr")
     assert vector.per_group_counts[gk(g="a")] == (1, 3)
     assert vector.aggregate_counts == (1, 3)
-    vector = disaggregate_at_threshold(grouped, 1.5, "fnr", label="fnr@x")
+    vector = disaggregate_at_threshold(*split, 1.5, "fnr", label="fnr@x")
     assert vector.metric_name == "fnr@x"
     assert vector.per_group_counts[gk(g="a")] == (1, 2)

@@ -13,6 +13,7 @@ from biasaudit import (
     DcfParams,
     GroupMetricVector,
     GroupSetMismatchError,
+    base_metrics,
     fdr,
     fdr_grid,
     nrb,
@@ -117,7 +118,7 @@ def test_fdr_grid_cardinality_and_order():
         gk(g="a"): (rng.normal(2, 1, 500).tolist(), rng.normal(0, 1, 500).tolist()),
         gk(g="b"): (rng.normal(1, 1, 500).tolist(), rng.normal(0, 1, 500).tolist()),
     })
-    grid = fdr_grid(grouped, design_fprs=(0.1, 0.01), alphas=(1.0, 0.5, 0.0))
+    grid = fdr_grid(base_metrics(grouped, (0.1, 0.01)), alphas=(1.0, 0.5, 0.0))
     assert len(grid) == 6
     assert [(r.design_fpr, r.alpha) for r in grid] == [
         (0.01, 0.0), (0.01, 0.5), (0.01, 1.0),
@@ -127,7 +128,7 @@ def test_fdr_grid_cardinality_and_order():
 
 def test_fdr_grid_single_group_is_one_everywhere():
     grouped = grouped_from_scores({gk(g="only"): ([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5])})
-    grid = fdr_grid(grouped, design_fprs=(0.5, 0.1), alphas=(0.0, 0.5, 1.0))
+    grid = fdr_grid(base_metrics(grouped, (0.5, 0.1)), alphas=(0.0, 0.5, 1.0))
     assert all(r.fdr == 1.0 for r in grid)
 
 
@@ -141,7 +142,7 @@ def test_fdr_grid_trend_gaps_shrink_with_design_fpr():
         gk(g="a"): (rng.normal(3, 1, n).tolist(), rng.normal(0, 1, n).tolist()),
         gk(g="b"): (rng.normal(3, 1, n).tolist(), rng.normal(0.8, 1, n).tolist()),
     })
-    grid = fdr_grid(grouped, design_fprs=(0.1, 0.01, 0.001), alphas=(1.0,))
+    grid = fdr_grid(base_metrics(grouped, (0.1, 0.01, 0.001)), alphas=(1.0,))
     by_design = {r.design_fpr: r.fdr for r in grid}
     assert by_design[0.001] > by_design[0.01] > by_design[0.1]
 
@@ -225,7 +226,7 @@ def test_nrb_suite_identical_groups_is_all_zero():
     # overlapping scores keep every base metric strictly positive
     scores = ([0.5, 1.5, 2.5, 3.5], [0.0, 1.0, 2.0, 3.0])
     grouped = grouped_from_scores({gk(g="a"): scores, gk(g="b"): scores})
-    suite = nrb_suite(grouped, design_fprs=(0.5,), dcf=DcfParams())
+    suite = nrb_suite(base_metrics(grouped, (0.5,), DcfParams()))
     assert all(r.nrb == 0.0 for r in suite)
 
 
@@ -236,7 +237,7 @@ def test_nrb_suite_cardinality_and_order():
     scores_a = ([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5])
     scores_b = ([-2.0, 2.5], [-0.5, 1.0])
     grouped = grouped_from_scores({gk(g="a"): scores_a, gk(g="b"): scores_b})
-    suite = nrb_suite(grouped, design_fprs=(0.25, 0.5), dcf=DcfParams(),
+    suite = nrb_suite(base_metrics(grouped, (0.25, 0.5), DcfParams()),
                       zero_policy="infinity")
     assert [r.metric_name for r in suite] == [
         "eer", "min_cdet", "fpr@0.5", "fnr@0.5", "fpr@0.25", "fnr@0.25",
@@ -253,7 +254,8 @@ def test_nrb_suite_constant_ratio_ladder():
     tar = [12.0] * (n - 60) + [-6.0] * 60
     grouped = grouped_from_scores({gk(g="a"): (tar, non_a), gk(g="b"): (tar, non_b)})
 
-    suite = nrb_suite(grouped, design_fprs=(0.01, 0.002), dcf=DcfParams())
+    base = base_metrics(grouped, (0.01, 0.002), DcfParams())
+    suite = nrb_suite(base)
     by_name = {r.metric_name: r for r in suite}
     for name in ("fpr@0.01", "fpr@0.002"):
         # groups at 5x/3 and x/3 the aggregate: mean |log ratio| = ln(5)/2
@@ -262,7 +264,7 @@ def test_nrb_suite_constant_ratio_ladder():
         assert ratios[gk(g="a")] == pytest.approx(-math.log(5.0 / 3.0), rel=1e-9)
         assert ratios[gk(g="b")] == pytest.approx(math.log(3.0), rel=1e-9)
     # while the ratio-based measure holds constant, the absolute gap shrinks
-    grid = fdr_grid(grouped, design_fprs=(0.01, 0.002), alphas=(1.0,))
+    grid = fdr_grid(base, alphas=(1.0,))
     gaps = {r.design_fpr: r.max_delta_fpr for r in grid}
     assert gaps[0.002] < gaps[0.01]
     assert gaps[0.01] == pytest.approx((100 - 20) / 6000, rel=1e-12)

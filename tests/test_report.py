@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
+from biasaudit import detection
 from biasaudit.report import (
     FIG_FDR_GRID,
     FIG_NRB_SUITE,
@@ -269,3 +274,76 @@ def test_enrollment_only_policy_flows_through(tmp_path):
     report = run_audit(config)
     assert report.config.policy is GroupingPolicy.ENROLLMENT_ONLY
     assert {k.label() for k in report.group_sizes} == {"gender=f", "gender=m"}
+
+
+# Literal scores for the golden test: no RNG, so the emitted bytes do not
+# depend on the numpy version. Each (enroll, test) pair carries
+# (target scores, nontarget scores); fo1/fo2 form a target-only group and
+# the last two pairs are unassigned (cross-group and unknown speaker).
+GOLDEN_TRIALS = {
+    ("fy1", "fy2"): ([2.1, 1.4, 0.9, 1.8, 0.3, 2.6, 1.1, 0.7],
+                     [-0.4, 0.2, 1.0, -1.3, 0.5, -0.8, 0.1, 1.5, -0.2, 0.8]),
+    ("mo1", "mo2"): ([1.2, 0.4, 2.2, -0.1, 1.7, 0.8, 1.05],
+                     [0.6, -0.5, 0.05, 1.3, -1.1, 0.35, -0.25, 0.9, 1.9]),
+    ("my1", "my2"): ([3.0, 2.4, 1.6, 0.95, 2.8, 1.25],
+                     [-1.5, -0.6, 0.45, -0.9, 1.15, 0.0, -0.3, 0.65]),
+    ("fo1", "fo2"): ([1.0, 0.5], []),
+    ("fy1", "mo1"): ([0.25], [0.55, -0.75]),
+    ("zz1", "my1"): ([1.45], [0.15]),
+}
+GOLDEN_METADATA = (
+    "speaker_id,gender,age\n"
+    "fy1,f,young\nfy2,f,young\nmo1,m,old\nmo2,m,old\n"
+    "my1,m,young\nmy2,m,young\nfo1,f,old\nfo2,f,old\n"
+)
+# recorded from the record-based pipeline that computed each table separately
+GOLDEN_SHA256 = {
+    REPORT_JSON: "60d4044b5b32002f34166a4f82e3b99f2683cd91c7b4a712ade7ba10e6cf8519",
+    TABLE_BASE_METRICS: "88decd2db84ee62ec2739ecca1d4b3cdb2f916bc8358170e035a2f8ca98704d0",
+    TABLE_BIAS_MEASURES: "d9b97d82698f29d97b43034c5a8c7a16682c4b2322ae43ab95ca7ae28323484b",
+    TABLE_DECOMPOSITION: "08c3a877934b0f167a755a12538f45e7478c802b5a129f86f0fe7d239f3dfaea",
+    FIG_FDR_GRID: "0398a90b22a28418bee22afd78108747cde46c7c0bd141c71b317d73a9494758",
+    FIG_NRB_SUITE: "a1c3633758254d39334343631d83cc42f2858ba718df8a0fe0a4b6846383c260",
+}
+
+
+def test_emitted_files_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = ["enroll_id,test_id,label,score"]
+    for (enroll, test), (targets, nontargets) in GOLDEN_TRIALS.items():
+        rows += [f"{enroll},{test},target,{s!r}" for s in targets]
+        rows += [f"{enroll},{test},nontarget,{s!r}" for s in nontargets]
+    Path("scores.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    Path("metadata.csv").write_text(GOLDEN_METADATA, encoding="utf-8")
+    config = AuditConfig(
+        scores_path="scores.csv",
+        metadata_path="metadata.csv",
+        group_attributes=("gender", "age"),
+        design_fprs=(0.5, 0.1, 0.25),
+        alphas=(1.0, 0.0, 0.5),
+        zero_policy="smooth",
+        output_dir="out",
+    )
+    written = emit(run_audit(config), config.output_dir)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == GOLDEN_SHA256
+
+
+def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):
+    """One split and one sweep per group plus one of the pooled population."""
+    calls: Counter[str] = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("biasaudit.")]
+    for name in ("split_scores", "compute_sweep"):
+        original = getattr(detection, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    report = run_audit(base_config(tmp_path))
+    populations = len(report.group_sizes) + 1
+    assert calls == {"split_scores": populations, "compute_sweep": populations}

@@ -214,7 +214,7 @@ def test_round_trip_preserves_partition(raw_trials, metadata, policy):
     grouped = assign_groups(trials, metadata, ["g"], policy)
 
     scores = io.StringIO()
-    write_trials(grouped.to_records(), scores)
+    write_trials(grouped.all_trials(), scores)
     meta = io.StringIO()
     write_metadata(metadata, meta)
     reloaded_trials = load_trials(io.StringIO(scores.getvalue()))
