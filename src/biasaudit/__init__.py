@@ -25,7 +25,7 @@ from .detection import (
     SweepCurve,
     base_metrics,
     compute_sweep,
-    disaggregate_at_threshold,
+    design_point_rates,
     eer,
     min_cdet,
     rates_at_threshold,

@@ -24,8 +24,8 @@ class AttackScenario:
     def __post_init__(self):
         if not (0.0 < self.fpr <= 1.0):
             raise ValueError("fpr must lie in (0, 1]")
-        if not self.attempts_per_hour > 0.0:
-            raise ValueError("attempts_per_hour must be positive")
+        if not 0.0 < self.attempts_per_hour < math.inf:
+            raise ValueError("attempts_per_hour must be positive and finite")
 
 
 @dataclass(frozen=True)

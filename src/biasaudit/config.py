@@ -10,6 +10,7 @@ Defaults reproduce the standard audit preset: design FPRs
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,8 +70,8 @@ class AuditConfig:
             raise ConfigError(f"zero_policy must be one of {ZERO_POLICIES}")
         if self.average_mode not in AVERAGE_MODES:
             raise ConfigError(f"average_mode must be one of {AVERAGE_MODES}")
-        if not self.attempts_per_hour > 0.0:
-            raise ConfigError("attempts_per_hour must be positive")
+        if not 0.0 < self.attempts_per_hour < math.inf:
+            raise ConfigError("attempts_per_hour must be positive and finite")
         if not 0.0 < self.target_probability < 1.0:
             raise ConfigError("target_probability must lie in (0, 1)")
 

@@ -57,8 +57,8 @@ class DcfParams:
     normalize: bool = True
 
     def __post_init__(self):
-        if not (self.c_miss > 0 and self.c_fa > 0):
-            raise ValueError("c_miss and c_fa must be positive")
+        if not (0.0 < self.c_miss < math.inf and 0.0 < self.c_fa < math.inf):
+            raise ValueError("c_miss and c_fa must be positive and finite")
         if not (0.0 < self.p_target < 1.0):
             raise ValueError("p_target must lie in (0, 1)")
 
@@ -250,69 +250,50 @@ def base_metrics(
     design_points = []
     for design in sorted(design_fprs, reverse=True):
         op = threshold_for_fpr(pooled_curve, design)
-        design_points.append(DesignPoint(
-            design_fpr=design,
-            operating_point=op,
-            fpr=disaggregate_at_threshold(split, pooled, op.threshold, "fpr", f"fpr@{design:g}"),
-            fnr=disaggregate_at_threshold(split, pooled, op.threshold, "fnr", f"fnr@{design:g}"),
-        ))
+        fpr, fnr = design_point_rates(split, pooled, design, op.threshold)
+        design_points.append(DesignPoint(design, op, fpr, fnr))
+
+    def read_off(name: str, metric) -> GroupMetricVector:
+        per_group = {key: metric(curve)[0] for key, curve in curves.items()}
+        return GroupMetricVector(name, per_group, metric(pooled_curve)[0])
+
     return BaseMetrics(
-        eer=GroupMetricVector(
-            "eer", {k: eer(c)[0] for k, c in curves.items()}, eer(pooled_curve)[0]
-        ),
-        min_cdet=GroupMetricVector(
-            "min_cdet",
-            {k: min_cdet(c, dcf)[0] for k, c in curves.items()},
-            min_cdet(pooled_curve, dcf)[0],
-        ),
+        eer=read_off("eer", eer),
+        min_cdet=read_off("min_cdet", lambda curve: min_cdet(curve, dcf)),
         design_points=tuple(design_points),
         group_sizes={k: (c.n_target, c.n_nontarget) for k, c in curves.items()},
         pooled_counts=(pooled_curve.n_target, pooled_curve.n_nontarget),
     )
 
 
-def disaggregate_at_threshold(
+def design_point_rates(
     group_scores: Mapping[GroupKey, tuple[np.ndarray, np.ndarray]],
     pooled_scores: tuple[np.ndarray, np.ndarray],
+    design_fpr: float,
     threshold: float,
-    which: str,
-    label: str | None = None,
-) -> GroupMetricVector:
-    """Per-group FPR or FNR at one shared threshold.
+) -> tuple[GroupMetricVector, GroupMetricVector]:
+    """Per-group FPR and FNR at the threshold calibrated for ``design_fpr``.
 
+    The vectors are named ``fpr@{design_fpr:g}`` and ``fnr@{design_fpr:g}``.
     ``group_scores`` maps each group to its (target, nontarget) score
     arrays and ``pooled_scores`` holds the pooled pair, as returned by
-    ``split_scores``. ``which`` is ``"fpr"`` or ``"fnr"``. The aggregate
+    ``split_scores``; every population must be nonempty. Each aggregate
     is the pooled rate at the same threshold. Error/population counts
     are recorded for the 'smooth' zero-policy.
     """
-    if which not in ("fpr", "fnr"):
-        raise ValueError(f"unknown rate {which!r}")
-    metric_name = label if label is not None else f"{which}@tau={threshold:g}"
 
-    def rate(tar: np.ndarray, non: np.ndarray, key) -> tuple[float, int, int]:
-        if which == "fpr":
-            if non.size == 0:
-                raise DegenerateGroupError(key, "has no nontarget trials")
-            errors = int(np.count_nonzero(non >= threshold))
-            return errors / non.size, errors, int(non.size)
-        if tar.size == 0:
-            raise DegenerateGroupError(key, "has no target trials")
-        errors = int(np.count_nonzero(tar < threshold))
-        return errors / tar.size, errors, int(tar.size)
+    def vector(rate: str, count) -> GroupMetricVector:
+        counts = {key: count(*scores) for key, scores in group_scores.items()}
+        errors, population = count(*pooled_scores)
+        return GroupMetricVector(
+            metric_name=f"{rate}@{design_fpr:g}",
+            per_group={key: e / n for key, (e, n) in counts.items()},
+            aggregate=errors / population,
+            per_group_counts=counts,
+            aggregate_counts=(errors, population),
+        )
 
-    per_group: dict[GroupKey, float] = {}
-    per_group_counts: dict[GroupKey, tuple[int, int]] = {}
-    for key, (tar, non) in group_scores.items():
-        value, errors, population = rate(tar, non, key)
-        per_group[key] = value
-        per_group_counts[key] = (errors, population)
-
-    aggregate, agg_errors, agg_population = rate(*pooled_scores, "pooled")
-    return GroupMetricVector(
-        metric_name=metric_name,
-        per_group=per_group,
-        aggregate=aggregate,
-        per_group_counts=per_group_counts,
-        aggregate_counts=(agg_errors, agg_population),
+    return (
+        vector("fpr", lambda tar, non: (int(np.count_nonzero(non >= threshold)), non.size)),
+        vector("fnr", lambda tar, non: (int(np.count_nonzero(tar < threshold)), tar.size)),
     )

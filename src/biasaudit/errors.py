@@ -73,8 +73,8 @@ class EmptyPopulationError(DataError):
 class DegenerateGroupError(AuditError):
     """A group lacks the trials needed for the requested metric."""
 
-    def __init__(self, group, detail: str = "has no target or no nontarget trials"):
-        super().__init__(f"group {group!s} {detail}")
+    def __init__(self, group):
+        super().__init__(f"group {group!s} has no target or no nontarget trials")
         self.group = group
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Iterable, NamedTuple, Union
 
 from .attack import GroupExposure, compare_group_exposure
 from .config import AuditConfig, config_as_dict
@@ -63,8 +63,9 @@ class ThresholdDecomposition:
 
 @dataclass(frozen=True)
 class ExposureBlock:
-    design_fpr: float
-    threshold: float
+    """Per-group attack exposure at one design point, worst-exposed group first."""
+
+    point: DesignPoint
     entries: tuple[GroupExposure, ...]
 
 
@@ -83,10 +84,6 @@ class BiasReport:
     fdr_grid: list[FdrResult]
     nrb_suite: list[NrbResult]
     exposures: list[ExposureBlock]
-
-
-def _is_rate_metric(name: str) -> bool:
-    return any(name == p or name.startswith(p) for p in _RATE_METRICS_PREFIXES)
 
 
 def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrials, list[str]]:
@@ -114,30 +111,23 @@ def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrial
         displaced.extend(trials)
     if not kept:
         raise DataError("no group has both target and nontarget trials")
-    filtered = GroupedTrials(
-        groups=kept,
-        unassigned=grouped.unassigned + displaced,
-        policy=grouped.policy,
-        attribute_names=grouped.attribute_names,
-    )
-    return filtered, warnings
+    return replace(grouped, groups=kept, unassigned=grouped.unassigned + displaced), warnings
+
+
+def _load(loader: Callable[[str], list], path: str, what: str) -> list:
+    """Run one CSV loader, naming the file in any error it raises."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"in {path}: {exc}") from exc
 
 
 def run_audit(config: AuditConfig) -> BiasReport:
     """Run the full audit pipeline described by ``config``."""
-    try:
-        trials = load_trials(config.scores_path)
-    except OSError as exc:
-        raise DataError(f"cannot read scores file {config.scores_path}: {exc}") from exc
-    except DataError as exc:
-        raise DataError(f"in {config.scores_path}: {exc}") from exc
-    try:
-        metadata = load_metadata(config.metadata_path)
-    except OSError as exc:
-        raise DataError(f"cannot read metadata file {config.metadata_path}: {exc}") from exc
-    except DataError as exc:
-        raise DataError(f"in {config.metadata_path}: {exc}") from exc
-
+    trials = _load(load_trials, config.scores_path, "scores")
+    metadata = _load(load_metadata, config.metadata_path, "metadata")
     grouped = assign_groups(trials, metadata, config.group_attributes, config.policy)
     grouped, warnings = _drop_degenerate(grouped, strict=config.strict)
     if grouped.unassigned:
@@ -182,13 +172,7 @@ def run_audit(config: AuditConfig) -> BiasReport:
                 f"fpr@{point.design_fpr:g}: zero-FPR groups have unbounded expected attack "
                 "time; flagged in the exposure table"
             )
-        exposures.append(
-            ExposureBlock(
-                design_fpr=point.design_fpr,
-                threshold=point.operating_point.threshold,
-                entries=tuple(entries),
-            )
-        )
+        exposures.append(ExposureBlock(point=point, entries=tuple(entries)))
 
     return BiasReport(
         config=config,
@@ -208,11 +192,9 @@ def run_audit(config: AuditConfig) -> BiasReport:
 def _json_safe(value: Any) -> Any:
     """Replace non-finite floats with strings so report.json stays strict JSON."""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        if math.isnan(value):
-            return "NaN"
-        return value
+        if math.isfinite(value):  # the common case, tested first
+            return value
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -221,24 +203,26 @@ def _json_safe(value: Any) -> Any:
 
 
 def _metric_entry(name: str, value: float) -> dict[str, Any]:
-    if _is_rate_metric(name):
+    if name.startswith(_RATE_METRICS_PREFIXES):
         return {"unit": "fraction", "fraction": value, "percent": value * 100.0}
     return {"unit": "fraction", "fraction": value}
 
 
 def report_to_dict(report: BiasReport) -> dict[str, Any]:
-    """JSON-ready view of the report (schema documented in the README)."""
+    """JSON-ready view of the report (schema documented in the README).
+
+    Groups are sorted and labelled once, from ``report.group_sizes``;
+    every per-group vector covers exactly those keys.
+    """
+    sizes = report.group_sizes
+    labels = {key: key.label() for key in sorted(sizes)}
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "config": config_as_dict(report.config),
         "warnings": list(report.warnings),
         "groups": [
-            {
-                "group": key.label(),
-                "n_target": counts[0],
-                "n_nontarget": counts[1],
-            }
-            for key, counts in sorted(report.group_sizes.items())
+            {"group": label, "n_target": sizes[key][0], "n_nontarget": sizes[key][1]}
+            for key, label in labels.items()
         ],
         "unassigned_trials": report.unassigned_count,
         "pooled": {
@@ -250,8 +234,8 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
                 "metric": v.metric_name,
                 "aggregate": _metric_entry(v.metric_name, v.aggregate),
                 "per_group": [
-                    {"group": g.label(), **_metric_entry(v.metric_name, v.per_group[g])}
-                    for g in sorted(v.per_group)
+                    {"group": label, **_metric_entry(v.metric_name, v.per_group[key])}
+                    for key, label in labels.items()
                 ],
             }
             for v in report.base_metrics
@@ -262,8 +246,8 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
                 "metric": b.metric_name,
                 "reference": b.reference,
                 "per_group": [
-                    {"group": g.label(), "value": b.per_group[g]}
-                    for g in sorted(b.per_group)
+                    {"group": label, "value": b.per_group[key]}
+                    for key, label in labels.items()
                 ],
             }
             for b in report.bias_vectors
@@ -276,12 +260,12 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
                 "pooled_fnr": d.point.operating_point.fnr,
                 "rows": [
                     {
-                        "group": g.label(),
-                        "fpr": d.point.fpr.per_group[g],
-                        "g2min_diff": d.diff.per_group[g],
-                        "g2avg_log_ratio": d.log_ratio.per_group[g],
+                        "group": label,
+                        "fpr": d.point.fpr.per_group[key],
+                        "g2min_diff": d.diff.per_group[key],
+                        "g2avg_log_ratio": d.log_ratio.per_group[key],
                     }
-                    for g in sorted(d.point.fpr.per_group)
+                    for key, label in labels.items()
                 ],
             }
             for d in report.decomposition
@@ -303,22 +287,22 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
                 "group_count": r.group_count,
                 "nrb": r.nrb,
                 "per_group_log_ratios": [
-                    {"group": g.label(), "value": r.per_group_log_ratios[g]}
-                    for g in sorted(r.per_group_log_ratios)
+                    {"group": label, "value": r.per_group_log_ratios[key]}
+                    for key, label in labels.items()
                 ],
-                "zero_value_groups": [g.label() for g in r.zero_value_groups],
+                "zero_value_groups": [labels[g] for g in r.zero_value_groups],
             }
             for r in report.nrb_suite
         ],
         "attack_scenarios": [
             {
-                "design_fpr": block.design_fpr,
-                "threshold": block.threshold,
+                "design_fpr": block.point.design_fpr,
+                "threshold": block.point.operating_point.threshold,
                 "attempts_per_hour": report.config.attempts_per_hour,
                 "target_probability": report.config.target_probability,
                 "rows": [
                     {
-                        "group": e.group.label(),
+                        "group": labels[e.group],
                         "fpr": e.fpr,
                         "expected_attempts": e.expected_attempts,
                         "expected_hours": e.expected_hours,
@@ -335,104 +319,83 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
 
 
 def _fmt(value: float) -> str:
-    """Shortest round-trip decimal form; deterministic."""
+    """Shortest round-trip decimal form; deterministic.
+
+    Payload values go through ``float`` first, so the JSON-safe strings
+    "Infinity", "-Infinity" and "NaN" print as inf, -inf and nan.
+    """
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+class _CsvFile(NamedTuple):
+    """One CSV mirror of the report: a row-for-row projection of a payload section."""
+
+    name: str
+    header: tuple[str, ...]
+    rows: Callable[[dict[str, Any]], Iterable[list[Any]]]
+    figure: bool = False  # written only under ``emit_figures``
 
 
-def write_base_metrics_csv(report: BiasReport, output_dir: Union[str, Path]) -> Path:
-    rows: list[list[Any]] = []
-    for v in report.base_metrics:
-        is_rate = _is_rate_metric(v.metric_name)
-        for g in sorted(v.per_group):
-            value = v.per_group[g]
-            rows.append(
-                [v.metric_name, g.label(), _fmt(value), _fmt(value * 100.0) if is_rate else ""]
-            )
-        rows.append(
-            [v.metric_name, "pooled", _fmt(v.aggregate),
-             _fmt(v.aggregate * 100.0) if is_rate else ""]
-        )
-    path = Path(output_dir) / TABLE_BASE_METRICS
-    _write_csv(path, ["metric", "group", "value_fraction", "value_percent"], rows)
-    return path
-
-
-def write_bias_measures_csv(report: BiasReport, output_dir: Union[str, Path]) -> Path:
-    rows = [
-        [b.measure_name, b.metric_name, g.label(), _fmt(b.per_group[g]), b.reference]
-        for b in report.bias_vectors
-        for g in sorted(b.per_group)
-    ]
-    path = Path(output_dir) / TABLE_BIAS_MEASURES
-    _write_csv(path, ["measure", "metric", "group", "value", "reference"], rows)
-    return path
-
-
-def write_decomposition_csv(report: BiasReport, output_dir: Union[str, Path]) -> Path:
-    rows = [
-        [
-            _fmt(d.point.design_fpr),
-            _fmt(d.point.operating_point.threshold),
-            g.label(),
-            _fmt(d.point.fpr.per_group[g]),
-            _fmt(d.diff.per_group[g]),
-            _fmt(d.log_ratio.per_group[g]),
-        ]
-        for d in report.decomposition
-        for g in sorted(d.point.fpr.per_group)
-    ]
-    path = Path(output_dir) / TABLE_DECOMPOSITION
-    _write_csv(
-        path,
-        ["design_fpr", "threshold", "group", "fpr", "g2min_diff", "g2avg_log_ratio"],
-        rows,
-    )
-    return path
-
-
-def write_fdr_grid_csv(report: BiasReport, output_dir: Union[str, Path]) -> Path:
-    rows = [[_fmt(r.design_fpr), _fmt(r.alpha), _fmt(r.fdr)] for r in report.fdr_grid]
-    path = Path(output_dir) / FIG_FDR_GRID
-    _write_csv(path, ["design_fpr", "alpha", "fdr"], rows)
-    return path
-
-
-def write_nrb_suite_csv(report: BiasReport, output_dir: Union[str, Path]) -> Path:
-    rows = [[r.metric_name, _fmt(r.nrb)] for r in report.nrb_suite]
-    path = Path(output_dir) / FIG_NRB_SUITE
-    _write_csv(path, ["metric_name", "nrb"], rows)
-    return path
+_CSV_FILES = (
+    _CsvFile(
+        TABLE_BASE_METRICS, ("metric", "group", "value_fraction", "value_percent"),
+        lambda p: (
+            [m["metric"], r["group"], _fmt(r["fraction"]),
+             _fmt(r["percent"]) if "percent" in r else ""]
+            for m in p["base_metrics"]
+            for r in [*m["per_group"], {"group": "pooled", **m["aggregate"]}]
+        ),
+    ),
+    _CsvFile(
+        TABLE_BIAS_MEASURES, ("measure", "metric", "group", "value", "reference"),
+        lambda p: (
+            [b["measure"], b["metric"], r["group"], _fmt(r["value"]), b["reference"]]
+            for b in p["bias_measures"] for r in b["per_group"]
+        ),
+    ),
+    _CsvFile(
+        TABLE_DECOMPOSITION,
+        ("design_fpr", "threshold", "group", "fpr", "g2min_diff", "g2avg_log_ratio"),
+        lambda p: (
+            [_fmt(d["design_fpr"]), _fmt(d["threshold"]), r["group"], _fmt(r["fpr"]),
+             _fmt(r["g2min_diff"]), _fmt(r["g2avg_log_ratio"])]
+            for d in p["threshold_decomposition"] for r in d["rows"]
+        ),
+    ),
+    _CsvFile(
+        FIG_FDR_GRID, ("design_fpr", "alpha", "fdr"),
+        lambda p: (
+            [_fmt(r["design_fpr"]), _fmt(r["alpha"]), _fmt(r["fdr"])] for r in p["fdr_grid"]
+        ),
+        figure=True,
+    ),
+    _CsvFile(
+        FIG_NRB_SUITE, ("metric_name", "nrb"),
+        lambda p: ([r["metric"], _fmt(r["nrb"])] for r in p["nrb_suite"]),
+        figure=True,
+    ),
+)
 
 
 def emit(report: BiasReport, output_dir: Union[str, Path]) -> list[Path]:
-    """Write the report files into ``output_dir`` and return their paths.
+    """Write report.json and the CSV projections of its payload; return their paths.
 
-    Always: report.json, table_base_metrics.csv, table_bias_measures.csv,
-    table_threshold_decomposition.csv. With ``emit_figures`` (default):
-    fig_fdr_grid.csv and fig_nrb_suite.csv.
+    The figure CSVs (fig_*.csv) are written only under ``emit_figures``.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
+    payload = report_to_dict(report)
     report_path = out / REPORT_JSON
-    report_path.write_text(
-        json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
-    written.append(report_path)
-
-    written.append(write_base_metrics_csv(report, out))
-    written.append(write_bias_measures_csv(report, out))
-    written.append(write_decomposition_csv(report, out))
-    if report.config.emit_figures:
-        written.append(write_fdr_grid_csv(report, out))
-        written.append(write_nrb_suite_csv(report, out))
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    report_path.write_text(text, encoding="utf-8")
+    written = [report_path]
+    for table in _CSV_FILES:
+        if table.figure and not report.config.emit_figures:
+            continue
+        path = out / table.name
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(table.header)
+            writer.writerows(table.rows(payload))
+        written.append(path)
     return written

@@ -1,10 +1,11 @@
 """Trial-score ingestion, validation, and demographic grouping.
 
-Scores arrive as a CSV with header ``enroll_id,test_id,label,score``;
-speaker metadata as a CSV whose header starts with ``speaker_id``
-followed by one column per attribute. Attribute names are lowercased at
-load time, values are kept verbatim. Loading is single-threaded and all
-loaded structures are treated as immutable afterward.
+Scores arrive as a UTF-8 CSV (a byte-order mark is allowed) with
+header ``enroll_id,test_id,label,score``; speaker metadata as a UTF-8
+CSV whose header starts with ``speaker_id`` followed by one column per
+attribute. Attribute names are lowercased at load time, values are kept
+verbatim. Loading is single-threaded and all loaded structures are
+treated as immutable afterward.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     BadLabelError,
@@ -124,18 +126,30 @@ class GroupedTrials:
         return sum(len(t) for t in self.groups.values()) + len(self.unassigned)
 
 
-def _open_text(source: Source) -> tuple[IO[str], bool]:
-    """Return a text stream for a path, bytes, or file-like source."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary file-like
-    if hasattr(source, "read"):
-        return io.TextIOWrapper(source, encoding="utf-8"), False
-    raise TypeError(f"unsupported source type: {type(source)!r}")
+@contextmanager
+def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
+    """CSV rows of a path, bytes, or file-like source.
+
+    Bytes are decoded as UTF-8 with a leading byte-order mark skipped; a
+    byte that is not UTF-8 raises DataError.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8-sig", newline="") as stream:
+                yield csv.reader(stream)
+        elif isinstance(source, bytes):
+            yield csv.reader(io.StringIO(source.decode("utf-8-sig")))
+        elif isinstance(source, io.TextIOBase):
+            yield csv.reader(source)
+        elif hasattr(source, "read"):  # binary file-like
+            yield csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig"))
+        else:
+            raise TypeError(f"unsupported source type: {type(source)!r}")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"not UTF-8 text: cannot decode byte {exc.object[exc.start]:#04x}; "
+            "save the file as UTF-8"
+        ) from exc
 
 
 def load_metadata(source: Source) -> list[SpeakerMetadata]:
@@ -145,9 +159,7 @@ def load_metadata(source: Source) -> list[SpeakerMetadata]:
     attribute column. Attribute names are lowercased; values kept
     verbatim. Duplicate speaker ids are an error.
     """
-    stream, owned = _open_text(source)
-    try:
-        reader = csv.reader(stream)
+    with _csv_rows(source) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -185,9 +197,6 @@ def load_metadata(source: Source) -> list[SpeakerMetadata]:
                 )
             )
         return records
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_trials(source: Source) -> list[TrialRecord]:
@@ -196,9 +205,7 @@ def load_trials(source: Source) -> list[TrialRecord]:
     The header must be exactly ``enroll_id,test_id,label,score``. Labels
     are case-insensitive; scores must parse as finite reals.
     """
-    stream, owned = _open_text(source)
-    try:
-        reader = csv.reader(stream)
+    with _csv_rows(source) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -230,9 +237,6 @@ def load_trials(source: Source) -> list[TrialRecord]:
                 raise NonFiniteScoreError(lineno, raw_score)
             trials.append(TrialRecord(enroll_id, test_id, label, score))
         return trials
-    finally:
-        if owned:
-            stream.close()
 
 
 def write_trials(trials: Iterable[TrialRecord], dest: Union[str, Path, IO[str]]) -> None:

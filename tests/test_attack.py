@@ -63,6 +63,8 @@ def test_scenario_validation():
         AttackScenario(fpr=1.5)
     with pytest.raises(ValueError):
         AttackScenario(fpr=0.5, attempts_per_hour=0.0)
+    with pytest.raises(ValueError):
+        AttackScenario(fpr=0.5, attempts_per_hour=math.inf)
 
 
 @given(fprs, st.integers(0, 5000), st.integers(0, 5000))

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +140,21 @@ def test_repeated_design_fprs_exit_one(data_dir, capsys):
     assert "0.0010000001" in capsys.readouterr().err
 
 
+def test_non_finite_dcf_cost_exits_one(data_dir, capsys):
+    assert main(audit_args(data_dir, extra=("--dcf-cmiss", "inf"))) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_config_rejects_infinite_attack_rate(tmp_path):
+    with pytest.raises(ConfigError, match="attempts_per_hour"):
+        AuditConfig(
+            scores_path=str(tmp_path / "s.csv"),
+            metadata_path=str(tmp_path / "m.csv"),
+            group_attributes=("gender",),
+            attempts_per_hour=math.inf,
+        )
+
+
 def test_missing_data_exits_two(tmp_path):
     args = [
         "audit",
@@ -156,6 +176,27 @@ def test_malformed_scores_exits_two(tmp_path):
         "--groups", "gender", "--out", str(tmp_path / "out"),
     ]
     assert main(args) == 2
+
+
+def test_non_utf8_scores_exit_two(data_dir, capsys):
+    scores = data_dir / "scores.csv"
+    scores.write_bytes(scores.read_bytes() + "Jos\xe9,b,target,0.5\n".encode("latin-1"))
+    assert main(audit_args(data_dir)) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_python_m_biasaudit_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "biasaudit", "scenario", "--fpr", "0.01"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "fpr=0.01" in result.stdout
 
 
 def test_strict_degenerate_exits_three(tmp_path):

@@ -15,7 +15,7 @@ from biasaudit import (
     EmptyPopulationError,
     base_metrics,
     compute_sweep,
-    disaggregate_at_threshold,
+    design_point_rates,
     eer,
     split_scores,
     min_cdet,
@@ -170,6 +170,10 @@ def test_dcf_params_validation():
     with pytest.raises(ValueError):
         DcfParams(c_miss=0.0)
     with pytest.raises(ValueError):
+        DcfParams(c_miss=math.inf)
+    with pytest.raises(ValueError):
+        DcfParams(c_fa=math.inf)
+    with pytest.raises(ValueError):
         DcfParams(p_target=1.0)
 
 
@@ -253,13 +257,11 @@ def test_disaggregate_at_threshold_boundaries():
         gk(g="b"): ([1.5], [0.25]),
     })
     split = split_groups(grouped)
-    low = disaggregate_at_threshold(*split, -10.0, "fpr")
+    low, low_fnr = design_point_rates(*split, 0.1, -10.0)
     assert all(v == 1.0 for v in low.per_group.values())
-    low_fnr = disaggregate_at_threshold(*split, -10.0, "fnr")
     assert all(v == 0.0 for v in low_fnr.per_group.values())
-    high = disaggregate_at_threshold(*split, 10.0, "fpr")
+    high, high_fnr = design_point_rates(*split, 0.1, 10.0)
     assert all(v == 0.0 for v in high.per_group.values())
-    high_fnr = disaggregate_at_threshold(*split, 10.0, "fnr")
     assert all(v == 1.0 for v in high_fnr.per_group.values())
 
 
@@ -267,16 +269,17 @@ def test_disaggregate_at_threshold_pooled_equals_group_when_identical():
     # a group identical to the pooled population reproduces the pooled rate exactly
     scores = ([0.5, 1.5, 2.5], [-0.5, 0.0, 1.0])
     grouped = grouped_from_scores({gk(g="only"): scores})
-    vector = disaggregate_at_threshold(*split_groups(grouped), 0.75, "fpr")
+    vector, _ = design_point_rates(*split_groups(grouped), 0.1, 0.75)
     assert vector.per_group[gk(g="only")] == vector.aggregate
 
 
 def test_disaggregate_at_threshold_records_counts():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 2.0], [0.0, 0.5, 1.5])})
     split = split_groups(grouped)
-    vector = disaggregate_at_threshold(*split, 1.0, "fpr")
+    vector, _ = design_point_rates(*split, 0.025, 1.0)
+    assert vector.metric_name == "fpr@0.025"
     assert vector.per_group_counts[gk(g="a")] == (1, 3)
     assert vector.aggregate_counts == (1, 3)
-    vector = disaggregate_at_threshold(*split, 1.5, "fnr", label="fnr@x")
-    assert vector.metric_name == "fnr@x"
+    _, vector = design_point_rates(*split, 0.025, 1.5)
+    assert vector.metric_name == "fnr@0.025"
     assert vector.per_group_counts[gk(g="a")] == (1, 2)

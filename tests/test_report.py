@@ -296,18 +296,33 @@ GOLDEN_METADATA = (
     "fy1,f,young\nfy2,f,young\nmo1,m,old\nmo2,m,old\n"
     "my1,m,young\nmy2,m,young\nfo1,f,old\nfo2,f,old\n"
 )
-# recorded from the record-based pipeline that computed each table separately
+# "smooth" was recorded from the record-based pipeline that computed each
+# table separately; "infinity" from the per-table CSV writers that preceded
+# the payload projection. Under "infinity" zero-valued groups put
+# "Infinity" in report.json and inf in the bias-measure, decomposition and
+# NRB tables.
 GOLDEN_SHA256 = {
-    REPORT_JSON: "60d4044b5b32002f34166a4f82e3b99f2683cd91c7b4a712ade7ba10e6cf8519",
-    TABLE_BASE_METRICS: "88decd2db84ee62ec2739ecca1d4b3cdb2f916bc8358170e035a2f8ca98704d0",
-    TABLE_BIAS_MEASURES: "d9b97d82698f29d97b43034c5a8c7a16682c4b2322ae43ab95ca7ae28323484b",
-    TABLE_DECOMPOSITION: "08c3a877934b0f167a755a12538f45e7478c802b5a129f86f0fe7d239f3dfaea",
-    FIG_FDR_GRID: "0398a90b22a28418bee22afd78108747cde46c7c0bd141c71b317d73a9494758",
-    FIG_NRB_SUITE: "a1c3633758254d39334343631d83cc42f2858ba718df8a0fe0a4b6846383c260",
+    "smooth": {
+        REPORT_JSON: "60d4044b5b32002f34166a4f82e3b99f2683cd91c7b4a712ade7ba10e6cf8519",
+        TABLE_BASE_METRICS: "88decd2db84ee62ec2739ecca1d4b3cdb2f916bc8358170e035a2f8ca98704d0",
+        TABLE_BIAS_MEASURES: "d9b97d82698f29d97b43034c5a8c7a16682c4b2322ae43ab95ca7ae28323484b",
+        TABLE_DECOMPOSITION: "08c3a877934b0f167a755a12538f45e7478c802b5a129f86f0fe7d239f3dfaea",
+        FIG_FDR_GRID: "0398a90b22a28418bee22afd78108747cde46c7c0bd141c71b317d73a9494758",
+        FIG_NRB_SUITE: "a1c3633758254d39334343631d83cc42f2858ba718df8a0fe0a4b6846383c260",
+    },
+    "infinity": {
+        REPORT_JSON: "c8ea5b3ed2d343a026d8ad5be52525178e58853bf9f0ad93ec7d4eb499f49202",
+        TABLE_BASE_METRICS: "88decd2db84ee62ec2739ecca1d4b3cdb2f916bc8358170e035a2f8ca98704d0",
+        TABLE_BIAS_MEASURES: "1d8f61580fe4eae08fb2d4b4fee0a289d455bea3749b4cf11cea7ee5040f633c",
+        TABLE_DECOMPOSITION: "2ab1acd3dd4eb07747b4f126b2381edcf08394581400ed8ac84d2d510f05c87c",
+        FIG_FDR_GRID: "0398a90b22a28418bee22afd78108747cde46c7c0bd141c71b317d73a9494758",
+        FIG_NRB_SUITE: "c79f3eb6941d5291ac3aafe7e594002b899a10bf0a12a12b215baeb89ceae7c6",
+    },
 }
 
 
-def test_emitted_files_match_golden_digests(tmp_path, monkeypatch):
+@pytest.mark.parametrize("zero_policy", sorted(GOLDEN_SHA256))
+def test_emitted_files_match_golden_digests(tmp_path, monkeypatch, zero_policy):
     monkeypatch.chdir(tmp_path)
     rows = ["enroll_id,test_id,label,score"]
     for (enroll, test), (targets, nontargets) in GOLDEN_TRIALS.items():
@@ -321,12 +336,17 @@ def test_emitted_files_match_golden_digests(tmp_path, monkeypatch):
         group_attributes=("gender", "age"),
         design_fprs=(0.5, 0.1, 0.25),
         alphas=(1.0, 0.0, 0.5),
-        zero_policy="smooth",
+        zero_policy=zero_policy,
         output_dir="out",
     )
     written = emit(run_audit(config), config.output_dir)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
-    assert digests == GOLDEN_SHA256
+    assert digests == GOLDEN_SHA256[zero_policy]
+    if zero_policy == "infinity":
+        text = {p.name: p.read_text(encoding="utf-8") for p in written}
+        assert '"Infinity"' in text[REPORT_JSON]
+        for name in (TABLE_BIAS_MEASURES, TABLE_DECOMPOSITION, FIG_NRB_SUITE):
+            assert ",inf" in text[name]
 
 
 def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from biasaudit import (
     BadLabelError,
     ConfigError,
+    DataError,
     DuplicateSpeakerError,
     EmptyFileError,
     GroupingPolicy,
@@ -68,6 +69,36 @@ def test_load_metadata_empty_file():
 def test_load_metadata_accepts_bytes():
     records = load_metadata(b"speaker_id,gender\nid001,male\n")
     assert records[0].attributes["gender"] == "male"
+
+
+BOM = "\ufeff".encode("utf-8")
+SCORES_CSV = "enroll_id,test_id,label,score\na,b,target,0.5\n".encode("utf-8")
+METADATA_CSV = "speaker_id,gender\na,f\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("as_path", [False, True], ids=["bytes", "path"])
+def test_loaders_skip_utf8_byte_order_mark(tmp_path, as_path):
+    sources = {"scores": BOM + SCORES_CSV, "metadata": BOM + METADATA_CSV}
+    if as_path:
+        for name, data in sources.items():
+            (tmp_path / name).write_bytes(data)
+            sources[name] = str(tmp_path / name)
+    assert load_trials(sources["scores"]) == load_trials(SCORES_CSV)
+    assert load_metadata(sources["metadata"]) == load_metadata(METADATA_CSV)
+
+
+@pytest.mark.parametrize("as_path", [False, True], ids=["bytes", "path"])
+@pytest.mark.parametrize("loader, data", [
+    (load_trials, "enroll_id,test_id,label,score\nJos\xe9,b,target,0.5\n"),
+    (load_metadata, "speaker_id,gender\nJos\xe9,f\n"),
+], ids=["scores", "metadata"])
+def test_loaders_reject_non_utf8_bytes_as_data_error(tmp_path, loader, data, as_path):
+    source = data.encode("latin-1")
+    if as_path:
+        (tmp_path / "input.csv").write_bytes(source)
+        source = str(tmp_path / "input.csv")
+    with pytest.raises(DataError, match="0xe9"):
+        loader(source)
 
 
 def test_load_trials_maps_row():
