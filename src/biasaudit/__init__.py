@@ -29,7 +29,6 @@ from .detection import (
     eer,
     min_cdet,
     rates_at_threshold,
-    split_scores,
     threshold_for_fpr,
 )
 from .errors import (
@@ -79,11 +78,13 @@ from .trials import (
     GroupingPolicy,
     GroupKey,
     Label,
+    Scores,
     SpeakerMetadata,
     TrialRecord,
     assign_groups,
     load_metadata,
     load_trials,
+    split_scores,
     write_metadata,
     write_trials,
 )

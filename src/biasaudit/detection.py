@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateGroupError, EmptyPopulationError
-from .trials import GroupedTrials, GroupKey, Label, TrialRecord
+from .trials import GroupedTrials, GroupKey, Scores
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,6 @@ class BaseMetrics:
         return vectors
 
 
-def split_scores(trials: Iterable[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Split trials into (target_scores, nontarget_scores) arrays."""
-    tar, non = [], []
-    for t in trials:
-        (tar if t.label is Label.TARGET else non).append(t.score)
-    return np.asarray(tar, dtype=float), np.asarray(non, dtype=float)
-
-
 def compute_sweep(
     target_scores: Sequence[float],
     nontarget_scores: Sequence[float],
@@ -232,25 +224,25 @@ def base_metrics(
     design_fprs: Sequence[float],
     dcf: DcfParams = DcfParams(),
 ) -> BaseMetrics:
-    """Every base metric of one audit, from one split and one sweep per population.
+    """Every base metric of one audit, from one sweep per population.
 
-    Each group's trials and the pooled trials (unassigned included) are
-    split once and swept once; EER and minCDet are read off that sweep,
-    each design threshold is calibrated on the pooled sweep, and every
-    group's FPR and FNR are counted at it.
+    Each group's scores and the pooled scores (unassigned included) are
+    swept once; EER and minCDet are read off that sweep, each design
+    threshold is calibrated on the pooled sweep, and every group's FPR
+    and FNR are counted at it.
     """
-    split = {key: split_scores(trials) for key, trials in sorted(grouped.groups.items())}
-    for key, (tar, non) in split.items():
-        if tar.size == 0 or non.size == 0:
+    groups = dict(sorted(grouped.groups.items()))
+    for key, scores in groups.items():
+        if scores.target.size == 0 or scores.nontarget.size == 0:
             raise DegenerateGroupError(key)
-    pooled = split_scores(grouped.all_trials())
-    curves = {key: compute_sweep(tar, non) for key, (tar, non) in split.items()}
-    pooled_curve = compute_sweep(*pooled)
+    pooled = grouped.pooled()
+    curves = {key: compute_sweep(s.target, s.nontarget) for key, s in groups.items()}
+    pooled_curve = compute_sweep(pooled.target, pooled.nontarget)
 
     design_points = []
     for design in sorted(design_fprs, reverse=True):
         op = threshold_for_fpr(pooled_curve, design)
-        fpr, fnr = design_point_rates(split, pooled, design, op.threshold)
+        fpr, fnr = design_point_rates(groups, pooled, design, op.threshold)
         design_points.append(DesignPoint(design, op, fpr, fnr))
 
     def read_off(name: str, metric) -> GroupMetricVector:
@@ -267,24 +259,23 @@ def base_metrics(
 
 
 def design_point_rates(
-    group_scores: Mapping[GroupKey, tuple[np.ndarray, np.ndarray]],
-    pooled_scores: tuple[np.ndarray, np.ndarray],
+    group_scores: Mapping[GroupKey, Scores],
+    pooled_scores: Scores,
     design_fpr: float,
     threshold: float,
 ) -> tuple[GroupMetricVector, GroupMetricVector]:
     """Per-group FPR and FNR at the threshold calibrated for ``design_fpr``.
 
     The vectors are named ``fpr@{design_fpr:g}`` and ``fnr@{design_fpr:g}``.
-    ``group_scores`` maps each group to its (target, nontarget) score
-    arrays and ``pooled_scores`` holds the pooled pair, as returned by
-    ``split_scores``; every population must be nonempty. Each aggregate
-    is the pooled rate at the same threshold. Error/population counts
-    are recorded for the 'smooth' zero-policy.
+    ``group_scores`` maps each group to its scores and ``pooled_scores``
+    holds the pooled population; every population must be nonempty. Each
+    aggregate is the pooled rate at the same threshold. Error/population
+    counts are recorded for the 'smooth' zero-policy.
     """
 
     def vector(rate: str, count) -> GroupMetricVector:
-        counts = {key: count(*scores) for key, scores in group_scores.items()}
-        errors, population = count(*pooled_scores)
+        counts = {key: count(s.target, s.nontarget) for key, s in group_scores.items()}
+        errors, population = count(pooled_scores.target, pooled_scores.nontarget)
         return GroupMetricVector(
             metric_name=f"{rate}@{design_fpr:g}",
             per_group={key: e / n for key, (e, n) in counts.items()},

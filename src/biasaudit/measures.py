@@ -76,11 +76,26 @@ def _values_and_average(
     else:
         average = aggregate
     if average <= 0.0:
-        raise ZeroAggregateError(
-            f"metric {v.metric_name!r}: reference average is {average}, "
-            "ratio measures are undefined"
-        )
+        raise ZeroAggregateError(_zero_average_message(v, average, average_mode))
     return values, average
+
+
+def _zero_average_message(v: GroupMetricVector, average: float, average_mode: str) -> str:
+    """Why the reference average is zero and, for a counted pooled rate, what to do."""
+    message = (
+        f"metric {v.metric_name!r}: reference average is {average}, "
+        "ratio measures are undefined"
+    )
+    if v.aggregate_counts is None or average_mode != "pooled":
+        return message
+    errors, population = v.aggregate_counts
+    is_fpr = v.metric_name.startswith("fpr@")
+    return (
+        f"{message}: {errors:,} of {population:,} pooled "
+        f"{'nontarget' if is_fpr else 'target'} trials are errors at this threshold, "
+        f"and the data cannot resolve a rate below 1/{population:,}; use a "
+        f"{'larger' if is_fpr else 'smaller'} design FPR or zero_policy=smooth"
+    )
 
 
 def g2min_diff(v: GroupMetricVector) -> BiasVector:

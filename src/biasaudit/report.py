@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Union
 
@@ -33,7 +33,7 @@ from .meta import FdrResult, NrbResult, fdr_grid, nrb_suite
 from .trials import (
     GroupedTrials,
     GroupKey,
-    Label,
+    Scores,
     assign_groups,
     load_metadata,
     load_trials,
@@ -94,24 +94,23 @@ def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrial
     strict mode a degenerate group is an error instead.
     """
     warnings: list[str] = []
-    kept: dict[GroupKey, list] = {}
-    displaced: list = []
-    for key, trials in grouped.groups.items():
-        n_target = sum(1 for t in trials if t.label is Label.TARGET)
-        if 0 < n_target < len(trials):
-            kept[key] = trials
+    kept: dict[GroupKey, Scores] = {}
+    displaced = [grouped.unassigned]
+    for key, scores in grouped.groups.items():
+        if scores.target.size and scores.nontarget.size:
+            kept[key] = scores
             continue
         if strict:
             raise DegenerateGroupError(key)
-        side = "target" if n_target == 0 else "nontarget"
+        side = "target" if scores.target.size == 0 else "nontarget"
         warnings.append(
             f"group {key} has no {side} trials; excluded from per-group metrics "
-            f"({len(trials)} trials kept in pooled statistics)"
+            f"({len(scores)} trials kept in pooled statistics)"
         )
-        displaced.extend(trials)
+        displaced.append(scores)
     if not kept:
         raise DataError("no group has both target and nontarget trials")
-    return replace(grouped, groups=kept, unassigned=grouped.unassigned + displaced), warnings
+    return GroupedTrials(groups=kept, unassigned=Scores.concatenate(displaced)), warnings
 
 
 def _load(loader: Callable[[str], list], path: str, what: str) -> list:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     BadLabelError,
@@ -101,29 +103,46 @@ class GroupKey:
         return self.label()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Target and nontarget score arrays of one population; ``len`` counts both."""
+
+    target: np.ndarray
+    nontarget: np.ndarray
+
+    def __len__(self) -> int:
+        return self.target.size + self.nontarget.size
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["Scores"]) -> "Scores":
+        return cls(
+            np.concatenate([p.target for p in parts]),
+            np.concatenate([p.nontarget for p in parts]),
+        )
+
+
+@dataclass(frozen=True)
 class GroupedTrials:
     """Partition of a trial list into group buckets plus an unassigned rest.
 
-    Every input trial lands in exactly one bucket. Pooled (overall)
-    statistics always use all trials, unassigned included.
+    Every input trial lands in exactly one bucket of score arrays. Pooled
+    (overall) statistics always use all trials, unassigned included.
     """
 
-    groups: dict[GroupKey, list[TrialRecord]]
-    unassigned: list[TrialRecord]
-    policy: GroupingPolicy
-    attribute_names: tuple[str, ...]
+    groups: dict[GroupKey, Scores]
+    unassigned: Scores
 
-    def all_trials(self) -> list[TrialRecord]:
+    def pooled(self) -> Scores:
         """The pooled population: every trial from every bucket."""
-        pooled: list[TrialRecord] = []
-        for key in sorted(self.groups):
-            pooled.extend(self.groups[key])
-        pooled.extend(self.unassigned)
-        return pooled
+        return Scores.concatenate([*self.groups.values(), self.unassigned])
 
-    def n_trials(self) -> int:
-        return sum(len(t) for t in self.groups.values()) + len(self.unassigned)
+
+def split_scores(trials: Iterable[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Split trials into (target_scores, nontarget_scores) arrays."""
+    tar, non = [], []
+    for t in trials:
+        (tar if t.label is Label.TARGET else non).append(t.score)
+    return np.asarray(tar, dtype=float), np.asarray(non, dtype=float)
 
 
 @contextmanager
@@ -131,25 +150,34 @@ def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
     """CSV rows of a path, bytes, or file-like source.
 
     Bytes are decoded as UTF-8 with a leading byte-order mark skipped; a
-    byte that is not UTF-8 raises DataError.
+    byte that is not UTF-8, or a row the csv module cannot parse, raises
+    DataError. A caller's stream is left open.
     """
+    reader = None
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8-sig", newline="") as stream:
-                yield csv.reader(stream)
-        elif isinstance(source, bytes):
-            yield csv.reader(io.StringIO(source.decode("utf-8-sig")))
-        elif isinstance(source, io.TextIOBase):
-            yield csv.reader(source)
-        elif hasattr(source, "read"):  # binary file-like
-            yield csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig"))
-        else:
-            raise TypeError(f"unsupported source type: {type(source)!r}")
+        with ExitStack() as stack:
+            if isinstance(source, (str, Path)):
+                stream = stack.enter_context(
+                    open(source, "r", encoding="utf-8-sig", newline="")
+                )
+            elif isinstance(source, bytes):
+                stream = io.StringIO(source.decode("utf-8-sig"))
+            elif isinstance(source, io.TextIOBase):
+                stream = source
+            elif hasattr(source, "read"):  # binary file-like
+                stream = io.TextIOWrapper(source, encoding="utf-8-sig")
+                stack.callback(stream.detach)  # closing the wrapper would close the source
+            else:
+                raise TypeError(f"unsupported source type: {type(source)!r}")
+            reader = csv.reader(stream)
+            yield reader
     except UnicodeDecodeError as exc:
         raise DataError(
             f"not UTF-8 text: cannot decode byte {exc.object[exc.start]:#04x}; "
             "save the file as UTF-8"
         ) from exc
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from exc
 
 
 def load_metadata(source: Source) -> list[SpeakerMetadata]:
@@ -282,40 +310,27 @@ def assign_groups(
     Under BOTH_MATCH a trial joins group g only if both its speakers
     carry exactly g's attribute tuple; under ENROLLMENT_ONLY the
     enrollment speaker's tuple decides alone. Trials whose deciding
-    speakers are missing from the metadata go to ``unassigned``.
+    speakers are missing from the metadata go to ``unassigned``. Each
+    bucket is split into its score arrays once.
     """
     names = tuple(n.strip().lower() for n in attribute_names)
-    if not names or any(not n for n in names):
-        raise ConfigError("attribute_names must be a nonempty list of nonempty names")
-    for name in names:
-        if any(name not in r.attributes for r in metadata):
-            raise UnknownAttributeError(name)
-
-    tuples: dict[str, tuple[str, ...]] = {
-        r.speaker_id: tuple(r.attributes[n] for n in names) for r in metadata
-    }
-    sorted_names = tuple(sorted(names))
-    # values must follow the sorted-name order GroupKey canonicalizes to
-    order = [names.index(n) for n in sorted_names]
-
-    groups: dict[GroupKey, list[TrialRecord]] = {}
-    unassigned: list[TrialRecord] = []
+    if not names or any(not n for n in names) or len(set(names)) != len(names):
+        raise ConfigError("attribute_names must be a nonempty list of distinct nonempty names")
+    try:
+        tuples = {r.speaker_id: tuple(r.attributes[n] for n in names) for r in metadata}
+    except KeyError as exc:
+        raise UnknownAttributeError(exc.args[0]) from None
+    # bucket by the raw value tuple; None collects the unassigned trials
+    buckets: dict[tuple[str, ...] | None, list[TrialRecord]] = {None: []}
     for trial in trials:
-        enroll = tuples.get(trial.enroll_id)
-        test = tuples.get(trial.test_id)
-        if policy is GroupingPolicy.BOTH_MATCH:
-            chosen = enroll if (enroll is not None and enroll == test) else None
-        else:
-            chosen = enroll
-        if chosen is None:
-            unassigned.append(trial)
-            continue
-        key = GroupKey(names=sorted_names, values=tuple(chosen[i] for i in order))
-        groups.setdefault(key, []).append(trial)
+        chosen = tuples.get(trial.enroll_id)
+        if policy is GroupingPolicy.BOTH_MATCH and chosen != tuples.get(trial.test_id):
+            chosen = None
+        buckets.setdefault(chosen, []).append(trial)
 
-    return GroupedTrials(
-        groups={k: groups[k] for k in sorted(groups)},
-        unassigned=unassigned,
-        policy=policy,
-        attribute_names=sorted_names,
-    )
+    unassigned = Scores(*split_scores(buckets.pop(None)))
+    groups = {
+        GroupKey.from_attributes(dict(zip(names, values))): Scores(*split_scores(members))
+        for values, members in buckets.items()
+    }
+    return GroupedTrials(groups=dict(sorted(groups.items())), unassigned=unassigned)

@@ -2,50 +2,25 @@
 
 from __future__ import annotations
 
-from biasaudit import (
-    GroupedTrials,
-    GroupingPolicy,
-    GroupKey,
-    Label,
-    TrialRecord,
-)
+import numpy as np
+
+from biasaudit import GroupedTrials, GroupKey, Scores
 
 
 def gk(**attributes: str) -> GroupKey:
     return GroupKey.from_attributes(attributes)
 
 
-def make_trials(
-    target_scores,
-    nontarget_scores,
-    prefix: str = "t",
-) -> list[TrialRecord]:
-    """Anonymous trials carrying the given target/nontarget scores."""
-    trials = [
-        TrialRecord(f"{prefix}{i}e", f"{prefix}{i}t", Label.TARGET, float(s))
-        for i, s in enumerate(target_scores)
-    ]
-    offset = len(trials)
-    trials += [
-        TrialRecord(f"{prefix}{offset + i}e", f"{prefix}{offset + i}t",
-                    Label.NONTARGET, float(s))
-        for i, s in enumerate(nontarget_scores)
-    ]
-    return trials
-
-
 def grouped_from_scores(
     groups: dict[GroupKey, tuple[list, list]],
-    unassigned: tuple[list, list] | None = None,
-    policy: GroupingPolicy = GroupingPolicy.BOTH_MATCH,
+    unassigned: tuple[list, list] = ((), ()),
 ) -> GroupedTrials:
     """Build a GroupedTrials directly from per-group score lists."""
-    built = {}
-    names: tuple[str, ...] = ()
-    for i, (key, (tar, non)) in enumerate(sorted(groups.items())):
-        built[key] = make_trials(tar, non, prefix=f"g{i}_")
-        names = key.names
-    extra = make_trials(*unassigned, prefix="u_") if unassigned else []
+
+    def scores(target, nontarget) -> Scores:
+        return Scores(np.asarray(target, dtype=float), np.asarray(nontarget, dtype=float))
+
     return GroupedTrials(
-        groups=built, unassigned=extra, policy=policy, attribute_names=names
+        groups={key: scores(*pair) for key, pair in sorted(groups.items())},
+        unassigned=scores(*unassigned),
     )

@@ -185,6 +185,15 @@ def test_non_utf8_scores_exit_two(data_dir, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_unparsable_csv_field_exits_two(data_dir, capsys):
+    scores = data_dir / "scores.csv"
+    field = "x" * 200_000  # over the csv module's default field size limit
+    scores.write_text(scores.read_text(encoding="utf-8") + f"{field},b,target,0.5\n",
+                      encoding="utf-8")
+    assert main(audit_args(data_dir)) == 2
+    assert "malformed CSV" in capsys.readouterr().err
+
+
 def test_python_m_biasaudit_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(

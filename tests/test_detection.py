@@ -13,22 +13,17 @@ from biasaudit import (
     DcfParams,
     DegenerateGroupError,
     EmptyPopulationError,
+    Scores,
     base_metrics,
     compute_sweep,
     design_point_rates,
     eer,
-    split_scores,
     min_cdet,
     rates_at_threshold,
     threshold_for_fpr,
 )
 from helpers import gk, grouped_from_scores
 
-
-def split_groups(grouped):
-    """Per-group and pooled (target, nontarget) arrays, as base_metrics splits them."""
-    per_group = {key: split_scores(trials) for key, trials in sorted(grouped.groups.items())}
-    return per_group, split_scores(grouped.all_trials())
 
 score_lists = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=80
@@ -238,7 +233,7 @@ def test_disaggregate_two_gaussian_groups():
 
 def test_disaggregate_degenerate_group_raises():
     grouped = grouped_from_scores({gk(g="a"): ([1.0], [0.0])})
-    grouped.groups[gk(g="b")] = grouped.groups[gk(g="a")][:1]  # targets only
+    grouped.groups[gk(g="b")] = Scores(np.array([1.0]), np.array([]))  # targets only
     with pytest.raises(DegenerateGroupError):
         base_metrics(grouped, ())
 
@@ -256,7 +251,7 @@ def test_disaggregate_at_threshold_boundaries():
         gk(g="a"): ([1.0, 2.0], [0.0, 0.5]),
         gk(g="b"): ([1.5], [0.25]),
     })
-    split = split_groups(grouped)
+    split = (grouped.groups, grouped.pooled())
     low, low_fnr = design_point_rates(*split, 0.1, -10.0)
     assert all(v == 1.0 for v in low.per_group.values())
     assert all(v == 0.0 for v in low_fnr.per_group.values())
@@ -269,13 +264,13 @@ def test_disaggregate_at_threshold_pooled_equals_group_when_identical():
     # a group identical to the pooled population reproduces the pooled rate exactly
     scores = ([0.5, 1.5, 2.5], [-0.5, 0.0, 1.0])
     grouped = grouped_from_scores({gk(g="only"): scores})
-    vector, _ = design_point_rates(*split_groups(grouped), 0.1, 0.75)
+    vector, _ = design_point_rates(grouped.groups, grouped.pooled(), 0.1, 0.75)
     assert vector.per_group[gk(g="only")] == vector.aggregate
 
 
 def test_disaggregate_at_threshold_records_counts():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 2.0], [0.0, 0.5, 1.5])})
-    split = split_groups(grouped)
+    split = (grouped.groups, grouped.pooled())
     vector, _ = design_point_rates(*split, 0.025, 1.0)
     assert vector.metric_name == "fpr@0.025"
     assert vector.per_group_counts[gk(g="a")] == (1, 3)

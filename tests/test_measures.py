@@ -83,6 +83,21 @@ def test_g2avg_ratio_zero_aggregate_is_error():
         g2avg_ratio(vector({MALE: 1.0, FEMALE: 2.0}, aggregate=0.0))
 
 
+@pytest.mark.parametrize("name, population, way_out", [
+    ("fpr@0.0001", "nontarget", "larger"), ("fnr@0.5", "target", "smaller"),
+])
+def test_zero_pooled_rate_error_explains_resolution(name, population, way_out):
+    v = vector({MALE: 0.0, FEMALE: 0.0}, aggregate=0.0, name=name,
+               counts={MALE: (0, 600), FEMALE: (0, 600)}, agg_counts=(0, 1200))
+    message = (
+        rf"0 of 1,200 pooled {population} trials are errors .* cannot resolve a rate "
+        rf"below 1/1,200; use a {way_out} design FPR or zero_policy=smooth"
+    )
+    for measure in (g2avg_ratio, g2avg_log_ratio):
+        with pytest.raises(ZeroAggregateError, match=message):
+            measure(v, zero_policy="infinity")
+
+
 def test_g2avg_log_ratio_gender_table():
     result = g2avg_log_ratio(GENDER_EER)
     assert result.per_group[FEMALE] == pytest.approx(-0.027, abs=0.002)

@@ -21,12 +21,12 @@ from biasaudit import (
     SynthSpec,
     emit,
     generate,
+    load_trials,
     report_to_dict,
     run_audit,
     write_metadata,
     write_trials,
 )
-from biasaudit import detection
 from biasaudit.report import (
     FIG_FDR_GRID,
     FIG_NRB_SUITE,
@@ -350,20 +350,27 @@ def test_emitted_files_match_golden_digests(tmp_path, monkeypatch, zero_policy):
 
 
 def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):
-    """One split and one sweep per group plus one of the pooled population."""
+    """Each trial is split once (one split per bucket); one sweep per group plus the pooled."""
     calls: Counter[str] = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("biasaudit.")]
-    for name in ("split_scores", "compute_sweep"):
-        original = getattr(detection, name)
+    for home, name in (("trials", "split_scores"), ("detection", "compute_sweep")):
+        original = getattr(sys.modules[f"biasaudit.{home}"], name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            if _name == "split_scores":
+                calls["trials_split"] += sum(side.size for side in result)
+            return result
 
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
 
-    report = run_audit(base_config(tmp_path))
+    config = base_config(tmp_path)
+    report = run_audit(config)
     populations = len(report.group_sizes) + 1
-    assert calls == {"split_scores": populations, "compute_sweep": populations}
+    n_trials = len(load_trials(config.scores_path))
+    assert calls == {
+        "split_scores": populations, "compute_sweep": populations, "trials_split": n_trials,
+    }

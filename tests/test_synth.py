@@ -66,7 +66,7 @@ def test_generated_trials_group_cleanly_under_both_match():
     spec = SynthSpec(models=(model(25, cohort="a"), model(15, cohort="b")), seed=13)
     trials, metadata = generate(spec)
     grouped = assign_groups(trials, metadata, ["cohort"], GroupingPolicy.BOTH_MATCH)
-    assert grouped.unassigned == []
+    assert len(grouped.unassigned) == 0
     assert {k: len(v) for k, v in grouped.groups.items()} == {
         gk(cohort="a"): 50, gk(cohort="b"): 30,
     }

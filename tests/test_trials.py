@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import gc
 import io
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 from biasaudit import (
     BadLabelError,
@@ -24,10 +29,11 @@ from biasaudit import (
     assign_groups,
     load_metadata,
     load_trials,
+    split_scores,
     write_metadata,
     write_trials,
 )
-from helpers import gk
+from helpers import gk, grouped_from_scores
 
 
 def test_load_metadata_maps_rows():
@@ -101,6 +107,36 @@ def test_loaders_reject_non_utf8_bytes_as_data_error(tmp_path, loader, data, as_
         loader(source)
 
 
+@pytest.mark.parametrize("bad_row", [False, True], ids=["loads", "fails"])
+@pytest.mark.parametrize("loader, data", [
+    (load_trials, SCORES_CSV), (load_metadata, METADATA_CSV),
+], ids=["scores", "metadata"])
+def test_loaders_leave_a_binary_stream_open(loader, data, bad_row):
+    stream = io.BytesIO(data + (b"x\n" if bad_row else b""))
+    if bad_row:
+        with pytest.raises(DataError):
+            loader(stream)
+    else:
+        loader(stream)
+    gc.collect()
+    assert not stream.closed
+
+
+@pytest.mark.parametrize("as_path", [False, True], ids=["bytes", "path"])
+@pytest.mark.parametrize("loader, row", [
+    (load_trials, "enroll_id,test_id,label,score\na,b,target,0.5\n{field},b,target,0.5\n"),
+    (load_metadata, "speaker_id,gender\na,f\n{field},f\n"),
+], ids=["scores", "metadata"])
+def test_loaders_report_unparsable_csv_as_data_error(tmp_path, loader, row, as_path):
+    field = "x" * (csv.field_size_limit() + 1)
+    source = row.format(field=field).encode("utf-8")
+    if as_path:
+        (tmp_path / "input.csv").write_bytes(source)
+        source = str(tmp_path / "input.csv")
+    with pytest.raises(DataError, match="row 3: malformed CSV: field larger than field limit"):
+        loader(source)
+
+
 def test_load_trials_maps_row():
     trials = load_trials(io.StringIO(
         "enroll_id,test_id,label,score\nid001,id002,nontarget,-0.31\n"
@@ -150,15 +186,21 @@ THREE_TRIALS = [
 ]
 
 
+def assert_scores(actual, target, nontarget):
+    """Exact arrays, in input order."""
+    assert_array_equal(actual.target, np.asarray(target, dtype=float), strict=True)
+    assert_array_equal(actual.nontarget, np.asarray(nontarget, dtype=float), strict=True)
+
+
 def test_assign_groups_both_match():
     grouped = assign_groups(THREE_TRIALS, METADATA, ["gender", "nationality"])
     # hand-enumerated: trial 1 matches (male, US); trial 2 endpoints disagree;
     # trial 3 matches (female, US)
-    assert grouped.groups == {
-        gk(gender="female", nationality="US"): [THREE_TRIALS[2]],
-        gk(gender="male", nationality="US"): [THREE_TRIALS[0]],
-    }
-    assert grouped.unassigned == [THREE_TRIALS[1]]
+    female, male = gk(gender="female", nationality="US"), gk(gender="male", nationality="US")
+    assert list(grouped.groups) == [female, male]
+    assert_scores(grouped.groups[female], [0.2], [])
+    assert_scores(grouped.groups[male], [1.0], [])
+    assert_scores(grouped.unassigned, [], [0.5])
 
 
 def test_assign_groups_enrollment_only():
@@ -167,33 +209,49 @@ def test_assign_groups_enrollment_only():
         GroupingPolicy.ENROLLMENT_ONLY,
     )
     # hand-enumerated: the mismatched trial now follows its enrollment speaker
-    assert grouped.groups == {
-        gk(gender="female", nationality="US"): [THREE_TRIALS[2]],
-        gk(gender="male", nationality="US"): [THREE_TRIALS[0], THREE_TRIALS[1]],
-    }
-    assert grouped.unassigned == []
+    female, male = gk(gender="female", nationality="US"), gk(gender="male", nationality="US")
+    assert list(grouped.groups) == [female, male]
+    assert_scores(grouped.groups[female], [0.2], [])
+    assert_scores(grouped.groups[male], [1.0], [0.5])
+    assert_scores(grouped.unassigned, [], [])
 
 
 def test_assign_groups_missing_speaker_goes_unassigned():
     trials = [TrialRecord("id1", "ghost", Label.TARGET, 1.0),
-              TrialRecord("ghost", "id1", Label.TARGET, 1.0)]
+              TrialRecord("ghost", "id1", Label.TARGET, 2.0)]
     grouped = assign_groups(trials, METADATA, ["gender"])
     assert grouped.groups == {}
-    assert grouped.unassigned == trials
+    assert_scores(grouped.unassigned, [1.0, 2.0], [])
     # enrollment-only still needs the enrollment speaker
     grouped = assign_groups(trials, METADATA, ["gender"], GroupingPolicy.ENROLLMENT_ONLY)
     assert list(grouped.groups) == [gk(gender="male")]
-    assert grouped.unassigned == [trials[1]]
+    assert_scores(grouped.unassigned, [2.0], [])
+
+
+def test_pooled_concatenates_every_bucket():
+    grouped = grouped_from_scores(
+        {gk(g="b"): ([3.0], [4.0, 5.0]), gk(g="a"): ([1.0], [2.0])},
+        unassigned=([6.0], []),
+    )
+    assert [len(s) for s in grouped.groups.values()] == [2, 3]
+    assert len(grouped.unassigned) == 1
+    assert_scores(grouped.pooled(), [1.0, 3.0, 6.0], [2.0, 4.0, 5.0])
 
 
 def test_assign_groups_unknown_attribute():
-    with pytest.raises(UnknownAttributeError):
+    with pytest.raises(UnknownAttributeError) as exc:
         assign_groups(THREE_TRIALS, METADATA, ["gender", "age"])
+    assert exc.value.name == "age"
 
 
 def test_assign_groups_requires_attributes():
     with pytest.raises(ConfigError):
         assign_groups(THREE_TRIALS, METADATA, [])
+
+
+def test_assign_groups_rejects_repeated_attribute():
+    with pytest.raises(ConfigError, match="distinct"):
+        assign_groups(THREE_TRIALS, METADATA, ["gender", "Gender"])
 
 
 def test_assign_groups_attribute_names_case_insensitive():
@@ -234,8 +292,46 @@ def test_policy_refinement(raw_trials, metadata):
     strict = assign_groups(trials, metadata, ["g"], GroupingPolicy.BOTH_MATCH)
     loose = assign_groups(trials, metadata, ["g"], GroupingPolicy.ENROLLMENT_ONLY)
     for key, members in strict.groups.items():
-        for trial in members:
-            assert trial in loose.groups.get(key, [])
+        wider = loose.groups[key]
+        for label, side in ((Label.TARGET, "target"), (Label.NONTARGET, "nontarget")):
+            inner = Counter((label, s) for s in getattr(members, side).tolist())
+            outer = Counter((label, s) for s in getattr(wider, side).tolist())
+            assert not inner - outer
+
+
+# two attributes requested out of sorted order, so the group key must canonicalise
+two_attribute_metadata = st.lists(
+    st.tuples(st.sampled_from(["x", "y"]), st.sampled_from(["p", "q"])),
+    min_size=6, max_size=6,
+).map(lambda values: [
+    SpeakerMetadata(f"s{i}", {"b": b, "a": a}) for i, (b, a) in enumerate(values)
+])
+
+
+@given(trial_lists, two_attribute_metadata, st.sampled_from(list(GroupingPolicy)))
+def test_assign_groups_matches_record_level_partition(raw_trials, metadata, policy):
+    """Differential check against a record-level reference partition.
+
+    Each speaker's value tuple is looked up per policy, the member
+    records of each bucket are collected in input order, and each bucket
+    must equal ``split_scores`` of its members element for element.
+    """
+    trials = [TrialRecord(*t) for t in raw_trials]
+    speakers = {m.speaker_id: m.attributes for m in metadata}
+    members: dict = {}
+    unassigned = []
+    for trial in trials:
+        enroll, test = speakers.get(trial.enroll_id), speakers.get(trial.test_id)
+        if enroll is None or (policy is GroupingPolicy.BOTH_MATCH and enroll != test):
+            unassigned.append(trial)
+        else:
+            members.setdefault(gk(a=enroll["a"], b=enroll["b"]), []).append(trial)
+
+    grouped = assign_groups(trials, metadata, ["B", "a"], policy)
+    assert list(grouped.groups) == sorted(members)
+    for key, records in members.items():
+        assert_scores(grouped.groups[key], *split_scores(records))
+    assert_scores(grouped.unassigned, *split_scores(unassigned))
 
 
 @given(trial_lists, metadata_strategy, st.sampled_from(list(GroupingPolicy)))
@@ -245,13 +341,14 @@ def test_round_trip_preserves_partition(raw_trials, metadata, policy):
     grouped = assign_groups(trials, metadata, ["g"], policy)
 
     scores = io.StringIO()
-    write_trials(grouped.all_trials(), scores)
+    write_trials(trials, scores)
     meta = io.StringIO()
     write_metadata(metadata, meta)
     reloaded_trials = load_trials(io.StringIO(scores.getvalue()))
     reloaded_meta = load_metadata(io.StringIO(meta.getvalue()))
     regrouped = assign_groups(reloaded_trials, reloaded_meta, ["g"], policy)
 
-    assert regrouped.groups == grouped.groups
-    assert sorted(regrouped.unassigned, key=lambda t: (t.enroll_id, t.test_id, t.score)) == \
-        sorted(grouped.unassigned, key=lambda t: (t.enroll_id, t.test_id, t.score))
+    assert list(regrouped.groups) == list(grouped.groups)
+    for key, group_scores in grouped.groups.items():
+        assert_scores(regrouped.groups[key], group_scores.target, group_scores.nontarget)
+    assert_scores(regrouped.unassigned, grouped.unassigned.target, grouped.unassigned.nontarget)
