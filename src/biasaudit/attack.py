@@ -91,8 +91,7 @@ def compare_group_exposure(
     groups equals the inverse ratio of their FPRs.
     """
     entries: list[GroupExposure] = []
-    for key in sorted(group_fprs.per_group):
-        fpr = group_fprs.per_group[key]
+    for key, fpr in group_fprs.per_group.items():
         if fpr <= 0.0:
             entries.append(
                 GroupExposure(

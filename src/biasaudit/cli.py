@@ -18,20 +18,27 @@ from typing import Sequence
 
 import click
 
-from .attack import AttackScenario, attempts_for_probability, expected_time_to_success
-from .config import AuditConfig, _parse_floats, build_config, parse_config_file
+from .attack import (
+    AttackScenario,
+    attempts_for_probability,
+    expected_time_to_success,
+    success_probability,
+)
+from .config import build_config, parse_config_file
 from .errors import (
     AuditError,
     ConfigError,
     DataError,
     DegenerateGroupError,
 )
+from .measures import AVERAGE_MODES, ZERO_POLICIES
 from .report import emit, run_audit
 from .synth import generate, load_synth_spec
 from .trials import GroupingPolicy, write_metadata, write_trials
 
 
 def _config_options(command):
+    # each destination is the config key the flag sets (config.PARSERS)
     opts = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="key=value config file"),
@@ -40,17 +47,15 @@ def _config_options(command):
         click.option("--groups", default=None,
                      help="comma-separated grouping attributes, e.g. gender,nationality"),
         click.option("--policy", default=None,
-                     type=click.Choice(["both-match", "enrollment-only"])),
+                     type=click.Choice([p.value for p in GroupingPolicy])),
         click.option("--design-fprs", default=None, help="comma-separated design FPRs"),
         click.option("--alphas", default=None, help="comma-separated FDR alphas"),
-        click.option("--dcf-pt", type=float, default=None, help="DCF target prior"),
-        click.option("--dcf-cmiss", type=float, default=None, help="DCF miss cost"),
-        click.option("--dcf-cfa", type=float, default=None, help="DCF false-accept cost"),
+        click.option("--dcf-pt", "dcf_p_target", default=None, help="DCF target prior"),
+        click.option("--dcf-cmiss", "dcf_c_miss", default=None, help="DCF miss cost"),
+        click.option("--dcf-cfa", "dcf_c_fa", default=None, help="DCF false-accept cost"),
         click.option("--dcf-normalize/--no-dcf-normalize", default=None),
-        click.option("--zero-policy", default=None,
-                     type=click.Choice(["error", "infinity", "smooth"])),
-        click.option("--average-mode", default=None,
-                     type=click.Choice(["pooled", "group_mean"])),
+        click.option("--zero-policy", default=None, type=click.Choice(ZERO_POLICIES)),
+        click.option("--average-mode", default=None, type=click.Choice(AVERAGE_MODES)),
         click.option("--out", default=None, help="output directory"),
         click.option("--preset", default=None, type=click.Choice(["paper"]),
                      help="pin grids to the standard five-by-five preset"),
@@ -60,34 +65,6 @@ def _config_options(command):
     for opt in reversed(opts):
         command = opt(command)
     return command
-
-
-def _assemble_config(config_path, preset, **flags) -> AuditConfig:
-    file_values = parse_config_file(config_path) if config_path else None
-    groups = flags.pop("groups")
-    policy = flags.pop("policy")
-    fprs = flags.pop("design_fprs")
-    alphas = flags.pop("alphas")
-    overrides = {
-        "scores_path": flags.pop("scores"),
-        "metadata_path": flags.pop("metadata"),
-        "group_attributes": tuple(
-            p.strip() for p in groups.split(",") if p.strip()
-        ) if groups else None,
-        "design_fprs": None if fprs is None else _parse_floats(fprs, "--design-fprs"),
-        "alphas": None if alphas is None else _parse_floats(alphas, "--alphas"),
-        "dcf_p_target": flags.pop("dcf_pt"),
-        "dcf_c_miss": flags.pop("dcf_cmiss"),
-        "dcf_c_fa": flags.pop("dcf_cfa"),
-        "dcf_normalize": flags.pop("dcf_normalize"),
-        "zero_policy": flags.pop("zero_policy"),
-        "average_mode": flags.pop("average_mode"),
-        "output_dir": flags.pop("out"),
-        "strict": flags.pop("strict"),
-    }
-    if policy is not None:
-        overrides["policy"] = GroupingPolicy(policy)
-    return build_config(file_values, preset=preset, **overrides)
 
 
 @click.group()
@@ -100,7 +77,8 @@ def cli():
 @_config_options
 def audit(config_path, preset, **flags):
     """Run the full audit and write the report file set."""
-    config = _assemble_config(config_path, preset, **flags)
+    file_values = parse_config_file(config_path) if config_path else None
+    config = build_config(file_values, preset, flags)
     report = run_audit(config)
     written = emit(report, config.output_dir)
     for warning in report.warnings:
@@ -133,22 +111,20 @@ def scenario(fprs, rate, target_probability, attempts, as_json):
     for label, fpr_value in parsed:
         try:
             s = AttackScenario(fpr=fpr_value, attempts_per_hour=rate)
+            expected_attempts, expected_hours = expected_time_to_success(s)
+            n_q = attempts_for_probability(s, target_probability)
+            row = {
+                "label": label,
+                "fpr": fpr_value,
+                "expected_attempts": expected_attempts,
+                "expected_hours": expected_hours,
+                "attempts_to_target_probability": n_q,
+                "hours_to_target_probability": n_q / rate,
+            }
+            if attempts is not None:
+                row["success_probability_at_attempts"] = success_probability(s, attempts)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        expected_attempts, expected_hours = expected_time_to_success(s)
-        n_q = attempts_for_probability(s, target_probability)
-        row = {
-            "label": label,
-            "fpr": fpr_value,
-            "expected_attempts": expected_attempts,
-            "expected_hours": expected_hours,
-            "attempts_to_target_probability": n_q,
-            "hours_to_target_probability": n_q / rate,
-        }
-        if attempts is not None:
-            from .attack import success_probability
-
-            row["success_probability_at_attempts"] = success_probability(s, attempts)
         rows.append(row)
     rows.sort(key=lambda r: (-r["fpr"], r["label"]))
 
@@ -214,9 +190,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
     except AuditError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2

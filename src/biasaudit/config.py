@@ -1,9 +1,9 @@
-"""Audit configuration: defaults, flat key=value config files, overrides.
+"""Audit configuration: defaults, flat key=value config files, flags.
 
 Config files are UTF-8 text, one ``key = value`` pair per line, ``#``
 comments and blank lines ignored. List values are comma-separated.
-Recognized keys match the dataclass fields below (with ``scores``,
-``metadata``, ``groups`` and ``out`` as the path/list spellings).
+Recognized keys are those of ``PARSERS``; the ``audit`` command's flags
+set the same keys and go through the same parsers.
 Defaults reproduce the standard audit preset: design FPRs
 {0.001, 0.01, 0.025, 0.05, 0.1} and alphas {0, 0.25, 0.5, 0.75, 1}.
 """
@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .detection import DcfParams
 from .errors import ConfigError
@@ -100,7 +100,9 @@ def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
     return values
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str | bool, key: str) -> bool:
+    if isinstance(raw, bool):
+        return raw
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
@@ -117,79 +119,74 @@ def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
 
 
 def _parse_policy(raw: str) -> GroupingPolicy:
-    normalized = raw.strip().lower().replace("_", "-")
-    for policy in GroupingPolicy:
-        if policy.value == normalized:
-            return policy
-    raise ConfigError(
-        f"policy must be one of {[p.value for p in GroupingPolicy]}, got {raw!r}"
-    )
+    try:
+        return GroupingPolicy(raw.strip().lower().replace("_", "-"))
+    except ValueError:
+        raise ConfigError(
+            f"policy must be one of {[p.value for p in GroupingPolicy]}, got {raw!r}"
+        ) from None
+
+
+# config key -> (AuditConfig field, or a dcf_* DcfParams field; parser of the raw value)
+PARSERS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "scores": ("scores_path", str),
+    "metadata": ("metadata_path", str),
+    "groups": ("group_attributes", lambda raw: tuple(
+        p.strip() for p in raw.split(",") if p.strip()
+    )),
+    "policy": ("policy", _parse_policy),
+    "design_fprs": ("design_fprs", lambda raw: _parse_floats(raw, "design_fprs")),
+    "alphas": ("alphas", lambda raw: _parse_floats(raw, "alphas")),
+    "dcf_c_miss": ("dcf_c_miss", float),
+    "dcf_c_fa": ("dcf_c_fa", float),
+    "dcf_p_target": ("dcf_p_target", float),
+    "dcf_normalize": ("dcf_normalize", lambda raw: _parse_bool(raw, "dcf_normalize")),
+    "zero_policy": ("zero_policy", str),
+    "average_mode": ("average_mode", str),
+    "out": ("output_dir", str),
+    "emit_figures": ("emit_figures", lambda raw: _parse_bool(raw, "emit_figures")),
+    "attempts_per_hour": ("attempts_per_hour", float),
+    "target_probability": ("target_probability", float),
+    "strict": ("strict", lambda raw: _parse_bool(raw, "strict")),
+}
+
+
+def _parse_settings(values: Mapping[str, Any]) -> dict[str, Any]:
+    """Typed fields from raw values keyed by config key; None leaves a key unset."""
+    parsed: dict[str, Any] = {}
+    for key, raw in values.items():
+        if raw is None:
+            continue
+        if key not in PARSERS:
+            raise ConfigError(f"unknown config key {key!r}")
+        field_name, parse = PARSERS[key]
+        try:
+            parsed[field_name] = parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: bad value {raw!r}: {exc}") from exc
+    return parsed
 
 
 def build_config(
-    file_values: Mapping[str, str] | None = None,
+    file_values: Mapping[str, Any] | None = None,
     preset: str | None = None,
-    **overrides: Any,
+    flags: Mapping[str, Any] | None = None,
 ) -> AuditConfig:
-    """Merge defaults, config-file values, a preset, and explicit overrides.
+    """Merge defaults, config-file values, a preset, and command-line flags.
 
-    Precedence, lowest to highest: defaults, config file, preset,
-    overrides (pass None to leave a field alone).
+    Both mappings are keyed by config key and parsed by ``PARSERS``; a
+    flag of None leaves its key alone. Precedence, lowest to highest:
+    defaults, config file, preset (which pins only the grids), flags.
     """
-    merged: dict[str, Any] = {}
-
-    if file_values:
-        parsers = {
-            "scores": ("scores_path", str),
-            "metadata": ("metadata_path", str),
-            "groups": ("group_attributes", lambda raw: tuple(
-                p.strip() for p in raw.split(",") if p.strip()
-            )),
-            "policy": ("policy", _parse_policy),
-            "design_fprs": ("design_fprs", lambda raw: _parse_floats(raw, "design_fprs")),
-            "alphas": ("alphas", lambda raw: _parse_floats(raw, "alphas")),
-            "dcf_c_miss": ("dcf_c_miss", float),
-            "dcf_c_fa": ("dcf_c_fa", float),
-            "dcf_p_target": ("dcf_p_target", float),
-            "dcf_normalize": ("dcf_normalize", lambda raw: _parse_bool(raw, "dcf_normalize")),
-            "zero_policy": ("zero_policy", str),
-            "average_mode": ("average_mode", str),
-            "out": ("output_dir", str),
-            "emit_figures": ("emit_figures", lambda raw: _parse_bool(raw, "emit_figures")),
-            "attempts_per_hour": ("attempts_per_hour", float),
-            "target_probability": ("target_probability", float),
-            "strict": ("strict", lambda raw: _parse_bool(raw, "strict")),
-        }
-        for key, raw in file_values.items():
-            if key not in parsers:
-                raise ConfigError(f"unknown config key {key!r}")
-            field_name, parse = parsers[key]
-            try:
-                merged[field_name] = parse(raw)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: bad value {raw!r}: {exc}") from exc
-
+    merged = _parse_settings(file_values or {})
     if preset is not None:
         if preset != "paper":
             raise ConfigError(f"unknown preset {preset!r}")
         merged.update(PAPER_PRESET)
-        merged.pop("dcf_c_miss", None)
-        merged.pop("dcf_c_fa", None)
-        merged.pop("dcf_p_target", None)
-        merged.pop("dcf_normalize", None)
+    merged.update(_parse_settings(flags or {}))
 
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-
-    dcf_kwargs = {
-        name[4:]: merged.pop(name)
-        for name in ("dcf_c_miss", "dcf_c_fa", "dcf_p_target", "dcf_normalize")
-        if name in merged
-    }
-    if dcf_kwargs and "dcf" not in merged:
+    dcf_kwargs = {k[4:]: merged.pop(k) for k in list(merged) if k.startswith("dcf_")}
+    if dcf_kwargs:
         try:
             merged["dcf"] = DcfParams(**dcf_kwargs)
         except ValueError as exc:

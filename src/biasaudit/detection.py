@@ -86,9 +86,6 @@ class GroupMetricVector:
         if any(not math.isfinite(v) or v < 0.0 for v in values):
             raise ValueError("metric values must be finite and nonnegative")
 
-    def group_keys(self) -> tuple[GroupKey, ...]:
-        return tuple(sorted(self.per_group))
-
 
 @dataclass(frozen=True)
 class DesignPoint:

@@ -72,11 +72,11 @@ def fdr(
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    if group_fprs.group_keys() != group_fnrs.group_keys():
+    if group_fprs.per_group.keys() != group_fnrs.per_group.keys():
         raise GroupSetMismatchError(
             "FPR and FNR vectors cover different group sets: "
-            f"{[str(g) for g in group_fprs.group_keys()]} vs "
-            f"{[str(g) for g in group_fnrs.group_keys()]}"
+            f"{[str(g) for g in sorted(group_fprs.per_group)]} vs "
+            f"{[str(g) for g in sorted(group_fnrs.per_group)]}"
         )
     max_delta_fpr = _max_minus_min(group_fprs)
     max_delta_fnr = _max_minus_min(group_fnrs)

@@ -43,6 +43,9 @@ class Label(Enum):
     NONTARGET = "nontarget"
 
 
+_LABELS = {label.value: label for label in Label}
+
+
 class GroupingPolicy(Enum):
     """How a trial's two speakers determine its group.
 
@@ -249,13 +252,9 @@ def load_trials(source: Source) -> list[TrialRecord]:
                 continue
             if len(row) != 4:
                 raise DataError(f"row {lineno}: expected 4 columns, got {len(row)}")
-            enroll_id, test_id, raw_label, raw_score = (c.strip() for c in row)
-            label_value = raw_label.lower()
-            if label_value == Label.TARGET.value:
-                label = Label.TARGET
-            elif label_value == Label.NONTARGET.value:
-                label = Label.NONTARGET
-            else:
+            enroll_id, test_id, raw_label, raw_score = [c.strip() for c in row]
+            label = _LABELS.get(raw_label.lower())
+            if label is None:
                 raise BadLabelError(lineno, raw_label)
             try:
                 score = float(raw_score)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from biasaudit.cli import main
+from biasaudit.cli import audit, main
+from biasaudit.config import PARSERS
 from biasaudit import (
     AuditConfig,
     ConfigError,
@@ -92,6 +93,90 @@ def test_preset_paper_pins_grids(data_dir):
     assert main(args) == 0
     lines = (data_dir / "preset_out" / "fig_fdr_grid.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 25  # five design FPRs times five alphas
+
+
+def test_preset_paper_pins_only_the_grids(data_dir):
+    config_path = data_dir / "audit.cfg"
+    config_path.write_text(
+        f"scores = {data_dir / 'scores.csv'}\n"
+        f"metadata = {data_dir / 'metadata.csv'}\n"
+        "groups = gender\n"
+        "design_fprs = 0.1\n"
+        "dcf_c_miss = 2.0\n"
+        "dcf_p_target = 0.1\n"
+        f"out = {data_dir / 'preset_cfg_out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["audit", "--config", str(config_path), "--preset", "paper"]) == 0
+    out = data_dir / "preset_cfg_out"
+    payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert payload["config"]["design_fprs"] == [0.001, 0.01, 0.025, 0.05, 0.1]
+    assert payload["config"]["dcf"] == {
+        "c_miss": 2.0, "c_fa": 1.0, "p_target": 0.1, "normalize": True,
+    }
+
+
+# (config key, the flags that set it, the same value as config-file text)
+FLAG_CASES = [
+    ("scores", ("--scores", "other.csv"), "other.csv"),
+    ("metadata", ("--metadata", "other_meta.csv"), "other_meta.csv"),
+    ("groups", ("--groups", "gender, nationality"), "gender, nationality"),
+    ("policy", ("--policy", "enrollment-only"), "enrollment-only"),
+    ("design_fprs", ("--design-fprs", "0.01,0.1"), "0.01,0.1"),
+    ("alphas", ("--alphas", "0,1"), "0,1"),
+    ("dcf_p_target", ("--dcf-pt", "0.1"), "0.1"),
+    ("dcf_c_miss", ("--dcf-cmiss", "2"), "2"),
+    ("dcf_c_fa", ("--dcf-cfa", "1.5"), "1.5"),
+    ("dcf_normalize", ("--no-dcf-normalize",), "false"),
+    ("zero_policy", ("--zero-policy", "smooth"), "smooth"),
+    ("average_mode", ("--average-mode", "group_mean"), "group_mean"),
+    ("out", ("--out", "elsewhere"), "elsewhere"),
+    ("strict", ("--strict",), "true"),
+]
+
+
+class _Captured(Exception):
+    def __init__(self, config):
+        self.config = config
+
+
+def _audit_config(monkeypatch, tmp_path, lines, flags=()):
+    """The AuditConfig `audit` builds from a config file plus flags, without running it."""
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr("biasaudit.cli.run_audit", capture)
+    config_path = tmp_path / "audit.cfg"
+    config_path.write_text(
+        "scores = s.csv\nmetadata = m.csv\ngroups = gender\n" + "".join(lines),
+        encoding="utf-8",
+    )
+    with pytest.raises(_Captured) as info:
+        main(["audit", "--config", str(config_path), *flags])
+    return info.value.config
+
+
+def test_every_audit_flag_sets_a_config_key():
+    destinations = {p.name for p in audit.params} - {"config_path", "preset"}
+    assert destinations <= PARSERS.keys()
+    assert destinations == {key for key, _, _ in FLAG_CASES}
+
+
+@pytest.mark.parametrize("key, flags, raw", FLAG_CASES, ids=[c[0] for c in FLAG_CASES])
+def test_flag_and_config_key_give_the_same_config(monkeypatch, tmp_path, key, flags, raw):
+    from_file = _audit_config(monkeypatch, tmp_path, [f"{key} = {raw}\n"])
+    from_flag = _audit_config(monkeypatch, tmp_path, [], flags)
+    assert from_flag == from_file
+    assert from_flag != _audit_config(monkeypatch, tmp_path, [])  # not the default
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--dcf-pt", "x"), "dcf_p_target: bad value 'x'"),
+    (("--design-fprs", "0.1,x"), "design_fprs: cannot parse float list"),
+])
+def test_bad_flag_value_names_its_config_key(data_dir, capsys, flags, message):
+    assert main(audit_args(data_dir, extra=flags)) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_with_cli_override(data_dir):
@@ -272,6 +357,16 @@ def test_scenario_text_and_json(capsys):
 def test_scenario_rejects_bad_fpr():
     assert main(["scenario", "--fpr", "nope"]) == 1
     assert main(["scenario", "--fpr", "2.0"]) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ("--target-probability", "1.5"),
+    ("--target-probability", "0"),
+    ("--attempts", "-1"),
+])
+def test_scenario_rejects_bad_settings(capsys, extra):
+    assert main(["scenario", "--fpr", "0.01", *extra]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_synth_is_deterministic(tmp_path):

@@ -137,6 +137,40 @@ def test_loaders_report_unparsable_csv_as_data_error(tmp_path, loader, row, as_p
         loader(source)
 
 
+FUZZ_SEEDS = {
+    load_trials: b"enroll_id,test_id,label,score\na,b,target,0.5\nc,d,NonTarget,-1e3\n",
+    load_metadata: b'speaker_id,gender,nationality\na,f,US\nb,m,"I,N"\n',
+}
+FUZZ_SPLICES = [b",", b'"', b"\n", b"\r", b"\x00", b"\xef\xbb\xbf", b"\xe9", b"nan", b"TARGET"]
+
+
+@st.composite
+def mutated(draw, valid: bytes) -> bytes:
+    """A valid file with a few byte ranges replaced by random or CSV-significant bytes."""
+    data = valid
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 4)))
+        splice = draw(st.binary(max_size=4) | st.sampled_from(FUZZ_SPLICES))
+        data = data[:start] + splice + data[stop:]
+    return data
+
+
+@pytest.mark.parametrize("loader", list(FUZZ_SEEDS), ids=["scores", "metadata"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_loaders_load_or_raise_data_error(loader, data):
+    raw = data.draw(st.binary(max_size=64) | mutated(FUZZ_SEEDS[loader]))
+    stream = io.BytesIO(raw)
+    for source in (raw, stream):
+        try:
+            loader(source)
+        except DataError:
+            pass
+    gc.collect()
+    assert not stream.closed
+
+
 def test_load_trials_maps_row():
     trials = load_trials(io.StringIO(
         "enroll_id,test_id,label,score\nid001,id002,nontarget,-0.31\n"
