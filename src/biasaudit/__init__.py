@@ -20,15 +20,14 @@ from .detection import (
     BaseMetrics,
     DcfParams,
     DesignPoint,
-    GroupMetricVector,
+    MetricKey,
     OperatingPoint,
     SweepCurve,
     base_metrics,
     compute_sweep,
-    design_point_rates,
     eer,
+    error_counts,
     min_cdet,
-    rates_at_threshold,
     threshold_for_fpr,
 )
 from .errors import (
@@ -48,8 +47,8 @@ from .errors import (
     ZeroGroupValueError,
 )
 from .measures import (
-    BiasVector,
-    compute_measure,
+    BiasMeasures,
+    bias_measures,
     g2avg_log_ratio,
     g2avg_ratio,
     g2min_diff,

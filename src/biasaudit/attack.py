@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .detection import GroupMetricVector
 from .trials import GroupKey
 
 
@@ -81,17 +81,19 @@ def attempts_for_probability(scenario: AttackScenario, q: float) -> int:
 
 
 def compare_group_exposure(
-    group_fprs: GroupMetricVector,
+    groups: Sequence[GroupKey],
+    fprs: Sequence[float],
     attempts_per_hour: float = 60.0,
     target_probability: float = 0.5,
 ) -> list[GroupExposure]:
     """Per-group attack exposure, sorted worst-exposed (largest FPR) first.
 
-    Ties keep lexicographic group order. The exposure ratio between two
-    groups equals the inverse ratio of their FPRs.
+    ``fprs[i]`` is the FPR of ``groups[i]``. Ties keep lexicographic
+    group order. The exposure ratio between two groups equals the
+    inverse ratio of their FPRs.
     """
     entries: list[GroupExposure] = []
-    for key, fpr in group_fprs.per_group.items():
+    for key, fpr in zip(groups, fprs, strict=True):
         if fpr <= 0.0:
             entries.append(
                 GroupExposure(

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -99,32 +100,38 @@ def audit(config_path, preset, **flags):
 @click.option("--json", "as_json", is_flag=True, help="emit JSON instead of text")
 def scenario(fprs, rate, target_probability, attempts, as_json):
     """Attack-exposure arithmetic for one or more FPRs."""
+    if not 0.0 < rate < math.inf:
+        raise ConfigError(f"--rate must be positive and finite, got {rate!r}")
+    if not 0.0 < target_probability < 1.0:
+        raise ConfigError(f"--target-probability must lie in (0, 1), got {target_probability!r}")
+    if attempts is not None and attempts < 0:
+        raise ConfigError(f"--attempts must be nonnegative, got {attempts}")
     parsed: list[tuple[str, float]] = []
     for i, raw in enumerate(fprs):
         label, _, value = raw.rpartition("=")
         try:
-            parsed.append((label or f"fpr{i}", float(value)))
+            fpr_value = float(value)
         except ValueError as exc:
             raise ConfigError(f"cannot parse --fpr {raw!r}") from exc
+        if not 0.0 < fpr_value <= 1.0:
+            raise ConfigError(f"--fpr {raw!r}: the FPR must lie in (0, 1]")
+        parsed.append((label or f"fpr{i}", fpr_value))
 
     rows = []
     for label, fpr_value in parsed:
-        try:
-            s = AttackScenario(fpr=fpr_value, attempts_per_hour=rate)
-            expected_attempts, expected_hours = expected_time_to_success(s)
-            n_q = attempts_for_probability(s, target_probability)
-            row = {
-                "label": label,
-                "fpr": fpr_value,
-                "expected_attempts": expected_attempts,
-                "expected_hours": expected_hours,
-                "attempts_to_target_probability": n_q,
-                "hours_to_target_probability": n_q / rate,
-            }
-            if attempts is not None:
-                row["success_probability_at_attempts"] = success_probability(s, attempts)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        s = AttackScenario(fpr=fpr_value, attempts_per_hour=rate)
+        expected_attempts, expected_hours = expected_time_to_success(s)
+        n_q = attempts_for_probability(s, target_probability)
+        row = {
+            "label": label,
+            "fpr": fpr_value,
+            "expected_attempts": expected_attempts,
+            "expected_hours": expected_hours,
+            "attempts_to_target_probability": n_q,
+            "hours_to_target_probability": n_q / rate,
+        }
+        if attempts is not None:
+            row["success_probability_at_attempts"] = success_probability(s, attempts)
         rows.append(row)
     rows.sort(key=lambda r: (-r["fpr"], r["label"]))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Union
 
-from .detection import DcfParams
+from .detection import DcfParams, MetricKey
 from .errors import ConfigError
 from .measures import AVERAGE_MODES, ZERO_POLICIES
 from .meta import DEFAULT_ALPHAS, DEFAULT_DESIGN_FPRS
@@ -56,12 +56,13 @@ class AuditConfig:
             raise ConfigError("design_fprs must be nonempty, each in (0, 1]")
         if not self.alphas or any(not 0.0 <= a <= 1.0 for a in self.alphas):
             raise ConfigError("alphas must be nonempty, each in [0, 1]")
-        # base metrics are named fpr@{:g}, so two design FPRs must not share a label
-        clashes = _sharing_a_key(self.design_fprs, lambda f: f"{f:g}")
+        # reports name each metric row, so two design FPRs must not share a name
+        names = {f: MetricKey("fpr", f).name for f in self.design_fprs}
+        clashes = _sharing_a_key(self.design_fprs, names.get)
         if clashes:
             raise ConfigError(
                 "design_fprs must be distinct and name distinct metrics; got "
-                + ", ".join(f"{f!r} (fpr@{f:g})" for f in clashes)
+                + ", ".join(f"{f!r} ({names[f]})" for f in clashes)
             )
         clashes = _sharing_a_key(self.alphas, lambda a: a)
         if clashes:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,60 +63,88 @@ class DcfParams:
             raise ValueError("p_target must lie in (0, 1)")
 
 
+METRIC_KINDS = ("eer", "min_cdet", "fpr", "fnr")
+
+
 @dataclass(frozen=True)
-class GroupMetricVector:
-    """One base metric per group plus the pooled aggregate value.
+class MetricKey:
+    """Identity of one base-metric row: the metric kind and, for fpr/fnr, its design FPR."""
 
-    For count-based metrics (FPR/FNR at a threshold) the error and
-    population counts are retained so the 'smooth' zero-policy can
-    re-form rates; metrics without a count decomposition (EER, minCDet)
-    leave them as None.
-    """
-
-    metric_name: str
-    per_group: dict[GroupKey, float]
-    aggregate: float
-    per_group_counts: dict[GroupKey, tuple[int, int]] | None = None
-    aggregate_counts: tuple[int, int] | None = None
+    kind: str
+    design_fpr: float | None = None
 
     def __post_init__(self):
-        if not self.per_group:
-            raise ValueError("per_group must be nonempty")
-        values = [*self.per_group.values(), self.aggregate]
-        if any(not math.isfinite(v) or v < 0.0 for v in values):
-            raise ValueError("metric values must be finite and nonnegative")
+        if self.kind not in METRIC_KINDS:
+            raise ValueError(f"metric kind must be one of {METRIC_KINDS}, got {self.kind!r}")
+        if (self.design_fpr is None) != (self.kind in ("eer", "min_cdet")):
+            raise ValueError("fpr and fnr rows, and only they, carry a design FPR")
+
+    @property
+    def name(self) -> str:
+        """``eer``, ``min_cdet``, ``fpr@{design_fpr:g}`` or ``fnr@{design_fpr:g}``."""
+        if self.design_fpr is None:
+            return self.kind
+        return f"{self.kind}@{self.design_fpr:g}"
+
+    @property
+    def is_rate(self) -> bool:
+        """EER, FPR and FNR are error rates; minCDet is a cost."""
+        return self.kind != "min_cdet"
 
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """Per-group FPR and FNR at the pooled threshold calibrated for one design FPR."""
+    """The threshold calibrated on the pooled population for one design FPR."""
 
     design_fpr: float
     operating_point: OperatingPoint
-    fpr: GroupMetricVector
-    fnr: GroupMetricVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseMetrics:
     """Every base metric of one audit; all tables and meta-measures derive from it.
 
-    ``design_points`` are ordered by descending design FPR. Counts are
-    (n_target, n_nontarget) per group and for the pooled population.
+    ``values[i, j]`` is metric ``keys[i]`` of group ``groups[j]`` and
+    ``aggregates[i]`` its pooled value. Rows are EER, minCDet, then an
+    FPR/FNR pair per design point; ``design_points`` are ordered by
+    descending design FPR. ``errors`` holds the error count behind each
+    fpr/fnr rate (0 on the other rows) and ``sizes`` the target and
+    nontarget counts, both with one column per group and the pooled
+    population last. Groups are sorted; every array is read-only.
     """
 
-    eer: GroupMetricVector
-    min_cdet: GroupMetricVector
-    design_points: tuple[DesignPoint, ...]
-    group_sizes: dict[GroupKey, tuple[int, int]]
-    pooled_counts: tuple[int, int]
+    groups: tuple[GroupKey, ...]
+    keys: tuple[MetricKey, ...]
+    values: np.ndarray
+    aggregates: np.ndarray
+    errors: np.ndarray
+    sizes: np.ndarray
+    design_points: tuple[DesignPoint, ...] = ()
 
-    def vectors(self) -> list[GroupMetricVector]:
-        """EER, minCDet, then an FPR/FNR pair per design point."""
-        vectors = [self.eer, self.min_cdet]
-        for point in self.design_points:
-            vectors += [point.fpr, point.fnr]
-        return vectors
+    def __post_init__(self):
+        if not self.groups:
+            raise ValueError("a base-metric table needs at least one group")
+        n_metrics, n_groups = len(self.keys), len(self.groups)
+        if (
+            self.values.shape != (n_metrics, n_groups)
+            or self.aggregates.shape != (n_metrics,)
+            or self.errors.shape != (n_metrics, n_groups + 1)
+            or self.sizes.shape != (2, n_groups + 1)
+        ):
+            raise ValueError("base-metric arrays do not match the metric keys and groups")
+        for arr in (self.values, self.aggregates):
+            if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
+                raise ValueError("metric values must be finite and nonnegative")
+        for arr in (self.values, self.aggregates, self.errors, self.sizes):
+            arr.flags.writeable = False
+
+    def row(self, key: MetricKey) -> int:
+        """Index of the row holding metric ``key``."""
+        return self.keys.index(key)
+
+    def population(self, row: int) -> np.ndarray:
+        """Trial counts behind the rates of an fpr (nontargets) or fnr (targets) row."""
+        return self.sizes[1] if self.keys[row].kind == "fpr" else self.sizes[0]
 
 
 def compute_sweep(
@@ -148,19 +176,6 @@ def compute_sweep(
         n_target=int(tar.size),
         n_nontarget=int(non.size),
     )
-
-
-def rates_at_threshold(
-    target_scores: Sequence[float],
-    nontarget_scores: Sequence[float],
-    threshold: float,
-) -> tuple[float, float]:
-    """(fpr, fnr) at one threshold under the accept-iff-score>=t rule."""
-    tar = np.asarray(target_scores, dtype=float)
-    non = np.asarray(nontarget_scores, dtype=float)
-    fpr = float(np.count_nonzero(non >= threshold)) / non.size if non.size else math.nan
-    fnr = float(np.count_nonzero(tar < threshold)) / tar.size if tar.size else math.nan
-    return fpr, fnr
 
 
 def eer(curve: SweepCurve) -> tuple[float, float]:
@@ -228,60 +243,48 @@ def base_metrics(
     threshold is calibrated on the pooled sweep, and every group's FPR
     and FNR are counted at it.
     """
-    groups = dict(sorted(grouped.groups.items()))
-    for key, scores in groups.items():
+    groups = tuple(sorted(grouped.groups))
+    for key in groups:
+        scores = grouped.groups[key]
         if scores.target.size == 0 or scores.nontarget.size == 0:
             raise DegenerateGroupError(key)
-    pooled = grouped.pooled()
-    curves = {key: compute_sweep(s.target, s.nontarget) for key, s in groups.items()}
-    pooled_curve = compute_sweep(pooled.target, pooled.nontarget)
+    populations = [grouped.groups[key] for key in groups] + [grouped.pooled()]
+    curves = [compute_sweep(s.target, s.nontarget) for s in populations]
+    sizes = np.array([[c.n_target for c in curves], [c.n_nontarget for c in curves]])
 
+    keys = [MetricKey("eer"), MetricKey("min_cdet")]
+    rows = [[eer(c)[0] for c in curves], [min_cdet(c, dcf)[0] for c in curves]]
+    errors = [np.zeros(len(curves), dtype=np.int64)] * 2
     design_points = []
     for design in sorted(design_fprs, reverse=True):
-        op = threshold_for_fpr(pooled_curve, design)
-        fpr, fnr = design_point_rates(groups, pooled, design, op.threshold)
-        design_points.append(DesignPoint(design, op, fpr, fnr))
+        op = threshold_for_fpr(curves[-1], design)
+        false_accepts, misses = error_counts(populations, op.threshold)
+        keys += [MetricKey("fpr", design), MetricKey("fnr", design)]
+        rows += [false_accepts / sizes[1], misses / sizes[0]]
+        errors += [false_accepts, misses]
+        design_points.append(DesignPoint(design, op))
 
-    def read_off(name: str, metric) -> GroupMetricVector:
-        per_group = {key: metric(curve)[0] for key, curve in curves.items()}
-        return GroupMetricVector(name, per_group, metric(pooled_curve)[0])
-
+    values = np.array(rows, dtype=float)
     return BaseMetrics(
-        eer=read_off("eer", eer),
-        min_cdet=read_off("min_cdet", lambda curve: min_cdet(curve, dcf)),
+        groups=groups,
+        keys=tuple(keys),
+        values=values[:, :-1],
+        aggregates=values[:, -1],
+        errors=np.array(errors),
+        sizes=sizes,
         design_points=tuple(design_points),
-        group_sizes={k: (c.n_target, c.n_nontarget) for k, c in curves.items()},
-        pooled_counts=(pooled_curve.n_target, pooled_curve.n_nontarget),
     )
 
 
-def design_point_rates(
-    group_scores: Mapping[GroupKey, Scores],
-    pooled_scores: Scores,
-    design_fpr: float,
-    threshold: float,
-) -> tuple[GroupMetricVector, GroupMetricVector]:
-    """Per-group FPR and FNR at the threshold calibrated for ``design_fpr``.
+def error_counts(
+    populations: Sequence[Scores], threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """False accepts and misses of each population at one threshold.
 
-    The vectors are named ``fpr@{design_fpr:g}`` and ``fnr@{design_fpr:g}``.
-    ``group_scores`` maps each group to its scores and ``pooled_scores``
-    holds the pooled population; every population must be nonempty. Each
-    aggregate is the pooled rate at the same threshold. Error/population
-    counts are recorded for the 'smooth' zero-policy.
+    A nontarget scoring >= ``threshold`` is a false accept and a target
+    scoring below it a miss; dividing by each population's nontarget and
+    target counts gives its FPR and FNR.
     """
-
-    def vector(rate: str, count) -> GroupMetricVector:
-        counts = {key: count(s.target, s.nontarget) for key, s in group_scores.items()}
-        errors, population = count(pooled_scores.target, pooled_scores.nontarget)
-        return GroupMetricVector(
-            metric_name=f"{rate}@{design_fpr:g}",
-            per_group={key: e / n for key, (e, n) in counts.items()},
-            aggregate=errors / population,
-            per_group_counts=counts,
-            aggregate_counts=(errors, population),
-        )
-
-    return (
-        vector("fpr", lambda tar, non: (int(np.count_nonzero(non >= threshold)), non.size)),
-        vector("fnr", lambda tar, non: (int(np.count_nonzero(tar < threshold)), tar.size)),
-    )
+    false_accepts = [np.count_nonzero(s.nontarget >= threshold) for s in populations]
+    misses = [np.count_nonzero(s.target < threshold) for s in populations]
+    return np.array(false_accepts, dtype=np.int64), np.array(misses, dtype=np.int64)

@@ -13,12 +13,13 @@ Grid cells and suite entries are independent pure computations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .detection import BaseMetrics, GroupMetricVector
+import numpy as np
+
+from .detection import BaseMetrics, MetricKey
 from .errors import GroupSetMismatchError
-from .measures import g2avg_log_ratio
+from .measures import BiasMeasures
 from .trials import GroupKey
 
 DEFAULT_DESIGN_FPRS = (0.001, 0.01, 0.025, 0.05, 0.1)
@@ -44,42 +45,34 @@ class NrbResult:
     whole measure +inf).
     """
 
-    metric_name: str
+    key: MetricKey
     group_count: int
     nrb: float
-    per_group_log_ratios: dict[GroupKey, float]
     zero_value_groups: tuple[GroupKey, ...] = ()
 
 
-def _max_minus_min(v: GroupMetricVector) -> float:
-    """Largest pairwise group gap; 0 for a single group."""
-    values = list(v.per_group.values())
-    return max(values) - min(values)
-
-
 def fdr(
-    group_fprs: GroupMetricVector,
-    group_fnrs: GroupMetricVector,
+    group_fprs: np.ndarray,
+    group_fnrs: np.ndarray,
     alpha: float,
     design_fpr: float,
     threshold: float,
 ) -> FdrResult:
     """Fairness discrepancy rate at one shared threshold.
 
-    Both vectors must cover the same group set at the same threshold.
-    The max-minus-min gap equals the maximum of the group-to-min
-    differences, i.e. the maximum over all pairwise gaps.
+    Both arrays must hold the same groups, in the same order, at the
+    same threshold. The max-minus-min gap equals the maximum of the
+    group-to-min differences, i.e. the maximum over all pairwise gaps.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    if group_fprs.per_group.keys() != group_fnrs.per_group.keys():
+    if group_fprs.shape != group_fnrs.shape:
         raise GroupSetMismatchError(
-            "FPR and FNR vectors cover different group sets: "
-            f"{[str(g) for g in sorted(group_fprs.per_group)]} vs "
-            f"{[str(g) for g in sorted(group_fnrs.per_group)]}"
+            "FPR and FNR arrays cover different group sets: shapes "
+            f"{group_fprs.shape} vs {group_fnrs.shape}"
         )
-    max_delta_fpr = _max_minus_min(group_fprs)
-    max_delta_fnr = _max_minus_min(group_fnrs)
+    max_delta_fpr = float(group_fprs.max() - group_fprs.min())
+    max_delta_fnr = float(group_fnrs.max() - group_fnrs.min())
     value = 1.0 - (alpha * max_delta_fpr + (1.0 - alpha) * max_delta_fnr)
     return FdrResult(
         alpha=alpha,
@@ -97,48 +90,41 @@ def fdr_grid(
 ) -> list[FdrResult]:
     """FDR over the (design_fpr, alpha) grid, ordered ascending by both.
 
-    Each design point carries the shared threshold calibrated on the
-    pooled population and every group's FPR and FNR at it; those feed
-    the FDR at each alpha.
+    Each design point's shared threshold was calibrated on the pooled
+    population; its fpr and fnr rows hold every group's rates at it.
     """
     if not base.design_points or not alphas:
         raise ValueError("design_fprs and alphas must be nonempty")
-    return [
-        fdr(point.fpr, point.fnr, alpha, point.design_fpr, point.operating_point.threshold)
-        for point in reversed(base.design_points)
-        for alpha in sorted(alphas)
-    ]
+    results = []
+    for point in reversed(base.design_points):
+        fprs = base.values[base.row(MetricKey("fpr", point.design_fpr))]
+        fnrs = base.values[base.row(MetricKey("fnr", point.design_fpr))]
+        threshold = point.operating_point.threshold
+        results += [fdr(fprs, fnrs, a, point.design_fpr, threshold) for a in sorted(alphas)]
+    return results
 
 
-def nrb(
-    v: GroupMetricVector,
-    zero_policy: str = "error",
-    average_mode: str = "pooled",
-) -> NrbResult:
-    """Normalised reliability bias of one base-metric vector."""
-    log_ratios = g2avg_log_ratio(v, zero_policy=zero_policy, average_mode=average_mode)
-    count = len(log_ratios.per_group)
-    value = sum(abs(r) for r in log_ratios.per_group.values()) / count
-    zero_groups = tuple(
-        sorted(g for g, r in log_ratios.per_group.items() if math.isinf(r))
-    )
-    return NrbResult(
-        metric_name=v.metric_name,
-        group_count=count,
-        nrb=value,
-        per_group_log_ratios=dict(log_ratios.per_group),
-        zero_value_groups=zero_groups,
-    )
+def nrb(log_ratios: np.ndarray) -> float:
+    """Normalised reliability bias: the mean absolute log ratio of one row.
+
+    Summed left to right, so the value does not depend on NumPy's
+    summation order.
+    """
+    return sum(np.abs(log_ratios).tolist()) / log_ratios.size
 
 
-def nrb_suite(
-    base: BaseMetrics,
-    zero_policy: str = "error",
-    average_mode: str = "pooled",
-) -> list[NrbResult]:
-    """NRB across the base-metric suite.
+def nrb_suite(base: BaseMetrics, measures: BiasMeasures) -> list[NrbResult]:
+    """NRB of every base-metric row, from the log ratios of ``measures``.
 
     Order: EER, minCDet, then an FPR/FNR pair per design FPR, pairs
     sorted by descending design FPR.
     """
-    return [nrb(v, zero_policy, average_mode) for v in base.vectors()]
+    return [
+        NrbResult(
+            key=key,
+            group_count=len(base.groups),
+            nrb=nrb(log_ratios),
+            zero_value_groups=tuple(base.groups[j] for j in np.flatnonzero(np.isinf(log_ratios))),
+        )
+        for key, log_ratios in zip(base.keys, measures.g2avg_log_ratio)
+    ]

@@ -20,15 +20,9 @@ from typing import Any, Callable, Iterable, NamedTuple, Union
 
 from .attack import GroupExposure, compare_group_exposure
 from .config import AuditConfig, config_as_dict
-from .detection import DesignPoint, GroupMetricVector, base_metrics
+from .detection import BaseMetrics, DesignPoint, MetricKey, base_metrics
 from .errors import DataError, DegenerateGroupError
-from .measures import (
-    MEASURE_NAMES,
-    BiasVector,
-    compute_measure,
-    g2avg_log_ratio,
-    g2min_diff,
-)
+from .measures import BiasMeasures, bias_measures
 from .meta import FdrResult, NrbResult, fdr_grid, nrb_suite
 from .trials import (
     GroupedTrials,
@@ -48,18 +42,6 @@ TABLE_DECOMPOSITION = "table_threshold_decomposition.csv"
 FIG_FDR_GRID = "fig_fdr_grid.csv"
 FIG_NRB_SUITE = "fig_nrb_suite.csv"
 
-# rate-valued metrics get a percent display field alongside the fraction
-_RATE_METRICS_PREFIXES = ("eer", "fpr@", "fnr@")
-
-
-@dataclass(frozen=True)
-class ThresholdDecomposition:
-    """Per-group FPR with its difference and log-ratio bias measures at one design FPR."""
-
-    point: DesignPoint
-    diff: BiasVector
-    log_ratio: BiasVector
-
 
 @dataclass(frozen=True)
 class ExposureBlock:
@@ -71,16 +53,13 @@ class ExposureBlock:
 
 @dataclass
 class BiasReport:
-    """Full audit result; every table the emitter writes lives here."""
+    """Full audit result; every table the emitter writes derives from it."""
 
     config: AuditConfig
     warnings: list[str]
-    group_sizes: dict[GroupKey, tuple[int, int]]
     unassigned_count: int
-    pooled_counts: tuple[int, int]
-    base_metrics: list[GroupMetricVector]
-    bias_vectors: list[BiasVector]
-    decomposition: list[ThresholdDecomposition]
+    base: BaseMetrics
+    measures: BiasMeasures
     fdr_grid: list[FdrResult]
     nrb_suite: list[NrbResult]
     exposures: list[ExposureBlock]
@@ -136,52 +115,39 @@ def run_audit(config: AuditConfig) -> BiasReport:
         )
 
     base = base_metrics(grouped, config.design_fprs, config.dcf)
-    bias_vectors = [
-        compute_measure(measure, vector, config.zero_policy, config.average_mode)
-        for vector in base.vectors()
-        for measure in MEASURE_NAMES
-    ]
-    decomposition = [
-        ThresholdDecomposition(
-            point=point,
-            diff=g2min_diff(point.fpr),
-            log_ratio=g2avg_log_ratio(point.fpr, config.zero_policy, config.average_mode),
-        )
-        for point in base.design_points
-    ]
+    measures = bias_measures(base, config.zero_policy, config.average_mode)
     grid = fdr_grid(base, config.alphas)
 
-    suite = nrb_suite(base, config.zero_policy, config.average_mode)
+    suite = nrb_suite(base, measures)
     for result in suite:
         if result.zero_value_groups:
             warnings.append(
-                f"nrb({result.metric_name}) is infinite; zero-valued groups: "
+                f"nrb({result.key.name}) is infinite; zero-valued groups: "
                 + ", ".join(str(g) for g in result.zero_value_groups)
             )
 
     exposures = []
     for point in base.design_points:
+        key = MetricKey("fpr", point.design_fpr)
         entries = compare_group_exposure(
-            point.fpr,
+            base.groups,
+            base.values[base.row(key)].tolist(),
             attempts_per_hour=config.attempts_per_hour,
             target_probability=config.target_probability,
         )
         if any(e.zero_fpr for e in entries):
             warnings.append(
-                f"fpr@{point.design_fpr:g}: zero-FPR groups have unbounded expected attack "
-                "time; flagged in the exposure table"
+                f"{key.name}: zero-FPR groups have unbounded expected attack time; "
+                "flagged in the exposure table"
             )
         exposures.append(ExposureBlock(point=point, entries=tuple(entries)))
 
     return BiasReport(
         config=config,
         warnings=warnings,
-        group_sizes=base.group_sizes,
         unassigned_count=len(grouped.unassigned),
-        pooled_counts=base.pooled_counts,
-        base_metrics=base.vectors(),
-        bias_vectors=bias_vectors,
-        decomposition=decomposition,
+        base=base,
+        measures=measures,
         fdr_grid=grid,
         nrb_suite=suite,
         exposures=exposures,
@@ -201,8 +167,8 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
-def _metric_entry(name: str, value: float) -> dict[str, Any]:
-    if name.startswith(_RATE_METRICS_PREFIXES):
+def _metric_entry(key: MetricKey, value: float) -> dict[str, Any]:
+    if key.is_rate:  # error rates get a percent display field alongside the fraction
         return {"unit": "fraction", "fraction": value, "percent": value * 100.0}
     return {"unit": "fraction", "fraction": value}
 
@@ -210,65 +176,64 @@ def _metric_entry(name: str, value: float) -> dict[str, Any]:
 def report_to_dict(report: BiasReport) -> dict[str, Any]:
     """JSON-ready view of the report (schema documented in the README).
 
-    Groups are sorted and labelled once, from ``report.group_sizes``;
-    every per-group vector covers exactly those keys.
+    Every per-group section reads one row of the ``BaseMetrics`` or
+    ``BiasMeasures`` arrays, whose columns follow the sorted group index.
     """
-    sizes = report.group_sizes
-    labels = {key: key.label() for key in sorted(sizes)}
+    base, measures = report.base, report.measures
+    labels = [key.label() for key in base.groups]
+    label_of = dict(zip(base.groups, labels))
+    n_target, n_nontarget = base.sizes.tolist()
+
+    def per_group(row) -> list[dict[str, Any]]:
+        return [{"group": label, "value": v} for label, v in zip(labels, row.tolist())]
+
+    def decomposition(point: DesignPoint) -> dict[str, Any]:
+        i = base.row(MetricKey("fpr", point.design_fpr))
+        columns = (base.values[i], measures.g2min_diff[i], measures.g2avg_log_ratio[i])
+        return {
+            "design_fpr": point.design_fpr,
+            "threshold": point.operating_point.threshold,
+            "pooled_fpr": point.operating_point.fpr,
+            "pooled_fnr": point.operating_point.fnr,
+            "rows": [
+                {"group": label, "fpr": fpr, "g2min_diff": diff, "g2avg_log_ratio": log_ratio}
+                for label, fpr, diff, log_ratio in zip(labels, *(c.tolist() for c in columns))
+            ],
+        }
+
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "config": config_as_dict(report.config),
         "warnings": list(report.warnings),
         "groups": [
-            {"group": label, "n_target": sizes[key][0], "n_nontarget": sizes[key][1]}
-            for key, label in labels.items()
+            {"group": label, "n_target": t, "n_nontarget": n}
+            for label, t, n in zip(labels, n_target, n_nontarget)
         ],
         "unassigned_trials": report.unassigned_count,
-        "pooled": {
-            "n_target": report.pooled_counts[0],
-            "n_nontarget": report.pooled_counts[1],
-        },
+        "pooled": {"n_target": n_target[-1], "n_nontarget": n_nontarget[-1]},
         "base_metrics": [
             {
-                "metric": v.metric_name,
-                "aggregate": _metric_entry(v.metric_name, v.aggregate),
+                "metric": key.name,
+                "aggregate": _metric_entry(key, aggregate),
                 "per_group": [
-                    {"group": label, **_metric_entry(v.metric_name, v.per_group[key])}
-                    for key, label in labels.items()
+                    {"group": label, **_metric_entry(key, v)} for label, v in zip(labels, row)
                 ],
             }
-            for v in report.base_metrics
+            for key, row, aggregate in zip(
+                base.keys, base.values.tolist(), base.aggregates.tolist()
+            )
         ],
         "bias_measures": [
             {
-                "measure": b.measure_name,
-                "metric": b.metric_name,
-                "reference": b.reference,
-                "per_group": [
-                    {"group": label, "value": b.per_group[key]}
-                    for key, label in labels.items()
-                ],
+                "measure": measure,
+                "metric": key.name,
+                "reference": reference,
+                "per_group": per_group(values),
             }
-            for b in report.bias_vectors
+            for i, key in enumerate(base.keys)
+            for measure, reference, values in measures.row(i)
         ],
-        "threshold_decomposition": [
-            {
-                "design_fpr": d.point.design_fpr,
-                "threshold": d.point.operating_point.threshold,
-                "pooled_fpr": d.point.operating_point.fpr,
-                "pooled_fnr": d.point.operating_point.fnr,
-                "rows": [
-                    {
-                        "group": label,
-                        "fpr": d.point.fpr.per_group[key],
-                        "g2min_diff": d.diff.per_group[key],
-                        "g2avg_log_ratio": d.log_ratio.per_group[key],
-                    }
-                    for key, label in labels.items()
-                ],
-            }
-            for d in report.decomposition
-        ],
+        "threshold_decomposition": [decomposition(point) for point in base.design_points],
         "fdr_grid": [
             {
                 "design_fpr": r.design_fpr,
@@ -282,16 +247,13 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         ],
         "nrb_suite": [
             {
-                "metric": r.metric_name,
+                "metric": r.key.name,
                 "group_count": r.group_count,
                 "nrb": r.nrb,
-                "per_group_log_ratios": [
-                    {"group": label, "value": r.per_group_log_ratios[key]}
-                    for key, label in labels.items()
-                ],
-                "zero_value_groups": [labels[g] for g in r.zero_value_groups],
+                "per_group_log_ratios": per_group(log_ratios),
+                "zero_value_groups": [label_of[g] for g in r.zero_value_groups],
             }
-            for r in report.nrb_suite
+            for r, log_ratios in zip(report.nrb_suite, measures.g2avg_log_ratio)
         ],
         "attack_scenarios": [
             {
@@ -301,7 +263,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
                 "target_probability": report.config.target_probability,
                 "rows": [
                     {
-                        "group": labels[e.group],
+                        "group": label_of[e.group],
                         "fpr": e.fpr,
                         "expected_attempts": e.expected_attempts,
                         "expected_hours": e.expected_hours,

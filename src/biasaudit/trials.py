@@ -154,7 +154,9 @@ def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
 
     Bytes are decoded as UTF-8 with a leading byte-order mark skipped; a
     byte that is not UTF-8, or a row the csv module cannot parse, raises
-    DataError. A caller's stream is left open.
+    DataError. Every source is read with ``newline=""``, so the csv
+    module alone splits lines and quoted line breaks stay verbatim. A
+    caller's stream is left open.
     """
     reader = None
     try:
@@ -164,11 +166,11 @@ def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
                     open(source, "r", encoding="utf-8-sig", newline="")
                 )
             elif isinstance(source, bytes):
-                stream = io.StringIO(source.decode("utf-8-sig"))
+                stream = io.StringIO(source.decode("utf-8-sig"), newline="")
             elif isinstance(source, io.TextIOBase):
                 stream = source
             elif hasattr(source, "read"):  # binary file-like
-                stream = io.TextIOWrapper(source, encoding="utf-8-sig")
+                stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
                 stack.callback(stream.detach)  # closing the wrapper would close the source
             else:
                 raise TypeError(f"unsupported source type: {type(source)!r}")

@@ -18,21 +18,19 @@ from biasaudit import (
     AttackScenario,
     AuditConfig,
     DcfParams,
-    GroupMetricVector,
     Label,
+    MetricKey,
     SpeakerMetadata,
     TrialRecord,
     attempts_for_probability,
     compute_sweep,
     eer,
+    bias_measures,
     expected_time_to_success,
     fdr,
-    g2avg_log_ratio,
-    g2avg_ratio,
-    g2min_diff,
     generate,
     min_cdet,
-    nrb,
+    nrb_suite,
     run_audit,
     success_probability,
     split_scores,
@@ -41,7 +39,7 @@ from biasaudit import (
     write_trials,
 )
 from biasaudit import GroupKey, GroupScoreModel, SynthSpec
-from helpers import gk
+from helpers import by_group, gk, one_metric
 
 TOL = 0.002  # fixed tolerance for published-table reproduction
 
@@ -80,11 +78,12 @@ CDET_NAT = {
     nat("female", "DE"): 0.019,
 }
 
+EER, CDET = MetricKey("eer"), MetricKey("min_cdet")
 VECTORS = {
-    ("eer", "gender"): GroupMetricVector("eer", EER_GENDER, EER_GENDER_AGG),
-    ("eer", "nat"): GroupMetricVector("eer", EER_NAT, EER_GENDER_AGG),
-    ("min_cdet", "gender"): GroupMetricVector("min_cdet", CDET_GENDER, CDET_GENDER_AGG),
-    ("min_cdet", "nat"): GroupMetricVector("min_cdet", CDET_NAT, CDET_GENDER_AGG),
+    ("eer", "gender"): one_metric(EER_GENDER, EER_GENDER_AGG, EER),
+    ("eer", "nat"): one_metric(EER_NAT, EER_GENDER_AGG, EER),
+    ("min_cdet", "gender"): one_metric(CDET_GENDER, CDET_GENDER_AGG, CDET),
+    ("min_cdet", "nat"): one_metric(CDET_NAT, CDET_GENDER_AGG, CDET),
 }
 
 # Published bias-table cells reproducible from the published base metrics
@@ -146,15 +145,13 @@ UNREACHABLE_T3 = {
         nat("female", "AUS"): 0.056, nat("female", "DE"): -0.508},
 }
 
-MEASURES = {
-    "g2min_diff": g2min_diff,
-    "g2avg_ratio": g2avg_ratio,
-    "g2avg_log_ratio": g2avg_log_ratio,
-}
+def measured(v):
+    """Each bias measure of the one-row table ``v``, keyed by measure name, then group."""
+    return {name: by_group(v.groups, values) for name, _, values in bias_measures(v).row(0)}
 
 
 def computed_t3(measure, metric, scope):
-    return MEASURES[measure](VECTORS[(metric, scope)]).per_group
+    return measured(VECTORS[(metric, scope)])[measure]
 
 
 def test_c1_bias_table_from_base_metric_table():
@@ -197,8 +194,8 @@ def test_c2_fdr_spot_value():
     # FNRs do not enter at alpha = 1; any shared-threshold vector works
     fnrs = {key: 0.25 for key in fprs}
     result = fdr(
-        GroupMetricVector("fpr@0.001", fprs, aggregate=0.001),
-        GroupMetricVector("fnr@0.001", fnrs, aggregate=0.25),
+        one_metric(fprs, aggregate=0.001).values[0],
+        one_metric(fnrs, aggregate=0.25).values[0],
         alpha=1.0,
         design_fpr=0.001,
         threshold=0.0,
@@ -223,7 +220,9 @@ def nrb_over_magnitudes():
     keys = [gk(g=f"g{i}") for i in range(len(T4_LOG_MAGNITUDES))]
     # metric values whose |log ratio| against aggregate 1.0 equal the inputs
     values = {k: math.exp(-m) for k, m in zip(keys, T4_LOG_MAGNITUDES)}
-    return nrb(GroupMetricVector("fpr@0.001", values, aggregate=1.0))
+    v = one_metric(values, aggregate=1.0, key=MetricKey("fpr", 0.001))
+    (result,) = nrb_suite(v, bias_measures(v))
+    return result
 
 
 def test_c3_nrb_hand_sum_over_published_magnitudes():
@@ -336,37 +335,29 @@ def test_c6_scale_invariance_suite():
         values = dict(zip(keys, rng.uniform(1e-4, 10.0, n_groups)))
         aggregate = float(rng.uniform(1e-4, 10.0))
         c = float(10.0 ** rng.uniform(-3.0, 3.0))
-        v = GroupMetricVector("eer", values, aggregate)
-        scaled = GroupMetricVector(
-            "eer", {k: c * x for k, x in values.items()}, c * aggregate
-        )
+        v = one_metric(values, aggregate)
+        scaled = one_metric({k: c * x for k, x in values.items()}, c * aggregate)
+        base_measures, scaled_measures = measured(v), measured(scaled)
 
-        base_ratio = g2avg_ratio(v).per_group
-        for key, value in g2avg_ratio(scaled).per_group.items():
+        base_ratio = base_measures["g2avg_ratio"]
+        for key, value in scaled_measures["g2avg_ratio"].items():
             assert math.isclose(value, base_ratio[key], rel_tol=1e-12)
 
-        assert math.isclose(nrb(scaled).nrb, nrb(v).nrb, rel_tol=1e-12, abs_tol=1e-12)
+        (base_nrb,) = nrb_suite(v, bias_measures(v))
+        (scaled_nrb,) = nrb_suite(scaled, bias_measures(scaled))
+        assert math.isclose(scaled_nrb.nrb, base_nrb.nrb, rel_tol=1e-12, abs_tol=1e-12)
 
-        base_diff = g2min_diff(v).per_group
-        for key, value in g2min_diff(scaled).per_group.items():
+        base_diff = base_measures["g2min_diff"]
+        for key, value in scaled_measures["g2min_diff"].items():
             assert math.isclose(value, c * base_diff[key], rel_tol=1e-12, abs_tol=1e-300)
 
         # FDR: scaling all rates by c in (0, 1] scales the bias term by c
         c_rate = float(rng.uniform(0.001, 1.0))
-        rate_keys = keys
-        fpr_values = dict(zip(rate_keys, rng.uniform(0.0, 1.0, n_groups)))
-        fnr_values = dict(zip(rate_keys, rng.uniform(0.0, 1.0, n_groups)))
+        fpr_values = rng.uniform(0.0, 1.0, n_groups)
+        fnr_values = rng.uniform(0.0, 1.0, n_groups)
         alpha = float(rng.uniform(0.0, 1.0))
-        base = fdr(
-            GroupMetricVector("fpr@x", fpr_values, 0.5),
-            GroupMetricVector("fnr@x", fnr_values, 0.5),
-            alpha, 0.01, 0.0,
-        ).fdr
-        scaled_fdr = fdr(
-            GroupMetricVector("fpr@x", {k: c_rate * x for k, x in fpr_values.items()}, 0.5),
-            GroupMetricVector("fnr@x", {k: c_rate * x for k, x in fnr_values.items()}, 0.5),
-            alpha, 0.01, 0.0,
-        ).fdr
+        base = fdr(fpr_values, fnr_values, alpha, 0.01, 0.0).fdr
+        scaled_fdr = fdr(c_rate * fpr_values, c_rate * fnr_values, alpha, 0.01, 0.0).fdr
         assert math.isclose(1.0 - scaled_fdr, c_rate * (1.0 - base),
                             rel_tol=1e-12, abs_tol=1e-15)
     note("C6: PASS — 100 random vectors: ratios and NRB scale-invariant at "
@@ -429,13 +420,13 @@ def test_c7_fdr_nrb_contradiction_in_one_audit(tmp_path):
     report = run_audit(config)
 
     cell = next(r for r in report.fdr_grid if r.alpha == 1.0 and r.design_fpr == 0.001)
-    suite = {r.metric_name: r for r in report.nrb_suite}
+    suite = {r.key.name: r for r in report.nrb_suite}
     fpr_nrb = suite["fpr@0.001"].nrb
 
-    fprs = next(v for v in report.base_metrics if v.metric_name == "fpr@0.001")
-    values = sorted(fprs.per_group.values())
+    fprs = report.base.row(MetricKey("fpr", 0.001))
+    values = sorted(report.base.values[fprs].tolist())
     assert values[1] / values[0] == pytest.approx(5.0, rel=1e-12)
-    assert fprs.aggregate == pytest.approx(0.001, rel=1e-12)
+    assert report.base.aggregates[fprs] == pytest.approx(0.001, rel=1e-12)
 
     assert cell.fdr >= 0.99
     assert fpr_nrb >= 0.5

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from biasaudit import (
     AttackScenario,
-    GroupMetricVector,
     attempts_for_probability,
     compare_group_exposure,
     expected_time_to_success,
@@ -112,12 +111,8 @@ def test_attempts_for_probability_round_trip(fpr, q):
 
 
 def test_compare_group_exposure_orders_worst_first():
-    vector = GroupMetricVector(
-        "fpr@0.001",
-        {gk(g="a"): 0.001, gk(g="b"): 0.005},
-        aggregate=0.003,
-    )
-    entries = compare_group_exposure(vector, attempts_per_hour=60.0)
+    entries = compare_group_exposure([gk(g="a"), gk(g="b")], [0.001, 0.005],
+                                     attempts_per_hour=60.0)
     assert [e.group for e in entries] == [gk(g="b"), gk(g="a")]
     assert entries[0].expected_hours == pytest.approx(3.3333, abs=0.001)
     assert entries[1].expected_hours == pytest.approx(16.6667, abs=0.001)
@@ -127,30 +122,19 @@ def test_compare_group_exposure_orders_worst_first():
 
 
 def test_compare_group_exposure_single_group():
-    vector = GroupMetricVector("fpr@0.01", {gk(g="only"): 0.01}, aggregate=0.01)
-    entries = compare_group_exposure(vector)
+    entries = compare_group_exposure([gk(g="only")], [0.01])
     assert len(entries) == 1
     assert entries[0].expected_attempts == pytest.approx(100.0)
 
 
 def test_compare_group_exposure_ties_keep_lexicographic_order():
-    vector = GroupMetricVector(
-        "fpr@0.01",
-        {gk(g="b"): 0.01, gk(g="a"): 0.01, gk(g="c"): 0.01},
-        aggregate=0.01,
-    )
-    entries = compare_group_exposure(vector)
+    entries = compare_group_exposure([gk(g="b"), gk(g="a"), gk(g="c")], [0.01] * 3)
     assert [e.group for e in entries] == [gk(g="a"), gk(g="b"), gk(g="c")]
     assert len({e.expected_hours for e in entries}) == 1
 
 
 def test_compare_group_exposure_flags_zero_fpr():
-    vector = GroupMetricVector(
-        "fpr@0.001",
-        {gk(g="a"): 0.0, gk(g="b"): 0.002},
-        aggregate=0.001,
-    )
-    entries = compare_group_exposure(vector)
+    entries = compare_group_exposure([gk(g="a"), gk(g="b")], [0.0, 0.002])
     flagged = [e for e in entries if e.zero_fpr]
     assert len(flagged) == 1
     assert flagged[0].group == gk(g="a")

@@ -363,10 +363,15 @@ def test_scenario_rejects_bad_fpr():
     ("--target-probability", "1.5"),
     ("--target-probability", "0"),
     ("--attempts", "-1"),
+    ("--rate", "0"),
+    ("--rate", "inf"),
+    ("--fpr", "2"),
 ])
 def test_scenario_rejects_bad_settings(capsys, extra):
     assert main(["scenario", "--fpr", "0.01", *extra]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert extra[0] in err
 
 
 def test_synth_is_deterministic(tmp_path):

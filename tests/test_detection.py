@@ -13,16 +13,16 @@ from biasaudit import (
     DcfParams,
     DegenerateGroupError,
     EmptyPopulationError,
+    MetricKey,
     Scores,
     base_metrics,
     compute_sweep,
-    design_point_rates,
     eer,
+    error_counts,
     min_cdet,
-    rates_at_threshold,
     threshold_for_fpr,
 )
-from helpers import gk, grouped_from_scores
+from helpers import by_group, gk, grouped_from_scores, one_metric, rates_at_threshold
 
 
 score_lists = st.lists(
@@ -214,9 +214,10 @@ def test_rates_at_threshold_matches_sweep_grid():
 def test_disaggregate_identical_groups_are_symmetric():
     scores = ([1.0, 2.0, 3.0], [-1.0, 0.0, 1.5])
     grouped = grouped_from_scores({gk(g="a"): scores, gk(g="b"): scores})
-    vector = base_metrics(grouped, ()).eer
-    values = list(vector.per_group.values())
-    assert values[0] == values[1] == vector.aggregate
+    base = base_metrics(grouped, ())
+    i = base.row(MetricKey("eer"))
+    values = base.values[i].tolist()
+    assert values[0] == values[1] == base.aggregates[i]
 
 
 def test_disaggregate_two_gaussian_groups():
@@ -226,9 +227,10 @@ def test_disaggregate_two_gaussian_groups():
         gk(g="a"): (rng.normal(2, 1, n).tolist(), rng.normal(0, 1, n).tolist()),
         gk(g="b"): (rng.normal(1, 1, n).tolist(), rng.normal(0, 1, n).tolist()),
     })
-    vector = base_metrics(grouped, ()).eer
-    assert vector.per_group[gk(g="a")] == pytest.approx(0.15866, abs=0.01)
-    assert vector.per_group[gk(g="b")] == pytest.approx(0.30854, abs=0.01)
+    base = base_metrics(grouped, ())
+    eers = by_group(base.groups, base.values[base.row(MetricKey("eer"))])
+    assert eers[gk(g="a")] == pytest.approx(0.15866, abs=0.01)
+    assert eers[gk(g="b")] == pytest.approx(0.30854, abs=0.01)
 
 
 def test_disaggregate_degenerate_group_raises():
@@ -241,9 +243,10 @@ def test_disaggregate_degenerate_group_raises():
 def test_disaggregate_min_cdet_uses_params():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 3.0], [0.0, 2.0])})
     params = DcfParams(c_miss=1.0, c_fa=1.0, p_target=0.5, normalize=False)
-    vector = base_metrics(grouped, (), params).min_cdet
-    assert vector.per_group[gk(g="a")] == 0.25
-    assert vector.metric_name == "min_cdet"
+    base = base_metrics(grouped, (), params)
+    assert base.keys[1] == MetricKey("min_cdet")
+    assert by_group(base.groups, base.values[1])[gk(g="a")] == 0.25
+    assert base.keys[1].name == "min_cdet"
 
 
 def test_disaggregate_at_threshold_boundaries():
@@ -251,30 +254,72 @@ def test_disaggregate_at_threshold_boundaries():
         gk(g="a"): ([1.0, 2.0], [0.0, 0.5]),
         gk(g="b"): ([1.5], [0.25]),
     })
-    split = (grouped.groups, grouped.pooled())
-    low, low_fnr = design_point_rates(*split, 0.1, -10.0)
-    assert all(v == 1.0 for v in low.per_group.values())
-    assert all(v == 0.0 for v in low_fnr.per_group.values())
-    high, high_fnr = design_point_rates(*split, 0.1, 10.0)
-    assert all(v == 0.0 for v in high.per_group.values())
-    assert all(v == 1.0 for v in high_fnr.per_group.values())
+    populations = [*grouped.groups.values(), grouped.pooled()]
+    n_target = np.array([p.target.size for p in populations])
+    n_nontarget = np.array([p.nontarget.size for p in populations])
+    false_accepts, misses = error_counts(populations, -10.0)
+    assert all(v == 1.0 for v in (false_accepts / n_nontarget).tolist())
+    assert all(v == 0.0 for v in (misses / n_target).tolist())
+    false_accepts, misses = error_counts(populations, 10.0)
+    assert all(v == 0.0 for v in (false_accepts / n_nontarget).tolist())
+    assert all(v == 1.0 for v in (misses / n_target).tolist())
 
 
 def test_disaggregate_at_threshold_pooled_equals_group_when_identical():
     # a group identical to the pooled population reproduces the pooled rate exactly
     scores = ([0.5, 1.5, 2.5], [-0.5, 0.0, 1.0])
     grouped = grouped_from_scores({gk(g="only"): scores})
-    vector, _ = design_point_rates(grouped.groups, grouped.pooled(), 0.1, 0.75)
-    assert vector.per_group[gk(g="only")] == vector.aggregate
+    base = base_metrics(grouped, (0.4,))
+    for key in (MetricKey("fpr", 0.4), MetricKey("fnr", 0.4)):
+        i = base.row(key)
+        assert base.values[i, 0] == base.aggregates[i]
 
 
 def test_disaggregate_at_threshold_records_counts():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 2.0], [0.0, 0.5, 1.5])})
-    split = (grouped.groups, grouped.pooled())
-    vector, _ = design_point_rates(*split, 0.025, 1.0)
-    assert vector.metric_name == "fpr@0.025"
-    assert vector.per_group_counts[gk(g="a")] == (1, 3)
-    assert vector.aggregate_counts == (1, 3)
-    _, vector = design_point_rates(*split, 0.025, 1.5)
-    assert vector.metric_name == "fnr@0.025"
-    assert vector.per_group_counts[gk(g="a")] == (1, 2)
+    populations = [*grouped.groups.values(), grouped.pooled()]
+    assert error_counts(populations, 1.0)[0].tolist() == [1, 1]
+    assert error_counts(populations, 1.5)[1].tolist() == [1, 1]
+    # the pooled threshold for FPR 0.4 is 1.0: one of three nontargets
+    # accepted, none of the two targets missed
+    base = base_metrics(grouped, (0.4,))
+    assert base.design_points[0].operating_point.threshold == 1.0
+    fpr, fnr = base.row(MetricKey("fpr", 0.4)), base.row(MetricKey("fnr", 0.4))
+    assert base.keys[fpr].name == "fpr@0.4"
+    assert (base.errors[fpr].tolist(), base.population(fpr).tolist()) == ([1, 1], [3, 3])
+    assert base.keys[fnr].name == "fnr@0.4"
+    assert (base.errors[fnr].tolist(), base.population(fnr).tolist()) == ([0, 0], [2, 2])
+
+
+@pytest.mark.parametrize("per_group, aggregate", [
+    ({}, 0.1),
+    ({gk(g="a"): -0.1}, 0.1),
+    ({gk(g="a"): math.nan}, 0.1),
+    ({gk(g="a"): 0.1}, math.inf),
+])
+def test_base_metrics_rejects_empty_negative_and_non_finite_values(per_group, aggregate):
+    with pytest.raises(ValueError):
+        one_metric(per_group, aggregate)
+
+
+def test_base_metrics_arrays_are_read_only():
+    base = one_metric({gk(g="a"): 0.1}, 0.1)
+    for arr in (base.values, base.aggregates, base.errors, base.sizes):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize("key, name, is_rate", [
+    (MetricKey("eer"), "eer", True),
+    (MetricKey("min_cdet"), "min_cdet", False),
+    (MetricKey("fpr", 0.025), "fpr@0.025", True),
+    (MetricKey("fnr", 1e-05), "fnr@1e-05", True),
+])
+def test_metric_key_name_and_rate_flag(key, name, is_rate):
+    assert (key.name, key.is_rate) == (name, is_rate)
+
+
+@pytest.mark.parametrize("kind, design_fpr", [("eer", 0.1), ("fpr", None), ("dcf", None)])
+def test_metric_key_rejects_bad_rows(kind, design_fpr):
+    with pytest.raises(ValueError):
+        MetricKey(kind, design_fpr)

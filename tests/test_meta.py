@@ -6,24 +6,34 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biasaudit import (
     DcfParams,
-    GroupMetricVector,
     GroupSetMismatchError,
+    MetricKey,
     base_metrics,
+    bias_measures,
     fdr,
     fdr_grid,
     nrb,
     nrb_suite,
 )
-from helpers import gk, grouped_from_scores
+from helpers import by_group, gk, grouped_from_scores, one_metric
 
 
-def vector(per_group, aggregate, name="fpr@0.001"):
-    return GroupMetricVector(metric_name=name, per_group=per_group, aggregate=aggregate)
+def row(per_group):
+    """Per-group rates as one row in sorted group order."""
+    return one_metric(per_group, aggregate=0.5).values[0]
+
+
+def nrb_of(per_group, aggregate, zero_policy="error"):
+    """The NRB result of one metric row, with its log ratios keyed by group."""
+    v = one_metric(per_group, aggregate, MetricKey("fpr", 0.001))
+    measures = bias_measures(v, zero_policy=zero_policy)
+    (result,) = nrb_suite(v, measures)
+    return result, by_group(v.groups, measures.g2avg_log_ratio[0])
 
 
 def male_groups(values):
@@ -32,44 +42,45 @@ def male_groups(values):
 
 
 def test_fdr_identical_rates_is_one_for_every_alpha():
-    fprs = vector({gk(g="a"): 0.2, gk(g="b"): 0.2}, aggregate=0.2)
-    fnrs = vector({gk(g="a"): 0.4, gk(g="b"): 0.4}, aggregate=0.4, name="fnr@0.001")
+    fprs = row({gk(g="a"): 0.2, gk(g="b"): 0.2})
+    fnrs = row({gk(g="a"): 0.4, gk(g="b"): 0.4})
     for alpha in (0.0, 0.25, 0.5, 1.0):
         assert fdr(fprs, fnrs, alpha, 0.001, 1.0).fdr == 1.0
 
 
 def test_fdr_table_male_column_at_alpha_one():
     # max gap 0.005 - 0.000 across the four male FPRs
-    fprs = vector(male_groups([0.005, 0.000, 0.001, 0.002]), aggregate=0.001)
-    fnrs = vector(male_groups([0.1, 0.1, 0.1, 0.1]), aggregate=0.1, name="fnr@0.001")
+    fprs = row(male_groups([0.005, 0.000, 0.001, 0.002]))
+    fnrs = row(male_groups([0.1, 0.1, 0.1, 0.1]))
     result = fdr(fprs, fnrs, alpha=1.0, design_fpr=0.001, threshold=0.0)
     assert result.fdr == pytest.approx(0.995, abs=1e-12)
     assert result.max_delta_fpr == pytest.approx(0.005, abs=1e-12)
 
 
 def test_fdr_convex_combination_arithmetic():
-    fprs = vector({gk(g="a"): 0.2, gk(g="b"): 0.0}, aggregate=0.1)
-    fnrs = vector({gk(g="a"): 0.0, gk(g="b"): 0.4}, aggregate=0.2, name="fnr")
+    fprs = row({gk(g="a"): 0.2, gk(g="b"): 0.0})
+    fnrs = row({gk(g="a"): 0.0, gk(g="b"): 0.4})
     result = fdr(fprs, fnrs, alpha=0.5, design_fpr=0.01, threshold=0.0)
     assert result.fdr == pytest.approx(0.7, abs=1e-12)
 
 
 def test_fdr_group_set_mismatch():
-    fprs = vector({gk(g="a"): 0.1, gk(g="b"): 0.2}, aggregate=0.1)
-    fnrs = vector({gk(g="a"): 0.1, gk(g="c"): 0.2}, aggregate=0.1)
+    # arrays share one group index, so a different group set shows as a different shape
+    fprs = row({gk(g="a"): 0.1, gk(g="b"): 0.2})
+    fnrs = row({gk(g="a"): 0.1, gk(g="b"): 0.2, gk(g="c"): 0.2})
     with pytest.raises(GroupSetMismatchError):
         fdr(fprs, fnrs, 0.5, 0.01, 0.0)
 
 
 def test_fdr_rejects_alpha_out_of_range():
-    fprs = vector({gk(g="a"): 0.1}, aggregate=0.1)
+    fprs = row({gk(g="a"): 0.1})
     with pytest.raises(ValueError):
         fdr(fprs, fprs, 1.5, 0.01, 0.0)
 
 
 def test_fdr_result_invariant_recomputes():
-    fprs = vector({gk(g="a"): 0.3, gk(g="b"): 0.1}, aggregate=0.2)
-    fnrs = vector({gk(g="a"): 0.05, gk(g="b"): 0.25}, aggregate=0.15, name="fnr")
+    fprs = row({gk(g="a"): 0.3, gk(g="b"): 0.1})
+    fnrs = row({gk(g="a"): 0.05, gk(g="b"): 0.25})
     result = fdr(fprs, fnrs, 0.25, 0.05, 1.25)
     expected = 1.0 - (result.alpha * result.max_delta_fpr
                       + (1.0 - result.alpha) * result.max_delta_fnr)
@@ -84,8 +95,8 @@ def test_fdr_result_invariant_recomputes():
 def test_fdr_affine_in_alpha(fpr_values, fnr_values):
     n = min(len(fpr_values), len(fnr_values))
     keys = [gk(g=f"g{i}") for i in range(n)]
-    fprs = vector(dict(zip(keys, fpr_values)), aggregate=0.5)
-    fnrs = vector(dict(zip(keys, fnr_values)), aggregate=0.5, name="fnr")
+    fprs = row(dict(zip(keys, fpr_values)))
+    fnrs = row(dict(zip(keys, fnr_values)))
     at = {a: fdr(fprs, fnrs, a, 0.01, 0.0) for a in (0.0, 0.5, 1.0)}
     assert at[0.0].fdr == pytest.approx(1.0 - at[0.0].max_delta_fnr, abs=1e-12)
     assert at[1.0].fdr == pytest.approx(1.0 - at[1.0].max_delta_fpr, abs=1e-12)
@@ -103,12 +114,12 @@ def test_fdr_magnitude_sensitivity(fpr_values, fnr_values, c, alpha):
     """Scaling every rate by c in (0, 1] scales the bias term by c exactly."""
     n = min(len(fpr_values), len(fnr_values))
     keys = [gk(g=f"g{i}") for i in range(n)]
-    fprs = vector(dict(zip(keys, fpr_values)), aggregate=0.5)
-    fnrs = vector(dict(zip(keys, fnr_values)), aggregate=0.5, name="fnr")
-    scaled_fprs = vector({k: c * v for k, v in fprs.per_group.items()}, 0.5)
-    scaled_fnrs = vector({k: c * v for k, v in fnrs.per_group.items()}, 0.5, name="fnr")
-    base = fdr(fprs, fnrs, alpha, 0.01, 0.0).fdr
-    scaled = fdr(scaled_fprs, scaled_fnrs, alpha, 0.01, 0.0).fdr
+    fprs = dict(zip(keys, fpr_values))
+    fnrs = dict(zip(keys, fnr_values))
+    scaled_fprs = {k: c * v for k, v in fprs.items()}
+    scaled_fnrs = {k: c * v for k, v in fnrs.items()}
+    base = fdr(row(fprs), row(fnrs), alpha, 0.01, 0.0).fdr
+    scaled = fdr(row(scaled_fprs), row(scaled_fnrs), alpha, 0.01, 0.0).fdr
     assert math.isclose(1.0 - scaled, c * (1.0 - base), rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -148,8 +159,7 @@ def test_fdr_grid_trend_gaps_shrink_with_design_fpr():
 
 
 def test_nrb_all_equal_is_zero():
-    v = vector({gk(g="a"): 0.3, gk(g="b"): 0.3}, aggregate=0.3)
-    result = nrb(v)
+    result, _ = nrb_of({gk(g="a"): 0.3, gk(g="b"): 0.3}, aggregate=0.3)
     assert result.nrb == 0.0
     assert result.group_count == 2
 
@@ -157,30 +167,31 @@ def test_nrb_all_equal_is_zero():
 def test_nrb_male_table_magnitudes():
     # hand arithmetic: (1.659 + 0.912 + 0 + 0.654) / 4 = 0.80625
     values = male_groups([math.exp(-1.659), math.exp(0.912), 1.0, math.exp(-0.654)])
-    result = nrb(vector(values, aggregate=1.0))
+    result, _ = nrb_of(values, aggregate=1.0)
     assert result.nrb == pytest.approx(0.80625, abs=1e-9)
 
 
 def test_nrb_symmetric_ratio_pair():
     r = 3.7
-    v = vector({gk(g="a"): r, gk(g="b"): 1.0 / r}, aggregate=1.0)
-    assert nrb(v).nrb == pytest.approx(math.log(r), rel=1e-12)
+    result, _ = nrb_of({gk(g="a"): r, gk(g="b"): 1.0 / r}, aggregate=1.0)
+    assert result.nrb == pytest.approx(math.log(r), rel=1e-12)
 
 
-def test_nrb_result_invariant_recomputes():
-    v = vector({gk(g="a"): 0.4, gk(g="b"): 0.1, gk(g="c"): 0.2}, aggregate=0.2)
-    result = nrb(v)
-    expected = sum(abs(x) for x in result.per_group_log_ratios.values()) / result.group_count
+@given(st.lists(st.floats(1e-4, 1e4), min_size=2, max_size=200), st.floats(1e-4, 1e4))
+@example([0.4, 0.1, 0.2], 0.2)
+@example(np.random.default_rng(0).uniform(1e-4, 1e4, 200).tolist(), 1.0)
+def test_nrb_result_invariant_recomputes(values, aggregate):
+    """NRB is the left-to-right sum of |log ratio| over groups divided by n, exactly."""
+    keys = [gk(g=f"g{i:03d}") for i in range(len(values))]  # sorted in index order
+    result, log_ratios = nrb_of(dict(zip(keys, values)), aggregate)
+    expected = sum(abs(log_ratios[k]) for k in keys) / result.group_count
     assert result.nrb == expected
+    assert nrb(np.array([log_ratios[k] for k in keys])) == expected
 
 
 def test_nrb_infinity_policy_flags_offenders():
-    v = GroupMetricVector(
-        "fpr@0.001",
-        {gk(g="a"): 0.0, gk(g="b"): 0.01},
-        aggregate=0.005,
-    )
-    result = nrb(v, zero_policy="infinity")
+    result, _ = nrb_of({gk(g="a"): 0.0, gk(g="b"): 0.01}, aggregate=0.005,
+                       zero_policy="infinity")
     assert math.isinf(result.nrb)
     assert result.zero_value_groups == (gk(g="a"),)
 
@@ -192,16 +203,15 @@ def test_nrb_infinity_policy_flags_offenders():
 )
 def test_nrb_scale_invariance(values, aggregate, c):
     keys = [gk(g=f"g{i}") for i in range(len(values))]
-    v = vector(dict(zip(keys, values)), aggregate)
-    scaled = vector({k: c * x for k, x in v.per_group.items()}, c * aggregate)
-    assert math.isclose(nrb(scaled).nrb, nrb(v).nrb, rel_tol=1e-9, abs_tol=1e-9)
+    base, _ = nrb_of(dict(zip(keys, values)), aggregate)
+    scaled, _ = nrb_of({k: c * x for k, x in zip(keys, values)}, c * aggregate)
+    assert math.isclose(scaled.nrb, base.nrb, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @given(st.lists(st.floats(1e-4, 1e4), min_size=2, max_size=8), st.floats(1e-4, 1e4))
 def test_nrb_zero_iff_every_group_equals_aggregate(values, aggregate):
     keys = [gk(g=f"g{i}") for i in range(len(values))]
-    v = vector(dict(zip(keys, values)), aggregate)
-    result = nrb(v)
+    result, _ = nrb_of(dict(zip(keys, values)), aggregate)
     if all(x == aggregate for x in values):
         assert result.nrb == 0.0
     else:
@@ -211,14 +221,10 @@ def test_nrb_zero_iff_every_group_equals_aggregate(values, aggregate):
 def test_meta_measures_are_permutation_invariant():
     values = {gk(g="a"): 0.1, gk(g="b"): 0.4, gk(g="c"): 0.2}
     reordered = dict(reversed(list(values.items())))
-    assert nrb(vector(values, 0.2)).nrb == nrb(vector(reordered, 0.2)).nrb
+    assert nrb_of(values, 0.2)[0].nrb == nrb_of(reordered, 0.2)[0].nrb
     fnrs = {gk(g="a"): 0.3, gk(g="b"): 0.1, gk(g="c"): 0.5}
-    forward = fdr(vector(values, 0.2), vector(fnrs, 0.3, name="fnr"), 0.3, 0.01, 0.0)
-    backward = fdr(
-        vector(reordered, 0.2),
-        vector(dict(reversed(list(fnrs.items()))), 0.3, name="fnr"),
-        0.3, 0.01, 0.0,
-    )
+    forward = fdr(row(values), row(fnrs), 0.3, 0.01, 0.0)
+    backward = fdr(row(reordered), row(dict(reversed(list(fnrs.items())))), 0.3, 0.01, 0.0)
     assert forward.fdr == backward.fdr
 
 
@@ -226,7 +232,8 @@ def test_nrb_suite_identical_groups_is_all_zero():
     # overlapping scores keep every base metric strictly positive
     scores = ([0.5, 1.5, 2.5, 3.5], [0.0, 1.0, 2.0, 3.0])
     grouped = grouped_from_scores({gk(g="a"): scores, gk(g="b"): scores})
-    suite = nrb_suite(base_metrics(grouped, (0.5,), DcfParams()))
+    base = base_metrics(grouped, (0.5,), DcfParams())
+    suite = nrb_suite(base, bias_measures(base))
     assert all(r.nrb == 0.0 for r in suite)
 
 
@@ -237,9 +244,9 @@ def test_nrb_suite_cardinality_and_order():
     scores_a = ([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5])
     scores_b = ([-2.0, 2.5], [-0.5, 1.0])
     grouped = grouped_from_scores({gk(g="a"): scores_a, gk(g="b"): scores_b})
-    suite = nrb_suite(base_metrics(grouped, (0.25, 0.5), DcfParams()),
-                      zero_policy="infinity")
-    assert [r.metric_name for r in suite] == [
+    base = base_metrics(grouped, (0.25, 0.5), DcfParams())
+    suite = nrb_suite(base, bias_measures(base, zero_policy="infinity"))
+    assert [r.key.name for r in suite] == [
         "eer", "min_cdet", "fpr@0.5", "fnr@0.5", "fpr@0.25", "fnr@0.25",
     ]
 
@@ -255,12 +262,14 @@ def test_nrb_suite_constant_ratio_ladder():
     grouped = grouped_from_scores({gk(g="a"): (tar, non_a), gk(g="b"): (tar, non_b)})
 
     base = base_metrics(grouped, (0.01, 0.002), DcfParams())
-    suite = nrb_suite(base)
-    by_name = {r.metric_name: r for r in suite}
+    measures = bias_measures(base)
+    suite = nrb_suite(base, measures)
+    by_name = {r.key.name: r for r in suite}
     for name in ("fpr@0.01", "fpr@0.002"):
         # groups at 5x/3 and x/3 the aggregate: mean |log ratio| = ln(5)/2
         assert by_name[name].nrb == pytest.approx(math.log(5.0) / 2.0, rel=1e-9)
-        ratios = by_name[name].per_group_log_ratios
+        i = [r.key.name for r in suite].index(name)
+        ratios = by_group(base.groups, measures.g2avg_log_ratio[i])
         assert ratios[gk(g="a")] == pytest.approx(-math.log(5.0 / 3.0), rel=1e-9)
         assert ratios[gk(g="b")] == pytest.approx(math.log(3.0), rel=1e-9)
     # while the ratio-based measure holds constant, the absolute gap shrinks

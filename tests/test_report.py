@@ -113,8 +113,8 @@ def test_run_audit_single_group_with_unassigned(tmp_path):
     assert any("unassigned" in w for w in report.warnings)
     assert all(r.fdr == 1.0 for r in report.fdr_grid)
     # single group: the suite value is the lone group's absolute log ratio
-    for result in report.nrb_suite:
-        lone = next(iter(result.per_group_log_ratios.values()))
+    for result, log_ratios in zip(report.nrb_suite, report.measures.g2avg_log_ratio):
+        (lone,) = log_ratios.tolist()
         assert result.nrb == abs(lone)
         assert result.group_count == 1
 
@@ -163,9 +163,9 @@ def test_degenerate_group_warns_and_is_pooled_only(tmp_path):
     )
     report = run_audit(config)
     assert any("cohort=bad" in w for w in report.warnings)
-    assert [k.label() for k in report.group_sizes] == ["cohort=good"]
+    assert [k.label() for k in report.base.groups] == ["cohort=good"]
     # the two displaced trials still count toward the pooled population
-    assert report.pooled_counts[0] == 1500 + 2
+    assert report.base.sizes[0, -1] == 1500 + 2
 
 
 def test_degenerate_group_raises_under_strict(tmp_path):
@@ -273,7 +273,7 @@ def test_enrollment_only_policy_flows_through(tmp_path):
     )
     report = run_audit(config)
     assert report.config.policy is GroupingPolicy.ENROLLMENT_ONLY
-    assert {k.label() for k in report.group_sizes} == {"gender=f", "gender=m"}
+    assert {k.label() for k in report.base.groups} == {"gender=f", "gender=m"}
 
 
 # Literal scores for the golden test: no RNG, so the emitted bytes do not
@@ -369,8 +369,34 @@ def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch)
 
     config = base_config(tmp_path)
     report = run_audit(config)
-    populations = len(report.group_sizes) + 1
+    populations = len(report.base.groups) + 1
     n_trials = len(load_trials(config.scores_path))
     assert calls == {
         "split_scores": populations, "compute_sweep": populations, "trials_split": n_trials,
+    }
+
+
+def test_run_audit_evaluates_each_measure_once_per_metric_row(tmp_path, monkeypatch):
+    """Every measure covers every base-metric row exactly once; NRB and the
+    decomposition read the computed rows instead of recomputing them."""
+    rows: Counter[str] = Counter()
+    measures_module = sys.modules["biasaudit.measures"]
+    for name in ("g2min_diff", "g2avg_ratio", "g2avg_log_ratio"):
+        original = getattr(measures_module, name)
+
+        def counted(first, *args, _name=name, _original=original, **kwargs):
+            # a call on a (metrics x groups) array covers its rows; one on a vector, one row
+            rows[_name] += first.shape[0] if getattr(first, "ndim", 1) == 2 else 1
+            return _original(first, *args, **kwargs)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("biasaudit.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    config = base_config(tmp_path)
+    payload = report_to_dict(run_audit(config))
+    metric_rows = len(payload["base_metrics"])
+    assert metric_rows == 2 + 2 * len(config.design_fprs)
+    assert rows == {
+        "g2min_diff": metric_rows, "g2avg_ratio": metric_rows, "g2avg_log_ratio": metric_rows,
     }

@@ -18,11 +18,10 @@ from biasaudit import (
     compute_sweep,
     generate,
     load_synth_spec,
-    rates_at_threshold,
     split_scores,
     write_trials,
 )
-from helpers import gk
+from helpers import gk, rates_at_threshold
 
 
 def model(n=10, mu_t=2.0, mu_n=0.0, sigma=1.0, **attrs):

@@ -137,6 +137,24 @@ def test_loaders_report_unparsable_csv_as_data_error(tmp_path, loader, row, as_p
         loader(source)
 
 
+@pytest.mark.parametrize("source_type", ["bytes", "stream", "path"])
+def test_loaders_split_lines_the_same_for_every_source_type(tmp_path, source_type):
+    def source(data: bytes):
+        if source_type == "stream":
+            return io.BytesIO(data)
+        if source_type == "path":
+            (tmp_path / "input.csv").write_bytes(data)
+            return str(tmp_path / "input.csv")
+        return data
+
+    # a bare CR ends a row
+    records = load_metadata(source(b"speaker_id,gender\na,f\rb,m\n"))
+    assert [(r.speaker_id, r.attributes["gender"]) for r in records] == [("a", "f"), ("b", "m")]
+    # a quoted CRLF is kept verbatim
+    records = load_metadata(source(b'speaker_id,gender\n"a\r\nb",f\n'))
+    assert [r.speaker_id for r in records] == ["a\r\nb"]
+
+
 FUZZ_SEEDS = {
     load_trials: b"enroll_id,test_id,label,score\na,b,target,0.5\nc,d,NonTarget,-1e3\n",
     load_metadata: b'speaker_id,gender,nationality\na,f,US\nb,m,"I,N"\n',
