@@ -79,11 +79,12 @@ from .trials import (
     Label,
     Scores,
     SpeakerMetadata,
+    SpeakerTable,
     TrialRecord,
+    TrialTable,
     assign_groups,
     load_metadata,
     load_trials,
-    split_scores,
     write_metadata,
     write_trials,
 )

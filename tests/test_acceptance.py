@@ -33,13 +33,12 @@ from biasaudit import (
     nrb_suite,
     run_audit,
     success_probability,
-    split_scores,
     threshold_for_fpr,
     write_metadata,
     write_trials,
 )
 from biasaudit import GroupKey, GroupScoreModel, SynthSpec
-from helpers import by_group, gk, one_metric
+from helpers import by_group, gk, one_metric, split_scores
 
 TOL = 0.002  # fixed tolerance for published-table reproduction
 

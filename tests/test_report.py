@@ -260,6 +260,76 @@ def test_report_unit_discipline(tmp_path):
             assert row["unit"] == "fraction"
 
 
+def non_finite_floats(value) -> list[float]:
+    """Every non-finite float anywhere in a JSON-ready value."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [f for v in value for f in non_finite_floats(v)]
+    return []
+
+
+def test_payload_writes_unbounded_values_as_strings(tmp_path):
+    """An infinite threshold and zero-FPR attack times reach the payload as strings."""
+    # the top score is a nontarget, so a design FPR below 1/n calibrates to the +inf sentinel
+    (tmp_path / "s.csv").write_text(
+        "enroll_id,test_id,label,score\n"
+        "a1,a2,target,1.0\na1,a2,target,2.0\na1,a2,nontarget,0.0\na1,a2,nontarget,1.5\n"
+        "a1,a2,nontarget,9.0\nb1,b2,target,0.2\nb1,b2,target,2.0\nb1,b2,nontarget,0.0\n"
+        "b1,b2,nontarget,0.5\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "m.csv").write_text("speaker_id,g\na1,a\na2,a\nb1,b\nb2,b\n", encoding="utf-8")
+    config = AuditConfig(
+        scores_path=str(tmp_path / "s.csv"),
+        metadata_path=str(tmp_path / "m.csv"),
+        group_attributes=("g",),
+        design_fprs=(0.5, 1e-9),
+        alphas=(0.5,),
+        zero_policy="smooth",
+        output_dir=str(tmp_path / "out"),
+    )
+    payload = report_to_dict(run_audit(config))
+    assert non_finite_floats(payload) == []
+    assert payload["threshold_decomposition"][-1]["threshold"] == "Infinity"
+    assert [r["threshold"] for r in payload["fdr_grid"] if r["design_fpr"] == 1e-9] == ["Infinity"]
+    block = payload["attack_scenarios"][-1]
+    assert block["threshold"] == "Infinity"
+    for row in block["rows"]:
+        assert row["zero_fpr"]
+        for field in ("expected_attempts", "expected_hours", "hours_to_target_probability"):
+            assert row[field] == "Infinity"
+
+
+def test_empty_attribute_value_is_flagged(tmp_path):
+    spec = SynthSpec(
+        models=(
+            GroupScoreModel(gk(gender="f"), 2.0, 0.0, 1.0, 300, 300),
+            GroupScoreModel(gk(gender=""), 1.0, 0.0, 1.0, 200, 200),
+        ),
+        seed=8,
+    )
+    trials, metadata = generate(spec)
+    write_trials(trials, tmp_path / "s.csv")
+    write_metadata(metadata, tmp_path / "m.csv")
+    config = AuditConfig(
+        scores_path=str(tmp_path / "s.csv"),
+        metadata_path=str(tmp_path / "m.csv"),
+        group_attributes=("gender",),
+        design_fprs=(0.1,),
+        alphas=(0.5,),
+        output_dir=str(tmp_path / "out"),
+    )
+    report = run_audit(config)
+    assert [k.label() for k in report.base.groups] == ["gender=", "gender=f"]
+    assert report.warnings == [
+        "group gender= has an empty gender value (400 trials); "
+        "check the metadata for missing values"
+    ]
+
+
 def test_enrollment_only_policy_flows_through(tmp_path):
     scores_path, metadata_path = write_two_group_fixture(tmp_path)
     config = AuditConfig(
@@ -350,17 +420,18 @@ def test_emitted_files_match_golden_digests(tmp_path, monkeypatch, zero_policy):
 
 
 def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):
-    """Each trial is split once (one split per bucket); one sweep per group plus the pooled."""
+    """The buckets hold every loaded trial once; one sweep per group plus the pooled."""
     calls: Counter[str] = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("biasaudit.")]
-    for home, name in (("trials", "split_scores"), ("detection", "compute_sweep")):
+    for home, name in (("trials", "assign_groups"), ("detection", "compute_sweep")):
         original = getattr(sys.modules[f"biasaudit.{home}"], name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             result = _original(*args, **kwargs)
-            if _name == "split_scores":
-                calls["trials_split"] += sum(side.size for side in result)
+            if _name == "assign_groups":
+                buckets = [*result.groups.values(), result.unassigned]
+                calls["trials_bucketed"] += sum(len(scores) for scores in buckets)
             return result
 
         for module in modules:
@@ -372,7 +443,7 @@ def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch)
     populations = len(report.base.groups) + 1
     n_trials = len(load_trials(config.scores_path))
     assert calls == {
-        "split_scores": populations, "compute_sweep": populations, "trials_split": n_trials,
+        "assign_groups": 1, "compute_sweep": populations, "trials_bucketed": n_trials,
     }
 
 

@@ -18,10 +18,9 @@ from biasaudit import (
     compute_sweep,
     generate,
     load_synth_spec,
-    split_scores,
     write_trials,
 )
-from helpers import gk, rates_at_threshold
+from helpers import gk, rates_at_threshold, speaker_table, split_scores, trial_table
 
 
 def model(n=10, mu_t=2.0, mu_n=0.0, sigma=1.0, **attrs):
@@ -64,7 +63,9 @@ def test_generate_fresh_speaker_ids():
 def test_generated_trials_group_cleanly_under_both_match():
     spec = SynthSpec(models=(model(25, cohort="a"), model(15, cohort="b")), seed=13)
     trials, metadata = generate(spec)
-    grouped = assign_groups(trials, metadata, ["cohort"], GroupingPolicy.BOTH_MATCH)
+    grouped = assign_groups(
+        trial_table(trials), speaker_table(metadata), ["cohort"], GroupingPolicy.BOTH_MATCH
+    )
     assert len(grouped.unassigned) == 0
     assert {k: len(v) for k, v in grouped.groups.items()} == {
         gk(cohort="a"): 50, gk(cohort="b"): 30,

@@ -6,6 +6,7 @@ import csv
 import gc
 import io
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,25 +30,36 @@ from biasaudit import (
     assign_groups,
     load_metadata,
     load_trials,
-    split_scores,
     write_metadata,
     write_trials,
 )
-from helpers import gk, grouped_from_scores
+from helpers import (
+    gk,
+    grouped_from_scores,
+    reference_load_metadata,
+    reference_load_trials,
+    speaker_records,
+    speaker_table,
+    split_scores,
+    trial_records,
+    trial_table,
+)
 
 
 def test_load_metadata_maps_rows():
-    records = load_metadata(io.StringIO(
+    speakers = load_metadata(io.StringIO(
         "speaker_id,Gender,nationality\nid001,male,US\n"
     ))
-    assert len(records) == 1
-    assert records[0].speaker_id == "id001"
+    assert len(speakers) == 1
+    assert speakers.speaker_ids == ["id001"]
     # names lowercased, values verbatim
-    assert records[0].attributes == {"gender": "male", "nationality": "US"}
+    assert speakers.columns == {"gender": ["male"], "nationality": ["US"]}
 
 
 def test_load_metadata_header_only_is_valid_and_empty():
-    assert load_metadata(io.StringIO("speaker_id,gender\n")) == []
+    speakers = load_metadata(io.StringIO("speaker_id,gender\n"))
+    assert len(speakers) == 0
+    assert speakers.columns == {"gender": []}
 
 
 def test_load_metadata_duplicate_speaker_is_error():
@@ -73,8 +85,8 @@ def test_load_metadata_empty_file():
 
 
 def test_load_metadata_accepts_bytes():
-    records = load_metadata(b"speaker_id,gender\nid001,male\n")
-    assert records[0].attributes["gender"] == "male"
+    speakers = load_metadata(b"speaker_id,gender\nid001,male\n")
+    assert speakers.columns["gender"] == ["male"]
 
 
 BOM = "\ufeff".encode("utf-8")
@@ -89,8 +101,10 @@ def test_loaders_skip_utf8_byte_order_mark(tmp_path, as_path):
         for name, data in sources.items():
             (tmp_path / name).write_bytes(data)
             sources[name] = str(tmp_path / name)
-    assert load_trials(sources["scores"]) == load_trials(SCORES_CSV)
-    assert load_metadata(sources["metadata"]) == load_metadata(METADATA_CSV)
+    assert trial_records(load_trials(sources["scores"])) == trial_records(load_trials(SCORES_CSV))
+    assert speaker_records(load_metadata(sources["metadata"])) == speaker_records(
+        load_metadata(METADATA_CSV)
+    )
 
 
 @pytest.mark.parametrize("as_path", [False, True], ids=["bytes", "path"])
@@ -148,16 +162,22 @@ def test_loaders_split_lines_the_same_for_every_source_type(tmp_path, source_typ
         return data
 
     # a bare CR ends a row
-    records = load_metadata(source(b"speaker_id,gender\na,f\rb,m\n"))
-    assert [(r.speaker_id, r.attributes["gender"]) for r in records] == [("a", "f"), ("b", "m")]
+    speakers = load_metadata(source(b"speaker_id,gender\na,f\rb,m\n"))
+    assert list(zip(speakers.speaker_ids, speakers.columns["gender"])) == [("a", "f"), ("b", "m")]
     # a quoted CRLF is kept verbatim
-    records = load_metadata(source(b'speaker_id,gender\n"a\r\nb",f\n'))
-    assert [r.speaker_id for r in records] == ["a\r\nb"]
+    speakers = load_metadata(source(b'speaker_id,gender\n"a\r\nb",f\n'))
+    assert speakers.speaker_ids == ["a\r\nb"]
 
 
 FUZZ_SEEDS = {
     load_trials: b"enroll_id,test_id,label,score\na,b,target,0.5\nc,d,NonTarget,-1e3\n",
     load_metadata: b'speaker_id,gender,nationality\na,f,US\nb,m,"I,N"\n',
+}
+# seeds spanning several two-row chunks, with a blank row
+LONGER_FUZZ_SEEDS = {
+    load_trials: b"enroll_id,test_id,label,score\na,b,target,0.5\nc,d,NonTarget,-1e3\n"
+    b"e,f,target,2\n\ng,h,nontarget,1\n",
+    load_metadata: b'speaker_id,gender,nationality\na,f,US\nb,m,"I,N"\nc,f,DE\n\nd,m,US\ne,f,FR\n',
 }
 FUZZ_SPLICES = [b",", b'"', b"\n", b"\r", b"\x00", b"\xef\xbb\xbf", b"\xe9", b"nan", b"TARGET"]
 
@@ -174,26 +194,108 @@ def mutated(draw, valid: bytes) -> bytes:
     return data
 
 
+# each loader, its record-level reference, and the table-to-records view of its result
+REFERENCES = {
+    load_trials: (reference_load_trials, trial_records),
+    load_metadata: (reference_load_metadata, speaker_records),
+}
+
+
+def load_or_error(load, source):
+    """What loading ``source`` gives: the loaded value, or the error's type and message."""
+    try:
+        return load(source)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def assert_loads_like_reference(loader, raw: bytes):
+    """Both loaders load equal content, or raise the same DataError type and message."""
+    reference, as_records = REFERENCES[loader]
+    streams = (io.BytesIO(raw), io.BytesIO(raw))
+    for source, reference_source in ((raw, raw), streams):
+        loaded = load_or_error(loader, source)
+        if not isinstance(loaded, tuple):
+            loaded = as_records(loaded)
+        assert loaded == load_or_error(reference, reference_source)
+    gc.collect()
+    assert not any(stream.closed for stream in streams)
+
+
 @pytest.mark.parametrize("loader", list(FUZZ_SEEDS), ids=["scores", "metadata"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_loaders_load_or_raise_data_error(loader, data):
+    """Differential: the chunked loaders agree with the row-by-row references."""
     raw = data.draw(st.binary(max_size=64) | mutated(FUZZ_SEEDS[loader]))
-    stream = io.BytesIO(raw)
-    for source in (raw, stream):
-        try:
-            loader(source)
-        except DataError:
-            pass
-    gc.collect()
-    assert not stream.closed
+    assert_loads_like_reference(loader, raw)
+
+
+@pytest.mark.parametrize("loader", list(FUZZ_SEEDS), ids=["scores", "metadata"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_loaders_match_reference_in_two_row_chunks(loader, data):
+    raw = data.draw(mutated(LONGER_FUZZ_SEEDS[loader]))
+    with patch("biasaudit.trials.CHUNK_ROWS", 2):
+        assert_loads_like_reference(loader, raw)
+
+
+OVERSIZE_FIELD = b"x" * (csv.field_size_limit() + 1)
+# loader, input, and the error message (or row count) it must give with three-row chunks
+SMALL_CHUNK_CASES = {
+    "scores-bad-label": (
+        load_trials,
+        b"enroll_id,test_id,label,score\n" + b"a,b,target,1\n" * 4 + b"\na,b,maybe,1\n",
+        "row 7: bad trial label 'maybe'",
+    ),
+    "scores-blank-rows": (
+        load_trials,
+        b"enroll_id,test_id,label,score\na,b,target,1\n\n\n\nc,d,nontarget,2\ne,f,target,3\n\ng,h\n",
+        "row 9: expected 4 columns, got 2",
+    ),
+    "scores-bad-row-before-parse-error": (
+        load_trials,
+        b"enroll_id,test_id,label,score\na,b,target,1\na,b,target,inf\n" + OVERSIZE_FIELD + b"\n",
+        "row 3: score 'inf' is not a finite number",
+    ),
+    "scores-parse-error": (
+        load_trials,
+        b"enroll_id,test_id,label,score\n" + b"a,b,target,1\n" * 4 + OVERSIZE_FIELD + b"\n",
+        f"row 6: malformed CSV: field larger than field limit ({csv.field_size_limit()})",
+    ),
+    "metadata-duplicate-across-chunks": (
+        load_metadata,
+        b"speaker_id,g\na,x\nb,y\n\nc,x\nd,y\nb,x\ne,y\n",
+        "duplicate speaker_id 'b'",
+    ),
+    "metadata-bad-row-before-duplicate": (
+        load_metadata,
+        b"speaker_id,g\na,x\nb,y\nc,x\n ,y\na,x\n",
+        "row 5: empty speaker_id",
+    ),
+    "metadata-loads": (
+        load_metadata,
+        b"speaker_id,g\na,x\nb,y\n\nc,x\nd,y\ne,y\nf,x\ng,x\n",
+        7,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SMALL_CHUNK_CASES))
+def test_loaders_match_reference_across_chunk_boundaries(monkeypatch, case):
+    """Three-row chunks: errors keep their row, and duplicates are caught across chunks."""
+    monkeypatch.setattr("biasaudit.trials.CHUNK_ROWS", 3)
+    loader, raw, expected = SMALL_CHUNK_CASES[case]
+    loaded = load_or_error(loader, raw)
+    assert (len(loaded) if isinstance(expected, int) else loaded[1]) == expected
+    assert_loads_like_reference(loader, raw)
 
 
 def test_load_trials_maps_row():
     trials = load_trials(io.StringIO(
         "enroll_id,test_id,label,score\nid001,id002,nontarget,-0.31\n"
     ))
-    assert trials == [TrialRecord("id001", "id002", Label.NONTARGET, -0.31)]
+    assert trial_records(trials) == [TrialRecord("id001", "id002", Label.NONTARGET, -0.31)]
 
 
 def test_load_trials_label_case_insensitive_and_order_preserved():
@@ -202,8 +304,8 @@ def test_load_trials_label_case_insensitive_and_order_preserved():
         "a,b,Target,1.5\n"
         "c,d,NONTARGET,0.25\n"
     ))
-    assert [t.label for t in trials] == [Label.TARGET, Label.NONTARGET]
-    assert [t.score for t in trials] == [1.5, 0.25]
+    assert trials.is_target.tolist() == [True, False]
+    assert trials.scores.tolist() == [1.5, 0.25]
 
 
 def test_load_trials_bad_label():
@@ -225,17 +327,17 @@ def test_load_trials_missing_header():
         load_trials(io.StringIO(""))
 
 
-METADATA = [
+METADATA = speaker_table([
     SpeakerMetadata("id1", {"gender": "male", "nationality": "US"}),
     SpeakerMetadata("id2", {"gender": "male", "nationality": "US"}),
     SpeakerMetadata("id3", {"gender": "female", "nationality": "US"}),
-]
+])
 
-THREE_TRIALS = [
+THREE_TRIALS = trial_table([
     TrialRecord("id1", "id2", Label.TARGET, 1.0),
     TrialRecord("id1", "id3", Label.NONTARGET, 0.5),
     TrialRecord("id3", "id3", Label.TARGET, 0.2),
-]
+])
 
 
 def assert_scores(actual, target, nontarget):
@@ -269,8 +371,8 @@ def test_assign_groups_enrollment_only():
 
 
 def test_assign_groups_missing_speaker_goes_unassigned():
-    trials = [TrialRecord("id1", "ghost", Label.TARGET, 1.0),
-              TrialRecord("ghost", "id1", Label.TARGET, 2.0)]
+    trials = trial_table([TrialRecord("id1", "ghost", Label.TARGET, 1.0),
+                          TrialRecord("ghost", "id1", Label.TARGET, 2.0)])
     grouped = assign_groups(trials, METADATA, ["gender"])
     assert grouped.groups == {}
     assert_scores(grouped.unassigned, [1.0, 2.0], [])
@@ -294,6 +396,9 @@ def test_assign_groups_unknown_attribute():
     with pytest.raises(UnknownAttributeError) as exc:
         assign_groups(THREE_TRIALS, METADATA, ["gender", "age"])
     assert exc.value.name == "age"
+    # the header names the attributes, so a header-only file is checked too
+    with pytest.raises(UnknownAttributeError):
+        assign_groups(THREE_TRIALS, load_metadata(b"speaker_id,gender\n"), ["age"])
 
 
 def test_assign_groups_requires_attributes():
@@ -331,8 +436,8 @@ metadata_strategy = st.lists(
 
 @given(trial_lists, metadata_strategy, st.sampled_from(list(GroupingPolicy)))
 def test_partition_completeness(raw_trials, metadata, policy):
-    trials = [TrialRecord(*t) for t in raw_trials]
-    grouped = assign_groups(trials, metadata, ["g"], policy)
+    trials = trial_table(TrialRecord(*t) for t in raw_trials)
+    grouped = assign_groups(trials, speaker_table(metadata), ["g"], policy)
     bucketed = sum(len(v) for v in grouped.groups.values()) + len(grouped.unassigned)
     assert bucketed == len(trials)
 
@@ -340,9 +445,9 @@ def test_partition_completeness(raw_trials, metadata, policy):
 @given(trial_lists, metadata_strategy)
 def test_policy_refinement(raw_trials, metadata):
     """Anything grouped under both-match is grouped identically under enrollment-only."""
-    trials = [TrialRecord(*t) for t in raw_trials]
-    strict = assign_groups(trials, metadata, ["g"], GroupingPolicy.BOTH_MATCH)
-    loose = assign_groups(trials, metadata, ["g"], GroupingPolicy.ENROLLMENT_ONLY)
+    trials, speakers = trial_table(TrialRecord(*t) for t in raw_trials), speaker_table(metadata)
+    strict = assign_groups(trials, speakers, ["g"], GroupingPolicy.BOTH_MATCH)
+    loose = assign_groups(trials, speakers, ["g"], GroupingPolicy.ENROLLMENT_ONLY)
     for key, members in strict.groups.items():
         wider = loose.groups[key]
         for label, side in ((Label.TARGET, "target"), (Label.NONTARGET, "nontarget")):
@@ -379,7 +484,7 @@ def test_assign_groups_matches_record_level_partition(raw_trials, metadata, poli
         else:
             members.setdefault(gk(a=enroll["a"], b=enroll["b"]), []).append(trial)
 
-    grouped = assign_groups(trials, metadata, ["B", "a"], policy)
+    grouped = assign_groups(trial_table(trials), speaker_table(metadata), ["B", "a"], policy)
     assert list(grouped.groups) == sorted(members)
     for key, records in members.items():
         assert_scores(grouped.groups[key], *split_scores(records))
@@ -389,13 +494,14 @@ def test_assign_groups_matches_record_level_partition(raw_trials, metadata, poli
 @given(trial_lists, metadata_strategy, st.sampled_from(list(GroupingPolicy)))
 @settings(max_examples=25)
 def test_round_trip_preserves_partition(raw_trials, metadata, policy):
-    trials = [TrialRecord(*t) for t in raw_trials]
-    grouped = assign_groups(trials, metadata, ["g"], policy)
+    trials = trial_table(TrialRecord(*t) for t in raw_trials)
+    speakers = speaker_table(metadata)
+    grouped = assign_groups(trials, speakers, ["g"], policy)
 
     scores = io.StringIO()
-    write_trials(trials, scores)
+    write_trials(trial_records(trials), scores)
     meta = io.StringIO()
-    write_metadata(metadata, meta)
+    write_metadata(speaker_records(speakers), meta)
     reloaded_trials = load_trials(io.StringIO(scores.getvalue()))
     reloaded_meta = load_metadata(io.StringIO(meta.getvalue()))
     regrouped = assign_groups(reloaded_trials, reloaded_meta, ["g"], policy)
