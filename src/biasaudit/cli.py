@@ -5,8 +5,8 @@ Subcommands: ``audit`` (full pipeline, writes the report file set),
 (fixture generation). ``audit`` reads a key=value config file; flags
 override it.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 degenerate-group error under ``--strict``.
+Exit codes: 0 success, 1 usage or configuration error or an unwritable
+output path, 2 data error, 3 degenerate-group error under ``--strict``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -68,6 +69,15 @@ def _config_options(command):
     return command
 
 
+@contextmanager
+def _writing(out):
+    """Turn an OSError from creating or writing output files into a ConfigError (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
+
+
 @click.group()
 @click.version_option(package_name="biasaudit")
 def cli():
@@ -81,9 +91,10 @@ def audit(config_path, preset, **flags):
     file_values = parse_config_file(config_path) if config_path else None
     config = build_config(file_values, preset, flags)
     report = run_audit(config)
-    written = emit(report, config.output_dir)
-    for warning in report.warnings:
+    for warning in report.warnings:  # before writing, so a failed write still shows them
         click.echo(f"warning: {warning}", err=True)
+    with _writing(config.output_dir):
+        written = emit(report, config.output_dir)
     for path in written:
         click.echo(f"wrote {path}")
 
@@ -164,17 +175,18 @@ def synth(spec_path, seed, out):
     """Generate synthetic scores and metadata CSVs from a JSON spec."""
     try:
         spec = load_synth_spec(spec_path, seed=seed)
+        trials, metadata = generate(spec)
     except OSError as exc:
         raise DataError(f"cannot read spec {spec_path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad synthesis spec {spec_path}: {exc}") from exc
-    trials, metadata = generate(spec)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scores_path = out_dir / "scores.csv"
     metadata_path = out_dir / "metadata.csv"
-    write_trials(trials, scores_path)
-    write_metadata(metadata, metadata_path)
+    with _writing(out):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trials(trials, scores_path)
+        write_metadata(metadata, metadata_path)
     click.echo(f"wrote {scores_path} ({len(trials)} trials)")
     click.echo(f"wrote {metadata_path} ({len(metadata)} speakers)")
 

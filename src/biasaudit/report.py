@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Union
 
@@ -360,6 +361,74 @@ _CSV_FILES = (
 )
 
 
+# Item separator "\x00": ensure_ascii writes every control character inside a
+# string as an escape, so a raw "\x00" in its output only ever separates items.
+_SCALARS = json.JSONEncoder(separators=("\x00", ": "), allow_nan=False)
+_CONTAINERS = (list, tuple, dict)
+
+
+def _split(container) -> list[str]:
+    """Encode a non-empty list, tuple or dict of scalars in one C call; one string per item."""
+    return _SCALARS.encode(container)[1:-1].split("\x00")
+
+
+def _keys(mapping, indent: str) -> list[str]:
+    """The openings of a non-empty dict's items: '{' or ',', a newline and '"key": '."""
+    names = [indent + item[:-1] for item in _split(dict.fromkeys(mapping, 0))]
+    return ["{" + names[0], *("," + name for name in names[1:])]
+
+
+def _table(rows) -> list[Any] | None:
+    """The cells, row by row, of dicts that share one non-empty order of str keys."""
+    if not all(map(isinstance, rows, repeat(dict))):
+        return None
+    keys = tuple(rows[0])  # equal non-str keys can encode differently: 1 == True
+    if not keys or not all(map(isinstance, keys, repeat(str))):
+        return None
+    if not all(map(keys.__eq__, map(tuple, rows))):
+        return None
+    return list(chain.from_iterable(map(dict.values, rows)))
+
+
+def _indented(obj, out: list[str], level: int = 0) -> None:
+    """Append to ``out`` the chunks of ``json.dumps(obj, indent=2, allow_nan=False)``.
+
+    Python walks only the containers. When every value of a dict, a list or a
+    table (``_table``) is a scalar, the stdlib's C encoder writes them all in
+    one call and each is joined to the opening that precedes it.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        out.append(_SCALARS.encode(obj))
+        return
+    close = "\n" + "  " * level
+    inner = close + "  "
+    depth = level + 1
+    if isinstance(obj, dict):
+        openings, values, end = _keys(obj, inner), list(obj.values()), close + "}"
+    elif (cells := _table(obj)) is not None:
+        row = _keys(obj[0], inner + "  ")
+        # a row's first key also closes the row before it
+        later = islice(cycle([inner + "}," + inner + row[0], *row[1:]]), 1, None)
+        openings = chain(["[" + inner + row[0]], later)
+        values, end, depth = cells, inner + "}" + close + "]", level + 2
+    else:
+        openings, values, end = chain(["[" + inner], repeat("," + inner)), obj, close + "]"
+    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+        out.extend(chain.from_iterable(zip(openings, _split(values))))
+    else:
+        for opening, value in zip(openings, values):
+            out.append(opening)
+            _indented(value, out, depth)
+    out.append(end)
+
+
+def _dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False)``, scalars encoded in C."""
+    chunks: list[str] = []
+    _indented(obj, chunks)
+    return "".join(chunks)
+
+
 def emit(report: BiasReport, output_dir: Union[str, Path]) -> list[Path]:
     """Write report.json and the CSV projections of its payload; return their paths.
 
@@ -369,8 +438,7 @@ def emit(report: BiasReport, output_dir: Union[str, Path]) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     payload = report_to_dict(report)
     report_path = out / REPORT_JSON
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    report_path.write_text(text, encoding="utf-8")
+    report_path.write_text(_dumps(payload) + "\n", encoding="utf-8")
     written = [report_path]
     for table in _CSV_FILES:
         if table.figure and not report.config.emit_figures:

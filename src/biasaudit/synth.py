@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -38,8 +39,10 @@ class GroupScoreModel:
     n_nontarget: int
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.mu_target) and math.isfinite(self.mu_nontarget)):
+            raise ValueError(f"group {self.group}: score means must be finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"group {self.group}: sigma must be positive and finite")
         if self.n_target < 1 or self.n_nontarget < 1:
             raise ValueError("trial counts must be at least 1")
 
@@ -55,6 +58,10 @@ class SynthSpec:
         keys = [m.group for m in self.models]
         if len(set(keys)) != len(keys):
             raise ValueError("group keys must be distinct")
+        # a float seed would be truncated and SeedSequence rejects negative ones
+        seed = self.seed
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _norm_cdf(x: float) -> float:
@@ -86,6 +93,10 @@ def generate(spec: SynthSpec) -> tuple[list[TrialRecord], list[SpeakerMetadata]]
         rng = np.random.default_rng(stream)
         target_scores = rng.normal(model.mu_target, model.sigma, model.n_target)
         nontarget_scores = rng.normal(model.mu_nontarget, model.sigma, model.n_nontarget)
+        # finite means and sigma can still overflow: 1e308 + 1e308 * z
+        if not (np.isfinite(target_scores).all() and np.isfinite(nontarget_scores).all()):
+            raise ValueError(f"group {model.group}: a drawn score is not finite; "
+                             "lower the means or sigma")
         attributes = dict(zip(model.group.names, model.group.values))
         for k, (label, score) in enumerate(
             [(Label.TARGET, s) for s in target_scores]
@@ -126,5 +137,5 @@ def load_synth_spec(source: Union[str, Path, dict], seed: int | None = None) -> 
         )
         for entry in payload["groups"]
     )
-    chosen = seed if seed is not None else int(payload["seed"])
+    chosen = seed if seed is not None else payload["seed"]
     return SynthSpec(models=models, seed=chosen)

@@ -389,3 +389,58 @@ def test_synth_bad_spec_exits_one(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"groups": []}', encoding="utf-8")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 1
+
+
+def _synth(tmp_path, spec_text, *extra, out="out"):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec_text, encoding="utf-8")
+    return main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / out), *extra])
+
+
+def _spec_text(seed=2026, **group):
+    spec = {**SYNTH_SPEC, "seed": seed}
+    spec["groups"] = [{**spec["groups"][0], **group}, spec["groups"][1]]
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize("spec_text,extra", [
+    pytest.param(_spec_text(), ("--seed", "-1"), id="flag-negative"),
+    pytest.param(_spec_text(seed=-1), (), id="spec-negative"),
+    pytest.param(_spec_text(seed=1.5), (), id="spec-fractional"),
+])
+def test_synth_rejects_a_bad_seed(tmp_path, capsys, spec_text, extra):
+    assert _synth(tmp_path, spec_text, *extra) == 1
+    assert capsys.readouterr().err.startswith("error: bad synthesis spec")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec_text", [
+    pytest.param(_spec_text().replace('"sigma": 1.0', '"sigma": 1e400', 1), id="sigma-1e400"),
+    pytest.param(_spec_text(mu_target="inf"), id="mu-inf"),
+    # finite parameters whose draws overflow
+    pytest.param(_spec_text(mu_target=1e308, sigma=1e308), id="draws-overflow"),
+])
+def test_synth_rejects_specs_whose_scores_are_not_finite(tmp_path, capsys, spec_text):
+    assert _synth(tmp_path, spec_text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad synthesis spec") and "gender=f" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_unwritable_out_exits_one(tmp_path, capsys):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert _synth(tmp_path, _spec_text(), out="afile/sub") == 1
+    out = tmp_path / "afile" / "sub"
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_audit_unwritable_out_exits_one_after_its_warnings(data_dir, capsys):
+    metadata = data_dir / "metadata.csv"
+    lines = metadata.read_text(encoding="utf-8").splitlines(keepends=True)
+    metadata.write_text("".join(lines[:-20]), encoding="utf-8")  # some trials go unassigned
+    (data_dir / "afile").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(audit_args(data_dir, out="afile/sub")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: ") and "unassigned" in err[0]
+    assert err[-1].startswith(f"error: cannot write {data_dir / 'afile' / 'sub'}: ")

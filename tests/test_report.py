@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biasaudit import (
     AuditConfig,
@@ -34,6 +36,7 @@ from biasaudit.report import (
     TABLE_BASE_METRICS,
     TABLE_BIAS_MEASURES,
     TABLE_DECOMPOSITION,
+    _dumps,
 )
 from helpers import gk
 
@@ -471,3 +474,93 @@ def test_run_audit_evaluates_each_measure_once_per_metric_row(tmp_path, monkeypa
     assert rows == {
         "g2min_diff": metric_rows, "g2avg_ratio": metric_rows, "g2avg_log_ratio": metric_rows,
     }
+
+
+# Characters the encoder must escape or keep apart from its own item separator "\x00".
+_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\u00e9", "\u2028", "\U0001f600",
+                     "{", "}", "[", "]", ",", ":", " ", "a"]) | st.characters(),
+    max_size=6,
+)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200),
+    _FLOATS, _FLOATS.map(np.float64), _TEXT,
+    st.sampled_from([True, 1, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _rows(draw, cells):
+    """Table rows: shared keys, sometimes reordered, sometimes holding a container."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(keys)) if draw(st.booleans()) else keys
+        rows.append({key: draw(cells if draw(st.integers(0, 5)) == 0 else _SCALARS)
+                     for key in order})
+    return rows
+
+
+# json turns these keys into strings: "1", "true", "null", "-0.0"
+_KEYS = _TEXT | st.sampled_from([0, 1, True, False, None, 1.5, -0.0])
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        _rows(children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example([{1: 0}, {True: 0}, {1.0: 0}])  # equal keys, three spellings
+@example({"rows": [{"g": "a", "v": [1]}, {"g": "b", "v": 2}], "empty": [{}, [], ()]})
+def test_report_encoder_writes_the_bytes_of_json_dumps_indent_2(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _TREES,
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]),
+    st.lists(st.sampled_from(["list", "tuple", "dict", "row"]), max_size=4),
+)
+def test_report_encoder_rejects_non_finite_floats_at_every_depth(tree, bad, path):
+    value = bad
+    for kind in path:
+        value = {
+            "list": [tree, value],
+            "tuple": (value,),
+            "dict": {"a": tree, "b": value},
+            "row": [{"k": 1.0, "v": 0.0}, {"k": 2.0, "v": value}],  # a table cell
+        }[kind]
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _dumps(value)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda x: x,
+    lambda x: [1, x],
+    lambda x: {"a": x},
+    lambda x: [{"g": "a", "v": 1}, {"g": "b", "v": x}],
+    lambda x: {"nested": [[x]]},
+])
+@pytest.mark.parametrize("unsupported", [object(), {1, 2}, b"raw", np.int64(3)])
+def test_report_encoder_rejects_unsupported_objects(wrap, unsupported):
+    with pytest.raises(TypeError):
+        json.dumps(wrap(unsupported), indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        _dumps(wrap(unsupported))
+
+
+def test_report_encoder_rejects_unsupported_keys():
+    for value in ({(1, 2): 0}, [{(1, 2): 0}], {"a": {(1, 2): [0]}}):
+        with pytest.raises(TypeError):
+            _dumps(value)

@@ -83,6 +83,33 @@ def test_model_validation():
         SynthSpec(models=(model(5), model(5)), seed=1)  # duplicate group keys
 
 
+@pytest.mark.parametrize("mu_t,mu_n,sigma", [
+    (float("inf"), 0.0, 1.0), (2.0, float("-inf"), 1.0), (float("nan"), 0.0, 1.0),
+    (2.0, 0.0, float("inf")), (2.0, 0.0, float("nan")),
+])
+def test_model_rejects_non_finite_parameters(mu_t, mu_n, sigma):
+    with pytest.raises(ValueError, match="cohort=a"):
+        model(mu_t=mu_t, mu_n=mu_n, sigma=sigma)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+def test_spec_rejects_seeds_that_are_not_nonnegative_integers(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SynthSpec(models=(model(5),), seed=seed)
+
+
+def test_spec_accepts_numpy_integer_seeds():
+    spec = SynthSpec(models=(model(5),), seed=np.int64(7))
+    assert generate(spec) == generate(SynthSpec(models=(model(5),), seed=7))
+
+
+def test_generate_rejects_scores_that_overflow():
+    # finite parameters, but mu + sigma * z leaves the float range
+    spec = SynthSpec(models=(model(50), model(50, mu_t=1e308, sigma=1e308, cohort="b")), seed=3)
+    with pytest.raises(ValueError, match="cohort=b"):
+        generate(spec)
+
+
 def test_analytic_eer_values():
     assert analytic_eer(model(mu_t=1.0, mu_n=1.0)) == 0.5
     # standard-normal CDF at -1 and -0.5, verified against an erfc evaluation
