@@ -69,6 +69,7 @@ from .synth import (
     SynthSpec,
     analytic_eer,
     analytic_rates_at,
+    draw,
     generate,
     load_synth_spec,
 )

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .measures import AVERAGE_MODES, ZERO_POLICIES
 from .report import emit, run_audit
-from .synth import generate, load_synth_spec
+from .synth import draw, load_synth_spec
 from .trials import GroupingPolicy, write_metadata, write_trials
 
 
@@ -175,7 +175,7 @@ def synth(spec_path, seed, out):
     """Generate synthetic scores and metadata CSVs from a JSON spec."""
     try:
         spec = load_synth_spec(spec_path, seed=seed)
-        trials, metadata = generate(spec)
+        trials, speakers = draw(spec)
     except OSError as exc:
         raise DataError(f"cannot read spec {spec_path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -186,9 +186,9 @@ def synth(spec_path, seed, out):
     with _writing(out):
         out_dir.mkdir(parents=True, exist_ok=True)
         write_trials(trials, scores_path)
-        write_metadata(metadata, metadata_path)
+        write_metadata(speakers, metadata_path)
     click.echo(f"wrote {scores_path} ({len(trials)} trials)")
-    click.echo(f"wrote {metadata_path} ({len(metadata)} speakers)")
+    click.echo(f"wrote {metadata_path} ({len(speakers)} speakers)")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

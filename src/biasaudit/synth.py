@@ -24,7 +24,14 @@ from typing import Union
 
 import numpy as np
 
-from .trials import GroupKey, Label, SpeakerMetadata, TrialRecord
+from .trials import (
+    GroupKey,
+    Label,
+    SpeakerMetadata,
+    SpeakerTable,
+    TrialRecord,
+    TrialTable,
+)
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,11 @@ class GroupScoreModel:
             raise ValueError(f"group {self.group}: score means must be finite")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"group {self.group}: sigma must be positive and finite")
+        # int() would truncate 2.9 to 2 and read true as 1
+        for count in (self.n_target, self.n_nontarget):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"group {self.group}: trial counts must be integers, "
+                                 f"got {count!r}")
         if self.n_target < 1 or self.n_nontarget < 1:
             raise ValueError("trial counts must be at least 1")
 
@@ -80,15 +92,23 @@ def analytic_rates_at(model: GroupScoreModel, threshold: float) -> tuple[float, 
     return fpr, fnr
 
 
-def generate(spec: SynthSpec) -> tuple[list[TrialRecord], list[SpeakerMetadata]]:
-    """Draw the trial list and speaker metadata a SynthSpec describes.
+def draw(spec: SynthSpec) -> tuple[TrialTable, SpeakerTable]:
+    """Draw the trial and speaker tables a SynthSpec describes.
 
     Trials are emitted per group in model order, targets before
-    nontargets. Output is a pure function of the SynthSpec.
+    nontargets; speakers in trial order, each trial's enrollment speaker
+    before its test speaker. The metadata columns are the sorted union of
+    attribute names, and a group without an attribute gets an empty
+    value. Output is a pure function of the SynthSpec.
     """
     streams = np.random.SeedSequence(spec.seed).spawn(len(spec.models))
-    trials: list[TrialRecord] = []
-    metadata: list[SpeakerMetadata] = []
+    enroll_ids: list[str] = []
+    test_ids: list[str] = []
+    speaker_ids: list[str] = []
+    targets: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
+    names = sorted({n for m in spec.models for n in m.group.names})
+    columns: dict[str, list[str]] = {n: [] for n in names}
     for gi, (model, stream) in enumerate(zip(spec.models, streams)):
         rng = np.random.default_rng(stream)
         target_scores = rng.normal(model.mu_target, model.sigma, model.n_target)
@@ -97,17 +117,43 @@ def generate(spec: SynthSpec) -> tuple[list[TrialRecord], list[SpeakerMetadata]]
         if not (np.isfinite(target_scores).all() and np.isfinite(nontarget_scores).all()):
             raise ValueError(f"group {model.group}: a drawn score is not finite; "
                              "lower the means or sigma")
+        n = model.n_target + model.n_nontarget
+        stems = [f"s{gi:03d}-{k:07d}" for k in range(n)]
+        enroll = [stem + "e" for stem in stems]
+        test = [stem + "t" for stem in stems]
+        enroll_ids += enroll
+        test_ids += test
+        speakers = enroll + test
+        speakers[::2], speakers[1::2] = enroll, test
+        speaker_ids += speakers
         attributes = dict(zip(model.group.names, model.group.values))
-        for k, (label, score) in enumerate(
-            [(Label.TARGET, s) for s in target_scores]
-            + [(Label.NONTARGET, s) for s in nontarget_scores]
-        ):
-            enroll_id = f"s{gi:03d}-{k:07d}e"
-            test_id = f"s{gi:03d}-{k:07d}t"
-            trials.append(TrialRecord(enroll_id, test_id, label, float(score)))
-            metadata.append(SpeakerMetadata(enroll_id, attributes))
-            metadata.append(SpeakerMetadata(test_id, attributes))
-    return trials, metadata
+        for name, column in columns.items():
+            column += [attributes.get(name, "")] * (2 * n)
+        targets.append(np.arange(n) < model.n_target)
+        scores += [target_scores, nontarget_scores]
+    trials = TrialTable(enroll_ids, test_ids, np.concatenate(targets), np.concatenate(scores))
+    return trials, SpeakerTable(speaker_ids, columns)
+
+
+def generate(spec: SynthSpec) -> tuple[list[TrialRecord], list[SpeakerMetadata]]:
+    """The records of ``draw(spec)``: one per trial and one per speaker.
+
+    Each speaker record's attributes are its group's own attributes,
+    without the empty values the metadata table fills in.
+    """
+    trials, speakers = draw(spec)
+    labels = [Label.TARGET if t else Label.NONTARGET for t in trials.is_target.tolist()]
+    trial_records = list(
+        map(TrialRecord, trials.enroll_ids, trials.test_ids, labels, trials.scores.tolist())
+    )
+    metadata: list[SpeakerMetadata] = []
+    start = 0
+    for model in spec.models:
+        stop = start + 2 * (model.n_target + model.n_nontarget)
+        attributes = dict(zip(model.group.names, model.group.values))
+        metadata += [SpeakerMetadata(s, attributes) for s in speakers.speaker_ids[start:stop]]
+        start = stop
+    return trial_records, metadata
 
 
 def load_synth_spec(source: Union[str, Path, dict], seed: int | None = None) -> SynthSpec:
@@ -132,8 +178,8 @@ def load_synth_spec(source: Union[str, Path, dict], seed: int | None = None) -> 
             mu_target=float(entry["mu_target"]),
             mu_nontarget=float(entry["mu_nontarget"]),
             sigma=float(entry["sigma"]),
-            n_target=int(entry["n_target"]),
-            n_nontarget=int(entry["n_nontarget"]),
+            n_target=entry["n_target"],
+            n_nontarget=entry["n_nontarget"],
         )
         for entry in payload["groups"]
     )

@@ -22,6 +22,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -51,6 +52,7 @@ class Label(Enum):
 
 
 _LABELS = {label.value: label for label in Label}
+_LABEL_TEXT = (Label.NONTARGET.value, Label.TARGET.value)  # indexed by is_target
 
 
 class GroupingPolicy(Enum):
@@ -167,13 +169,28 @@ class TrialTable:
     def __len__(self) -> int:
         return self.scores.size
 
+    @classmethod
+    def from_records(cls, records: Iterable[TrialRecord]) -> "TrialTable":
+        """The columns of a record list, in list order."""
+        records = list(records)
+        return cls(
+            list(map(attrgetter("enroll_id"), records)),
+            list(map(attrgetter("test_id"), records)),
+            np.fromiter(
+                map(is_, map(attrgetter("label"), records), repeat(Label.TARGET)),
+                bool, len(records),
+            ),
+            np.fromiter(map(attrgetter("score"), records), float, len(records)),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class SpeakerTable:
-    """Loaded speaker metadata as columns; ``len`` counts the speakers.
+    """Speaker metadata as columns; ``len`` counts the speakers.
 
-    ``columns`` maps each lowercased attribute name, in header order, to
-    its values, which line up with ``speaker_ids`` and are kept verbatim.
+    ``columns`` maps each attribute name to its values, which line up
+    with ``speaker_ids``. ``load_metadata`` gives the lowercased names in
+    header order and keeps values verbatim.
     """
 
     speaker_ids: list[str]
@@ -181,6 +198,19 @@ class SpeakerTable:
 
     def __len__(self) -> int:
         return len(self.speaker_ids)
+
+    @classmethod
+    def from_records(cls, records: Iterable[SpeakerMetadata]) -> "SpeakerTable":
+        """The columns of a record list: the sorted union of attribute names.
+
+        A speaker without an attribute gets an empty value.
+        """
+        records = list(records)
+        names = sorted({n for r in records for n in r.attributes})
+        return cls(
+            [r.speaker_id for r in records],
+            {n: [r.attributes.get(n, "") for r in records] for n in names},
+        )
 
 
 @contextmanager
@@ -403,36 +433,51 @@ def load_trials(source: Source) -> TrialTable:
         return TrialTable(enroll_ids, test_ids, np.concatenate(targets), np.concatenate(scores))
 
 
-def write_trials(trials: Iterable[TrialRecord], dest: Union[str, Path, IO[str]]) -> None:
-    """Write trials in the scores-CSV format (LF line endings, UTF-8)."""
+@contextmanager
+def _text_dest(dest: Union[str, Path, IO[str]]) -> Iterator[IO[str]]:
+    """A text stream for a path (opened UTF-8, ``newline=""``) or the caller's own stream."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_trials(trials, fh)
-        return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(TRIAL_HEADER)
-    for t in trials:
-        writer.writerow([t.enroll_id, t.test_id, t.label.value, repr(t.score)])
+            yield fh
+    else:
+        yield dest
+
+
+def write_trials(
+    trials: Union[TrialTable, Iterable[TrialRecord]], dest: Union[str, Path, IO[str]]
+) -> None:
+    """Write trials in the scores-CSV format (LF line endings, UTF-8).
+
+    Records are first made a TrialTable. Each score is written as the
+    ``repr`` of its float64 value, so ``load_trials`` reads it back exactly.
+    """
+    if not isinstance(trials, TrialTable):
+        trials = TrialTable.from_records(trials)
+    labels = map(_LABEL_TEXT.__getitem__, trials.is_target.tolist())
+    with _text_dest(dest) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(TRIAL_HEADER)
+        writer.writerows(
+            zip(trials.enroll_ids, trials.test_ids, labels, map(repr, trials.scores.tolist()))
+        )
 
 
 def write_metadata(
-    records: Iterable[SpeakerMetadata], dest: Union[str, Path, IO[str]]
+    speakers: Union[SpeakerTable, Iterable[SpeakerMetadata]],
+    dest: Union[str, Path, IO[str]],
 ) -> None:
     """Write speaker metadata in the metadata-CSV format.
 
-    The attribute column set is the sorted union over all records;
-    speakers missing an attribute get an empty value.
+    A table's columns are written in its order. Records are first made a
+    SpeakerTable, so their columns are the sorted union of attribute
+    names and a speaker missing an attribute gets an empty value.
     """
-    records = list(records)
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_metadata(records, fh)
-        return
-    names = sorted({n for r in records for n in r.attributes})
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow([METADATA_ID_COLUMN, *names])
-    for r in records:
-        writer.writerow([r.speaker_id, *(r.attributes.get(n, "") for n in names)])
+    if not isinstance(speakers, SpeakerTable):
+        speakers = SpeakerTable.from_records(speakers)
+    with _text_dest(dest) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow([METADATA_ID_COLUMN, *speakers.columns])
+        writer.writerows(zip(speakers.speaker_ids, *speakers.columns.values()))
 
 
 def assign_groups(

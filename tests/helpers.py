@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from biasaudit import (
     Scores,
     SpeakerMetadata,
     SpeakerTable,
+    SynthSpec,
     TrialRecord,
     TrialTable,
     load_metadata,
@@ -206,3 +209,56 @@ def reference_load_trials(source: Source) -> list[TrialRecord]:
                 raise NonFiniteScoreError(lineno, raw_score)
             trials.append(TrialRecord(enroll_id, test_id, label, score))
         return trials
+
+
+def reference_generate(spec: SynthSpec) -> tuple[list[TrialRecord], list[SpeakerMetadata]]:
+    """The record-level generator that builds one record per trial and speaker; a test reference."""
+    streams = np.random.SeedSequence(spec.seed).spawn(len(spec.models))
+    trials: list[TrialRecord] = []
+    metadata: list[SpeakerMetadata] = []
+    for gi, (model, stream) in enumerate(zip(spec.models, streams)):
+        rng = np.random.default_rng(stream)
+        target_scores = rng.normal(model.mu_target, model.sigma, model.n_target)
+        nontarget_scores = rng.normal(model.mu_nontarget, model.sigma, model.n_nontarget)
+        if not (np.isfinite(target_scores).all() and np.isfinite(nontarget_scores).all()):
+            raise ValueError(f"group {model.group}: a drawn score is not finite; "
+                             "lower the means or sigma")
+        attributes = dict(zip(model.group.names, model.group.values))
+        for k, (label, score) in enumerate(
+            [(Label.TARGET, s) for s in target_scores]
+            + [(Label.NONTARGET, s) for s in nontarget_scores]
+        ):
+            enroll_id = f"s{gi:03d}-{k:07d}e"
+            test_id = f"s{gi:03d}-{k:07d}t"
+            trials.append(TrialRecord(enroll_id, test_id, label, float(score)))
+            metadata.append(SpeakerMetadata(enroll_id, attributes))
+            metadata.append(SpeakerMetadata(test_id, attributes))
+    return trials, metadata
+
+
+def reference_write_trials(trials: Iterable[TrialRecord], dest: Union[str, Path, IO[str]]) -> None:
+    """The record-level scores writer, one row per record; a test reference."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            reference_write_trials(trials, fh)
+        return
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(TRIAL_HEADER)
+    for t in trials:
+        writer.writerow([t.enroll_id, t.test_id, t.label.value, repr(t.score)])
+
+
+def reference_write_metadata(
+    records: Iterable[SpeakerMetadata], dest: Union[str, Path, IO[str]]
+) -> None:
+    """The record-level metadata writer, one row per record; a test reference."""
+    records = list(records)
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            reference_write_metadata(records, fh)
+        return
+    names = sorted({n for r in records for n in r.attributes})
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow([METADATA_ID_COLUMN, *names])
+    for r in records:
+        writer.writerow([r.speaker_id, *(r.attributes.get(n, "") for n in names)])

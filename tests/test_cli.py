@@ -19,10 +19,11 @@ from biasaudit import (
     GroupScoreModel,
     SynthSpec,
     generate,
+    load_synth_spec,
     write_metadata,
     write_trials,
 )
-from helpers import gk
+from helpers import gk, reference_generate, reference_write_metadata, reference_write_trials
 
 SYNTH_SPEC = {
     "seed": 2026,
@@ -383,6 +384,39 @@ def test_synth_is_deterministic(tmp_path):
         (tmp_path / "b" / "scores.csv").read_bytes()
     assert (tmp_path / "a" / "metadata.csv").read_bytes() == \
         (tmp_path / "b" / "metadata.csv").read_bytes()
+
+
+def test_synth_writes_the_record_reference_bytes(tmp_path, capsys):
+    """The groups name different attributes, so metadata rows carry empty values."""
+    spec = {"seed": 4, "groups": [
+        {"attributes": {"gender": "f"}, "mu_target": 2.0, "mu_nontarget": 0.0,
+         "sigma": 1.0, "n_target": 30, "n_nontarget": 20},
+        {"attributes": {"Gender": "m", "region": 'x,"é"'}, "mu_target": 1.0,
+         "mu_nontarget": -1.0, "sigma": 0.5, "n_target": 4, "n_nontarget": 9},
+        {"attributes": {"age": "30\n39"}, "mu_target": 0.0, "mu_nontarget": 0.0,
+         "sigma": 1e-9, "n_target": 1, "n_nontarget": 1},
+    ]}
+    assert _synth(tmp_path, json.dumps(spec)) == 0
+    out = tmp_path / "out"
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out / 'scores.csv'} (65 trials)",
+        f"wrote {out / 'metadata.csv'} (130 speakers)",
+    ]
+    trials, metadata = reference_generate(load_synth_spec(spec))
+    reference_write_trials(trials, tmp_path / "scores.csv")
+    reference_write_metadata(metadata, tmp_path / "metadata.csv")
+    for name in ("scores.csv", "metadata.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("field,count", [
+    ("n_target", 2.9), ("n_nontarget", True), ("n_target", "3"),
+])
+def test_synth_rejects_trial_counts_that_are_not_integers(tmp_path, capsys, field, count):
+    assert _synth(tmp_path, _spec_text(**{field: count})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad synthesis spec") and "trial counts must be integers" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_bad_spec_exits_one(tmp_path):

@@ -16,11 +16,20 @@ from biasaudit import (
     analytic_rates_at,
     assign_groups,
     compute_sweep,
+    draw,
     generate,
     load_synth_spec,
     write_trials,
 )
-from helpers import gk, rates_at_threshold, speaker_table, split_scores, trial_table
+from helpers import (
+    gk,
+    rates_at_threshold,
+    reference_generate,
+    speaker_table,
+    split_scores,
+    trial_records,
+    trial_table,
+)
 
 
 def model(n=10, mu_t=2.0, mu_n=0.0, sigma=1.0, **attrs):
@@ -72,6 +81,33 @@ def test_generated_trials_group_cleanly_under_both_match():
     }
 
 
+# groups with different attribute names, so the metadata table fills in empty values
+MIXED_SPEC = SynthSpec(models=(
+    model(7, cohort="a"),
+    GroupScoreModel(gk(cohort="b", region="x,y"), 1.0, -0.5, 2.0, 3, 5),
+    GroupScoreModel(gk(age="30"), 0.0, 0.0, 0.5, 1, 1),
+), seed=11)
+
+
+@pytest.mark.parametrize("spec", [
+    MIXED_SPEC,
+    SynthSpec(models=(model(50), model(30, cohort="b")), seed=99),
+], ids=["mixed", "two-groups"])
+def test_generate_matches_record_reference(spec):
+    assert generate(spec) == reference_generate(spec)
+
+
+def test_draw_tables_hold_the_generated_records():
+    trials, speakers = draw(MIXED_SPEC)
+    records, metadata = generate(MIXED_SPEC)
+    assert trial_records(trials) == records
+    assert speakers.speaker_ids == [m.speaker_id for m in metadata]
+    assert list(speakers.columns) == ["age", "cohort", "region"]
+    for name, column in speakers.columns.items():
+        assert column == [m.attributes.get(name, "") for m in metadata]
+    assert not (trials.is_target.flags.writeable or trials.scores.flags.writeable)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         GroupScoreModel(gk(g="a"), 2.0, 0.0, 0.0, 10, 10)
@@ -96,6 +132,22 @@ def test_model_rejects_non_finite_parameters(mu_t, mu_n, sigma):
 def test_spec_rejects_seeds_that_are_not_nonnegative_integers(seed):
     with pytest.raises(ValueError, match="seed"):
         SynthSpec(models=(model(5),), seed=seed)
+
+
+@pytest.mark.parametrize("count", [2.9, 2.0, True, "3", None])
+@pytest.mark.parametrize("field", ["n_target", "n_nontarget"])
+def test_spec_rejects_trial_counts_that_are_not_integers(field, count):
+    entry = {"attributes": {"cohort": "a"}, "mu_target": 2.0, "mu_nontarget": 0.0,
+             "sigma": 1.0, "n_target": 5, "n_nontarget": 5, field: count}
+    with pytest.raises(ValueError, match="cohort=a: trial counts must be integers"):
+        load_synth_spec({"seed": 1, "groups": [entry]})
+
+
+def test_spec_accepts_numpy_integer_counts():
+    counts = GroupScoreModel(gk(cohort="a"), 2.0, 0.0, 1.0, np.int64(4), np.int32(3))
+    plain = GroupScoreModel(gk(cohort="a"), 2.0, 0.0, 1.0, 4, 3)
+    assert generate(SynthSpec(models=(counts,), seed=2)) == \
+        generate(SynthSpec(models=(plain,), seed=2))
 
 
 def test_spec_accepts_numpy_integer_seeds():
