@@ -11,7 +11,6 @@ field); costs, log ratios, and meta-measures are plain fractions.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .trials import (
     assign_groups,
     load_metadata,
     load_trials,
+    write_csv,
 )
 
 SCHEMA_VERSION = 1
@@ -445,8 +445,6 @@ def emit(report: BiasReport, output_dir: Union[str, Path]) -> list[Path]:
             continue
         path = out / table.name
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table.header)
-            writer.writerows(table.rows(payload))
+            write_csv(fh, table.header, list(zip(*table.rows(payload))))
         written.append(path)
     return written

@@ -18,10 +18,11 @@ import csv
 import gc
 import io
 import math
+import re
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, is_
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -278,18 +279,18 @@ def _chunks(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[list[str]]]
     among them is reported ahead of the parse error, as it would be by
     a loop checking each row as it is read.
     """
-    first, rows = 2, []
-    try:
-        for row in reader:
-            rows.append(row)
-            if len(rows) == CHUNK_ROWS:
-                yield first, rows
-                first, rows = first + CHUNK_ROWS, []
-    except (csv.Error, UnicodeDecodeError):
+    first = 2
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before a raise
+        except (csv.Error, UnicodeDecodeError):
+            yield first, rows
+            raise
+        if not rows:
+            return
         yield first, rows
-        raise
-    if rows:
-        yield first, rows
+        first += CHUNK_ROWS
 
 
 def _fields(rows: list[list[str]], width: int) -> list[tuple[str, ...]] | None:
@@ -433,6 +434,72 @@ def load_trials(source: Source) -> TrialTable:
         return TrialTable(enroll_ids, test_ids, np.concatenate(targets), np.concatenate(scores))
 
 
+# Every character csv.writer quotes or rejects in a field of a row of two or
+# more fields, on any Python from 3.10: "\n", '"' and "," everywhere, a NUL
+# (rejected) on 3.10 and "\r" on 3.13. The tests scan every code point.
+_MAY_QUOTE = re.compile('[\x00\n\r",]')
+
+
+class _Echo:
+    """A stream whose ``write`` returns its text, so ``csv.writer.writerow`` returns the line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+class _QuotedFields(dict):
+    """value -> its text as a CSV field, written once per distinct value by ``csv.writer``.
+
+    A value holding a bare CR (one ``csv.writer`` leaves unquoted before
+    Python 3.13, so its row splits when read back) is quoted as 3.13
+    quotes it. When each row has one field, an empty value is written
+    ``""``, as ``csv.writer`` writes a lone empty field, so the row is
+    not read back as blank.
+    """
+
+    _writer = csv.writer(_Echo(), lineterminator="\n")
+
+    def __init__(self, lone: bool):
+        super().__init__({"": '""'} if lone else {})
+
+    def __missing__(self, value: str) -> str:
+        text = self._writer.writerow([value, ""])[:-2]
+        if text == value and "\r" in value:
+            text = '"' + value.replace('"', '""') + '"'
+        self[value] = text
+        return text
+
+
+def write_csv(
+    stream: IO[str], header: Sequence[str], columns: Sequence[Union[Sequence[str], np.ndarray]]
+) -> None:
+    """Write a header and equal-length columns as CSV rows ended by LF.
+
+    A column is a sequence of str or a float array; a float is written as
+    the ``repr`` of its value. Rows are written CHUNK_ROWS at a time, each
+    run with one ``stream.write``. A run of a str column is written
+    verbatim unless one scan finds a character ``csv.writer`` may quote,
+    or rows have one field; then each value is written as
+    ``_QuotedFields`` writes it, so quoting and ``csv.Error`` are the
+    stdlib's own.
+    """
+    lone = len(header) == 1
+    quoted = _QuotedFields(lone)
+    stream.write(",".join(map(quoted.__getitem__, header)) + "\n")
+    size = len(columns[0]) if columns else 0
+    for start in range(0, size, CHUNK_ROWS):
+        run = []
+        for column in columns:
+            part = column[start:start + CHUNK_ROWS]
+            if isinstance(part, np.ndarray):
+                part = list(map(repr, part.tolist()))
+            elif lone or _MAY_QUOTE.search("\x1f".join(part)):
+                part = list(map(quoted.__getitem__, part))
+            run.append(part)
+        stream.write("\n".join(map(",".join, zip(*run))) + "\n")
+
+
 @contextmanager
 def _text_dest(dest: Union[str, Path, IO[str]]) -> Iterator[IO[str]]:
     """A text stream for a path (opened UTF-8, ``newline=""``) or the caller's own stream."""
@@ -446,19 +513,17 @@ def _text_dest(dest: Union[str, Path, IO[str]]) -> Iterator[IO[str]]:
 def write_trials(
     trials: Union[TrialTable, Iterable[TrialRecord]], dest: Union[str, Path, IO[str]]
 ) -> None:
-    """Write trials in the scores-CSV format (LF line endings, UTF-8).
+    """Write trials in the scores-CSV format (LF line endings, UTF-8) with ``write_csv``.
 
     Records are first made a TrialTable. Each score is written as the
     ``repr`` of its float64 value, so ``load_trials`` reads it back exactly.
     """
     if not isinstance(trials, TrialTable):
         trials = TrialTable.from_records(trials)
-    labels = map(_LABEL_TEXT.__getitem__, trials.is_target.tolist())
+    labels = list(map(_LABEL_TEXT.__getitem__, trials.is_target.tolist()))
     with _text_dest(dest) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(TRIAL_HEADER)
-        writer.writerows(
-            zip(trials.enroll_ids, trials.test_ids, labels, map(repr, trials.scores.tolist()))
+        write_csv(
+            stream, TRIAL_HEADER, [trials.enroll_ids, trials.test_ids, labels, trials.scores]
         )
 
 
@@ -466,7 +531,7 @@ def write_metadata(
     speakers: Union[SpeakerTable, Iterable[SpeakerMetadata]],
     dest: Union[str, Path, IO[str]],
 ) -> None:
-    """Write speaker metadata in the metadata-CSV format.
+    """Write speaker metadata in the metadata-CSV format with ``write_csv``.
 
     A table's columns are written in its order. Records are first made a
     SpeakerTable, so their columns are the sorted union of attribute
@@ -475,9 +540,11 @@ def write_metadata(
     if not isinstance(speakers, SpeakerTable):
         speakers = SpeakerTable.from_records(speakers)
     with _text_dest(dest) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow([METADATA_ID_COLUMN, *speakers.columns])
-        writer.writerows(zip(speakers.speaker_ids, *speakers.columns.values()))
+        write_csv(
+            stream,
+            [METADATA_ID_COLUMN, *speakers.columns],
+            [speakers.speaker_ids, *speakers.columns.values()],
+        )
 
 
 def assign_groups(

@@ -11,7 +11,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -36,6 +36,7 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
+from biasaudit.trials import _MAY_QUOTE, _Echo, write_csv
 from helpers import (
     gk,
     grouped_from_scores,
@@ -544,10 +545,19 @@ speaker_lists = st.lists(
 )
 
 
+def bare_cr(text: str) -> bool:
+    """Whether csv.writer leaves ``text`` unquoted though it holds a CR (before Python 3.13)."""
+    return sys.version_info < (3, 13) and "\r" in text and not set('\n",') & set(text)
+
+
 @given(record_lists)
 @example([])
 def test_write_trials_matches_record_reference(records):
-    """Differential: records, a record iterator and a table all give the reference's text."""
+    """Differential: records, a record iterator and a table all give the reference's text.
+
+    The writers quote a bare CR on every Python, the reference only from 3.13.
+    """
+    assume(not any(bare_cr(r.enroll_id) or bare_cr(r.test_id) for r in records))
     expected = written(reference_write_trials, records)
     assert written(write_trials, records) == expected
     assert written(write_trials, iter(records)) == expected
@@ -557,6 +567,8 @@ def test_write_trials_matches_record_reference(records):
 @given(speaker_lists)
 @example([])
 def test_write_metadata_matches_record_reference(records):
+    assume(not any(bare_cr(r.speaker_id) or any(map(bare_cr, r.attributes.values()))
+                   for r in records))
     expected = written(reference_write_metadata, records)
     assert written(write_metadata, records) == expected
     assert written(write_metadata, iter(records)) == expected
@@ -588,7 +600,7 @@ def test_write_trials_writes_each_score_as_a_float(score, text):
     assert load_trials(io.StringIO(buffer.getvalue())).scores.tolist() == [float(score)]
 
 
-round_trip_text = st.text(st.sampled_from(list('ab ,"\né中')), max_size=6)
+round_trip_text = st.text(st.sampled_from(list('ab ,"\n\ré中')), max_size=6)
 
 
 @given(st.lists(
@@ -620,9 +632,68 @@ def test_written_metadata_loads_back_column_for_column(rows):
     assert reloaded.columns == table.columns
 
 
-@pytest.mark.xfail(sys.version_info < (3, 13), strict=True,
-                   reason="csv.writer leaves a bare CR unquoted before Python 3.13")
 def test_written_metadata_keeps_a_bare_carriage_return():
-    table = SpeakerTable(["a"], {"g": ["x\ry"]})
-    reloaded = load_metadata(io.StringIO(written(write_metadata, table)))
+    """csv.writer leaves a bare CR unquoted before Python 3.13; the writers quote it."""
+    table = SpeakerTable(["a\rb"], {"g": ["x\ry"]})
+    text = written(write_metadata, table)
+    assert text == 'speaker_id,g\n"a\rb","x\ry"\n'
+    reloaded = load_metadata(io.StringIO(text))
+    assert reloaded.speaker_ids == table.speaker_ids
     assert reloaded.columns == table.columns
+
+
+def reference_csv(header, columns) -> str:
+    """``csv.writer``'s text for the rows, with every field holding a CR quoted.
+
+    With CRLF as its line terminator csv.writer quotes CR on every Python;
+    each line is then ended with LF instead.
+    """
+    writer = csv.writer(_Echo(), lineterminator="\r\n")
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return "".join(writer.writerow(row)[:-2] + "\n" for row in [header, *rows])
+
+
+csv_text = st.text(max_size=8) | st.text(st.sampled_from(list(',"\n\r\x00\x1f é中')), max_size=8)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and columns of 1-4 fields and 0, 1, 3 or 4 rows; some columns float arrays."""
+    width = draw(st.integers(1, 4))
+    size = draw(st.sampled_from([0, 1, 3, 4]))
+    header = draw(st.lists(csv_text, min_size=width, max_size=width))
+    columns = [
+        np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)), dtype=float)
+        if draw(st.booleans())
+        else draw(st.lists(csv_text, min_size=size, max_size=size))
+        for _ in range(width)
+    ]
+    return header, columns
+
+
+@given(csv_tables())
+@example((["a"], [[""]]))
+@example((["a", "b"], [["x\ry", "p,q"], np.array([0.1, float("nan")])]))
+def test_write_csv_matches_csv_writer(table):
+    """Differential, in three-row runs: the text of csv.writer, a CR always quoted."""
+    try:
+        expected = reference_csv(*table)
+    except csv.Error as exc:  # Python 3.10 cannot write a NUL
+        expected = type(exc), str(exc)
+    with patch("biasaudit.trials.CHUNK_ROWS", 3):
+        assert written(lambda t, stream: write_csv(stream, *t), table) == expected
+
+
+def test_write_csv_scans_for_every_character_csv_writer_quotes():
+    """Every code point csv.writer quotes or rejects in a two-field row is in the scan's class."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    quoted = []
+    for char in map(chr, range(sys.maxunicode + 1)):
+        try:
+            if writer.writerow([char, ""]) != char + ",\n":
+                quoted.append(char)
+        except csv.Error:
+            quoted.append(char)
+    assert "\n" in quoted
+    assert all(_MAY_QUOTE.fullmatch(char) for char in quoted)
+    assert not _MAY_QUOTE.search("\x1f")  # the scan joins each run's values with it
