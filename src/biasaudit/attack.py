@@ -118,5 +118,6 @@ def compare_group_exposure(
                 hours_to_probability=n_q / attempts_per_hour,
             )
         )
-    entries.sort(key=lambda e: (-e.fpr, e.group))
+    # the order GroupKey's order=True defines, without its Python-level comparisons
+    entries.sort(key=lambda e: (-e.fpr, e.group.names, e.group.values))
     return entries

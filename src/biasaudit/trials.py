@@ -5,8 +5,10 @@ header ``enroll_id,test_id,label,score``; speaker metadata as a UTF-8
 CSV whose header starts with ``speaker_id`` followed by one column per
 attribute. Attribute names are lowercased at load time, values are kept
 verbatim. The loaders return column tables (``TrialTable``,
-``SpeakerTable``) and read the CSV in chunks of ``CHUNK_ROWS`` rows:
-each chunk is checked column by column, and only a chunk that fails a
+``SpeakerTable``) and read the CSV in chunks: plain text (no quote, CR
+or NUL) in blocks of ``BLOCK_CHARS`` characters split with ``str``
+methods, the rest in runs of ``CHUNK_ROWS`` rows read by ``csv.reader``.
+Each chunk is checked column by column, and only a chunk that fails a
 check is walked row by row to report its first bad row. Loading is
 single-threaded and all loaded structures are treated as immutable
 afterward.
@@ -18,11 +20,10 @@ import csv
 import gc
 import io
 import math
-import re
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, is_
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -43,6 +44,7 @@ from .errors import (
 TRIAL_HEADER = ("enroll_id", "test_id", "label", "score")
 METADATA_ID_COLUMN = "speaker_id"
 CHUNK_ROWS = 4096  # rows held at once while a chunk is split into columns
+BLOCK_CHARS = 65536  # characters read at once while plain text is split into rows
 
 Source = Union[str, Path, bytes, IO]
 
@@ -102,12 +104,24 @@ class GroupKey:
             raise ValueError("GroupKey names and values must have equal length")
         if tuple(sorted(self.names)) != self.names:
             raise ValueError("GroupKey names must be sorted; use from_attributes()")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"GroupKey names must be distinct, got {self.names!r}")
 
     @classmethod
     def from_attributes(cls, attributes: Mapping[str, str]) -> "GroupKey":
-        names = tuple(sorted(n.lower() for n in attributes))
-        lowered = {n.lower(): v for n, v in attributes.items()}
-        return cls(names=names, values=tuple(lowered[n] for n in names))
+        """The key of an attribute mapping; names are lowercased, values kept verbatim.
+
+        Two names that are equal after lowercasing raise ValueError.
+        """
+        lowered: dict[str, str] = {}
+        for name in attributes:
+            other = lowered.setdefault(name.lower(), name)
+            if other != name:
+                raise ValueError(
+                    f"attribute names {other!r} and {name!r} are the same after lowercasing"
+                )
+        names = tuple(sorted(lowered))
+        return cls(names=names, values=tuple(attributes[lowered[n]] for n in names))
 
     def label(self) -> str:
         return ",".join(f"{n}={v}" for n, v in zip(self.names, self.values))
@@ -232,16 +246,114 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+# Characters that may make csv.reader read a line otherwise than str.split(","):
+# a quote, a CR (a line end of its own) and a NUL (rejected on Python 3.10).
+# The tests check every other code point.
+_NOT_PLAIN = '"\r\x00'
+
+_Chunk = tuple[int, Union[list[Sequence[str]], None], Iterable[list[str]]]
+
+
+class _CsvReader:
+    """A ``csv.reader`` over a text stream whose rest can also be read in chunks.
+
+    ``next`` reads one row through ``csv.reader``, and ``chunks`` reads
+    every row after that. ``line_num`` counts the physical lines read so
+    far, as ``csv.reader.line_num`` does. ``split`` says whether the
+    stream splits lines as ``newline=""`` does, so that plain text may be
+    split without ``csv.reader``.
+    """
+
+    def __init__(self, stream: IO[str], split: bool):
+        self._stream = stream
+        self._split = split
+        self._reader = csv.reader(stream)
+        self._lines_before = 0  # physical lines read other than by self._reader
+
+    @property
+    def line_num(self) -> int:
+        return self._lines_before + self._reader.line_num
+
+    def __iter__(self) -> "_CsvReader":
+        return self
+
+    def __next__(self) -> list[str]:
+        return next(self._reader)
+
+    def chunks(self, width: int) -> Iterator[_Chunk]:
+        """(first record number, columns, rows) of each run of the rows not read yet.
+
+        Records count from 2 and include blank rows. ``columns`` are those
+        of the run's non-blank rows, or None if one of them is not
+        ``width`` fields wide; ``rows`` gives the run's rows, for a walk
+        row by row. Plain text is split directly (see ``_split_chunks``);
+        from the first block that is not plain, and throughout when
+        ``split`` is false, ``csv.reader`` reads CHUNK_ROWS rows at a
+        time. When it raises, the rows it read before are yielded first,
+        so a bad row among them is reported ahead of the parse error, as
+        it would be by a loop checking each row as it is read.
+        """
+        first = (yield from self._split_chunks(width)) if self._split else 2
+        while True:
+            rows: list[list[str]] = []
+            try:
+                rows.extend(islice(self._reader, CHUNK_ROWS))  # keeps the rows read before a raise
+            except (csv.Error, UnicodeDecodeError):
+                yield first, _fields(rows, width), rows
+                raise
+            if not rows:
+                return
+            yield first, _fields(rows, width), rows
+            first += len(rows)
+
+    def _split_chunks(self, width: int) -> Iterator[_Chunk]:
+        """Chunks of plain blocks; returns the next record number for ``csv.reader`` to read.
+
+        The text is read BLOCK_CHARS at a time, each block cut at its last
+        LF. A block with no character of ``_NOT_PLAIN`` and no line longer
+        than ``csv.field_size_limit()`` holds one row per line, which
+        ``str.split(",")`` splits as ``csv.reader`` would. At the first
+        block that is not plain, ``csv.reader`` takes over, fed the rest of
+        the text from that block on with its line endings intact.
+        """
+        first = 2
+        limit = csv.field_size_limit()
+        carry = ""  # the start of a line that the last block cut
+        while True:
+            data = self._stream.read(BLOCK_CHARS)
+            text = carry + data
+            cut = text.rfind("\n") + 1 if data else len(text)
+            lines, carry = text[:cut].split("\n"), text[cut:]
+            if not lines[-1]:
+                lines.pop()
+            if any(map(text.__contains__, _NOT_PLAIN)) or (
+                len(text) > limit and max(map(len, [carry, *lines])) > limit
+            ):
+                break
+            if lines:
+                rows = (line.split(",") if line else [] for line in lines)
+                yield first, _split_fields(lines, width), rows
+                first += len(lines)
+                self._lines_before += len(lines)
+            if not data:
+                return first  # at the end of the text, where csv.reader reads nothing
+        self._lines_before = self.line_num
+        rest = io.StringIO(text + self._stream.readline(), newline="")
+        self._reader = csv.reader(chain(rest, self._stream))
+        return first
+
+
 @contextmanager
-def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
-    """CSV rows of a path, bytes, or file-like source.
+def _csv_rows(source: Source) -> Iterator[_CsvReader]:
+    """A ``_CsvReader`` of a path, bytes, or file-like source.
 
     Bytes are decoded as UTF-8 with a leading byte-order mark skipped; a
     byte that is not UTF-8, or a row the csv module cannot parse, raises
-    DataError. Every source is read with ``newline=""``, so the csv
-    module alone splits lines and quoted line breaks stay verbatim. A
-    caller's stream is left open. The garbage collector is paused while
-    the rows are read (see ``_gc_paused``).
+    DataError. A path, bytes or binary stream is read with
+    ``newline=""``, so quoted line breaks stay verbatim; a caller's text
+    stream splits lines by its own newline setting, so ``csv.reader``
+    reads all of it. A caller's stream is left open. The garbage
+    collector is paused while the rows are read (see ``_gc_paused``).
     """
     reader = None
     try:
@@ -260,7 +372,7 @@ def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
                 stack.callback(stream.detach)  # closing the wrapper would close the source
             else:
                 raise TypeError(f"unsupported source type: {type(source)!r}")
-            reader = csv.reader(stream)
+            reader = _CsvReader(stream, split=stream is not source)
             yield reader
     except UnicodeDecodeError as exc:
         raise DataError(
@@ -269,28 +381,6 @@ def _csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
         ) from exc
     except csv.Error as exc:
         raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from exc
-
-
-def _chunks(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[list[str]]]]:
-    """Runs of up to CHUNK_ROWS rows after the header, each with its first record number.
-
-    Records count from 2 and include blank rows. When the reader raises,
-    the rows read before the failure are yielded first, so a bad row
-    among them is reported ahead of the parse error, as it would be by
-    a loop checking each row as it is read.
-    """
-    first = 2
-    while True:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before a raise
-        except (csv.Error, UnicodeDecodeError):
-            yield first, rows
-            raise
-        if not rows:
-            return
-        yield first, rows
-        first += CHUNK_ROWS
 
 
 def _fields(rows: list[list[str]], width: int) -> list[tuple[str, ...]] | None:
@@ -304,7 +394,17 @@ def _fields(rows: list[list[str]], width: int) -> list[tuple[str, ...]] | None:
     return list(zip(*rows)) if rows else [()] * width
 
 
-def _check_metadata_rows(rows: list[list[str]], first: int, width: int, seen: set[str]):
+def _split_fields(lines: list[str], width: int) -> list[list[str]] | None:
+    """The columns of plain lines that are not blank, or None if one is not ``width`` wide."""
+    if "" in lines:
+        lines = list(filter(None, lines))
+    if not set(map(str.count, lines, repeat(","))) <= {width - 1}:
+        return None
+    fields = ",".join(lines).split(",") if lines else []
+    return [fields[k::width] for k in range(width)]
+
+
+def _check_metadata_rows(rows: Iterable[list[str]], first: int, width: int, seen: set[str]):
     """Walk a chunk that failed a check row by row and raise at its first bad row."""
     for lineno, row in enumerate(rows, start=first):
         if not row:
@@ -347,8 +447,7 @@ def load_metadata(source: Source) -> SpeakerTable:
         columns: dict[str, list[str]] = {name: [] for name in attr_names}
         seen: set[str] = set()
         shared: dict[str, str] = {}  # one string object per distinct value
-        for first, rows in _chunks(reader):
-            fields = _fields(rows, len(header))
+        for first, fields, rows in reader.chunks(len(header)):
             ids = [] if fields is None else list(map(str.strip, fields[0]))
             new_ids = set(ids)
             unique = len(new_ids) == len(ids) and "" not in new_ids and seen.isdisjoint(new_ids)
@@ -361,7 +460,7 @@ def load_metadata(source: Source) -> SpeakerTable:
         return SpeakerTable(speaker_ids, columns)
 
 
-def _check_trial_rows(rows: list[list[str]], first: int):
+def _check_trial_rows(rows: Iterable[list[str]], first: int):
     """Walk a chunk that failed a check row by row and raise at its first bad row."""
     for lineno, row in enumerate(rows, start=first):
         if not row:
@@ -381,13 +480,15 @@ def _check_trial_rows(rows: list[list[str]], first: int):
 
 
 def _parse_trial_fields(
-    labels: tuple[str, ...], raw_scores: tuple[str, ...], is_target: dict[str, bool]
+    labels: Sequence[str], raw_scores: Sequence[str], is_target: dict[str, bool]
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """A chunk's label and score arrays, or None if a label or score does not parse.
 
     Each distinct raw label is looked up once and added to ``is_target``;
     scores are parsed by ``float``, so they read exactly as Python reads
-    them. Finiteness is left to the caller.
+    them. ``float`` strips the whitespace ``str.strip`` strips except
+    U+001C..U+001F, so only a chunk where it fails is parsed again
+    stripped. Finiteness is left to the caller.
     """
     for raw in set(labels).difference(is_target):
         label = _LABELS.get(raw.strip().lower())
@@ -395,9 +496,12 @@ def _parse_trial_fields(
             return None
         is_target[raw] = label is Label.TARGET
     try:
-        scores = np.fromiter(map(float, map(str.strip, raw_scores)), float, len(raw_scores))
+        scores = np.fromiter(map(float, raw_scores), float, len(raw_scores))
     except ValueError:
-        return None
+        try:
+            scores = np.fromiter(map(float, map(str.strip, raw_scores)), float, len(raw_scores))
+        except ValueError:
+            return None
     return np.fromiter(map(is_target.__getitem__, labels), bool, len(labels)), scores
 
 
@@ -422,8 +526,7 @@ def load_trials(source: Source) -> TrialTable:
         targets = [np.zeros(0, dtype=bool)]
         scores = [np.zeros(0, dtype=float)]
         is_target: dict[str, bool] = {}  # raw label field -> target or not
-        for first, rows in _chunks(reader):
-            fields = _fields(rows, 4)
+        for first, fields, rows in reader.chunks(4):
             parsed = None if fields is None else _parse_trial_fields(*fields[2:], is_target)
             if parsed is None or not np.isfinite(parsed[1]).all():
                 _check_trial_rows(rows, first)
@@ -437,7 +540,8 @@ def load_trials(source: Source) -> TrialTable:
 # Every character csv.writer quotes or rejects in a field of a row of two or
 # more fields, on any Python from 3.10: "\n", '"' and "," everywhere, a NUL
 # (rejected) on 3.10 and "\r" on 3.13. The tests scan every code point.
-_MAY_QUOTE = re.compile('[\x00\n\r",]')
+_MAY_QUOTE = '\x00\n\r",'
+
 
 
 class _Echo:
@@ -479,7 +583,7 @@ def write_csv(
     A column is a sequence of str or a float array; a float is written as
     the ``repr`` of its value. Rows are written CHUNK_ROWS at a time, each
     run with one ``stream.write``. A run of a str column is written
-    verbatim unless one scan finds a character ``csv.writer`` may quote,
+    verbatim unless an ``in`` test finds a character of ``_MAY_QUOTE``,
     or rows have one field; then each value is written as
     ``_QuotedFields`` writes it, so quoting and ``csv.Error`` are the
     stdlib's own.
@@ -494,7 +598,7 @@ def write_csv(
             part = column[start:start + CHUNK_ROWS]
             if isinstance(part, np.ndarray):
                 part = list(map(repr, part.tolist()))
-            elif lone or _MAY_QUOTE.search("\x1f".join(part)):
+            elif lone or any(map("".join(part).__contains__, _MAY_QUOTE)):
                 part = list(map(quoted.__getitem__, part))
             run.append(part)
         stream.write("\n".join(map(",".join, zip(*run))) + "\n")

@@ -133,6 +133,20 @@ def test_compare_group_exposure_ties_keep_lexicographic_order():
     assert len({e.expected_hours for e in entries}) == 1
 
 
+def test_compare_group_exposure_sorts_like_group_key_order_within_fpr_ties():
+    """Unsorted input with FPR ties, including zero: group order is GroupKey's own order."""
+    groups = [gk(g="b", r="x"), gk(g="a"), gk(r="y"), gk(g="b", r="a"), gk(g="a", r="z"),
+              gk(g="c"), gk(r="a"), gk(g="a", r="a")]
+    fprs = [0.0, 0.01, 0.0, 0.01, 0.0, 0.02, 0.01, 0.0]
+    entries = compare_group_exposure(groups, fprs)
+    assert [(e.fpr, e.group) for e in entries] == sorted(
+        zip(fprs, groups), key=lambda pair: (-pair[0], pair[1])
+    )
+    assert [e.group.label() for e in entries] == [
+        "g=c", "g=a", "g=b,r=a", "r=a", "g=a,r=a", "g=a,r=z", "g=b,r=x", "r=y",
+    ]
+
+
 def test_compare_group_exposure_flags_zero_fpr():
     entries = compare_group_exposure([gk(g="a"), gk(g="b")], [0.0, 0.002])
     flagged = [e for e in entries if e.zero_fpr]

@@ -461,6 +461,15 @@ def test_synth_rejects_specs_whose_scores_are_not_finite(tmp_path, capsys, spec_
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_rejects_attribute_names_equal_after_lowercasing(tmp_path, capsys):
+    spec = json.loads(_spec_text())
+    spec["groups"][0]["attributes"] = {"Gender": "f", "gender": "m"}
+    assert _synth(tmp_path, json.dumps(spec)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad synthesis spec") and "'Gender' and 'gender'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_unwritable_out_exits_one(tmp_path, capsys):
     (tmp_path / "afile").write_text("", encoding="utf-8")
     assert _synth(tmp_path, _spec_text(), out="afile/sub") == 1

@@ -22,6 +22,7 @@ from biasaudit import (
     DuplicateSpeakerError,
     EmptyFileError,
     GroupingPolicy,
+    GroupKey,
     Label,
     MissingHeaderError,
     NonFiniteScoreError,
@@ -36,7 +37,7 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
-from biasaudit.trials import _MAY_QUOTE, _Echo, write_csv
+from biasaudit.trials import _MAY_QUOTE, _NOT_PLAIN, BLOCK_CHARS, _Echo, write_csv
 from helpers import (
     gk,
     grouped_from_scores,
@@ -50,6 +51,14 @@ from helpers import (
     trial_records,
     trial_table,
 )
+
+
+def test_group_key_rejects_attribute_names_equal_after_lowercasing():
+    assert gk(Gender="f", Age="old") == GroupKey(("age", "gender"), ("old", "f"))
+    with pytest.raises(ValueError, match="'Gender' and 'gender'"):
+        GroupKey.from_attributes({"Gender": "f", "gender": "m"})
+    with pytest.raises(ValueError, match="distinct"):
+        GroupKey(("gender", "gender"), ("f", "m"))
 
 
 def test_load_metadata_maps_rows():
@@ -185,7 +194,9 @@ LONGER_FUZZ_SEEDS = {
     b"e,f,target,2\n\ng,h,nontarget,1\n",
     load_metadata: b'speaker_id,gender,nationality\na,f,US\nb,m,"I,N"\nc,f,DE\n\nd,m,US\ne,f,FR\n',
 }
-FUZZ_SPLICES = [b",", b'"', b"\n", b"\r", b"\x00", b"\xef\xbb\xbf", b"\xe9", b"nan", b"TARGET"]
+FUZZ_SPLICES = [
+    b",", b'"', b"\n", b"\r", b"\x00", b"\x1c", b"\xef\xbb\xbf", b"\xe9", b"nan", b"TARGET",
+]
 
 
 @st.composite
@@ -228,26 +239,42 @@ def assert_loads_like_reference(loader, raw: bytes):
     assert not any(stream.closed for stream in streams)
 
 
-@pytest.mark.parametrize("loader", list(FUZZ_SEEDS), ids=["scores", "metadata"])
+# each loader with the module's block size, and in blocks of 5 characters, which cut most rows
+FUZZ_LOADERS = [
+    pytest.param(loader, block_chars, id=name + suffix)
+    for block_chars, suffix in ((BLOCK_CHARS, ""), (5, "-5-char-blocks"))
+    for loader, name in ((load_trials, "scores"), (load_metadata, "metadata"))
+]
+
+
+@pytest.mark.parametrize("loader, block_chars", FUZZ_LOADERS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_loaders_load_or_raise_data_error(loader, data):
+def test_loaders_load_or_raise_data_error(loader, block_chars, data):
     """Differential: the chunked loaders agree with the row-by-row references."""
     raw = data.draw(st.binary(max_size=64) | mutated(FUZZ_SEEDS[loader]))
-    assert_loads_like_reference(loader, raw)
-
-
-@pytest.mark.parametrize("loader", list(FUZZ_SEEDS), ids=["scores", "metadata"])
-@given(data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_loaders_match_reference_in_two_row_chunks(loader, data):
-    raw = data.draw(mutated(LONGER_FUZZ_SEEDS[loader]))
-    with patch("biasaudit.trials.CHUNK_ROWS", 2):
+    with patch("biasaudit.trials.BLOCK_CHARS", block_chars):
         assert_loads_like_reference(loader, raw)
 
 
-OVERSIZE_FIELD = b"x" * (csv.field_size_limit() + 1)
-# loader, input, and the error message (or row count) it must give with three-row chunks
+@pytest.mark.parametrize("loader, block_chars", FUZZ_LOADERS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_loaders_match_reference_in_two_row_chunks(loader, block_chars, data):
+    raw = data.draw(mutated(LONGER_FUZZ_SEEDS[loader]))
+    with patch("biasaudit.trials.CHUNK_ROWS", 2), \
+            patch("biasaudit.trials.BLOCK_CHARS", block_chars):
+        assert_loads_like_reference(loader, raw)
+
+
+LIMIT = csv.field_size_limit()
+OVERSIZE_FIELD = b"x" * (LIMIT + 1)
+SCORE_HEADER = b"enroll_id,test_id,label,score\n"
+# each row longer than a 12-character block
+SCORE_ROWS = [b"e%02d,t%02d,target,%d\n" % (k, k, k) for k in range(12)]
+QUOTED_SCORE_ROW = b'"e\nx",t,nontarget,1\n'  # one record on two physical lines
+# loader, input, and the error message (or row count) it must give in 12-character blocks
+# and three-row chunks; the rows of a plain block are split without csv.reader
 SMALL_CHUNK_CASES = {
     "scores-bad-label": (
         load_trials,
@@ -284,17 +311,103 @@ SMALL_CHUNK_CASES = {
         b"speaker_id,g\na,x\nb,y\n\nc,x\nd,y\ne,y\nf,x\ng,x\n",
         7,
     ),
+    "scores-rows-straddle-blocks": (load_trials, SCORE_HEADER + b"".join(SCORE_ROWS), 12),
+    "scores-last-line-without-lf": (load_trials, SCORE_HEADER + b"".join(SCORE_ROWS)[:-1], 12),
+    "scores-last-line-blank": (load_trials, SCORE_HEADER + b"".join(SCORE_ROWS) + b"\n", 12),
+    "scores-blank-lines-then-bad-width": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:5]) + b"\n\n\n" + b"".join(SCORE_ROWS[5:9])
+        + b"e,t,target\n" + b"".join(SCORE_ROWS[9:]),
+        "row 14: expected 4 columns, got 3",
+    ),
+    "scores-bad-label-in-a-late-block": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:9]) + b"e,t,maybe,1\n" + b"".join(SCORE_ROWS[9:]),
+        "row 11: bad trial label 'maybe'",
+    ),
+    "scores-quote-then-parse-error": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:6]) + QUOTED_SCORE_ROW + b"".join(SCORE_ROWS[6:9])
+        + OVERSIZE_FIELD + b"\n" + b"".join(SCORE_ROWS[9:]),
+        f"row 13: malformed CSV: field larger than field limit ({LIMIT})",  # a physical line
+    ),
+    "scores-quote-then-bad-label": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:6]) + QUOTED_SCORE_ROW + b"".join(SCORE_ROWS[6:9])
+        + b"e,t,maybe,1\n",
+        "row 12: bad trial label 'maybe'",
+    ),
+    "scores-crlf-from-a-late-block-then-parse-error": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:7])
+        + b"".join(row[:-1] + b"\r\n" for row in SCORE_ROWS[7:]) + OVERSIZE_FIELD + b"\r\n",
+        f"row 14: malformed CSV: field larger than field limit ({LIMIT})",
+    ),
+    "scores-bare-cr-in-a-late-block": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:8]) + b"e,t,target,1\re,t,target,2\n",
+        10,
+    ),
+    "metadata-nul-in-a-late-block-then-duplicate": (
+        load_metadata,
+        b"speaker_id,g\n" + b"".join(b"s%03d,x\n" % k for k in range(10))
+        + b"n\x00l,x\n" + b"s001,y\n",
+        "row 12: malformed CSV: line contains NUL" if sys.version_info < (3, 11)
+        else "duplicate speaker_id 's001'",
+    ),
+    "scores-oversize-field-in-a-late-block": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:8]) + b"e," + OVERSIZE_FIELD + b",target,1\n",
+        f"row 10: malformed CSV: field larger than field limit ({LIMIT})",
+    ),
+    "scores-long-line-of-short-fields": (
+        load_trials,
+        SCORE_HEADER + b"".join(SCORE_ROWS[:8]) + OVERSIZE_FIELD[:LIMIT] + b","
+        + OVERSIZE_FIELD[:LIMIT] + b",target,1\n" + b"".join(SCORE_ROWS[8:]),
+        13,
+    ),
+    "metadata-header-on-two-lines-then-parse-error": (
+        load_metadata,
+        b'speaker_id,"gen\nder"\n' + b"".join(b"s%03d,x\n" % k for k in range(10))
+        + b'"q",x\n' + OVERSIZE_FIELD + b",x\n",
+        f"row 14: malformed CSV: field larger than field limit ({LIMIT})",
+    ),
+    "metadata-header-on-two-lines-then-bad-row": (
+        load_metadata,
+        b'speaker_id,"gen\nder"\n' + b"".join(b"s%03d,x\n" % k for k in range(10)) + b" ,x\n",
+        "row 12: empty speaker_id",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(SMALL_CHUNK_CASES))
 def test_loaders_match_reference_across_chunk_boundaries(monkeypatch, case):
-    """Three-row chunks: errors keep their row, and duplicates are caught across chunks."""
+    """12-character blocks and three-row chunks: errors keep their row, duplicates are caught
+    across chunks, and csv.reader reads on from the first quote, CR or NUL."""
+    monkeypatch.setattr("biasaudit.trials.BLOCK_CHARS", 12)
     monkeypatch.setattr("biasaudit.trials.CHUNK_ROWS", 3)
     loader, raw, expected = SMALL_CHUNK_CASES[case]
     loaded = load_or_error(loader, raw)
     assert (len(loaded) if isinstance(expected, int) else loaded[1]) == expected
     assert_loads_like_reference(loader, raw)
+
+
+def test_loaders_read_a_text_stream_by_its_own_lines():
+    """A caller's text stream splits lines by its newline setting, so csv.reader reads all of it."""
+    text = "speaker_id,gender\na,f\rb,m\n"
+    loaded = load_or_error(load_metadata, io.StringIO(text))
+    assert loaded == load_or_error(reference_load_metadata, io.StringIO(text))
+    assert loaded[1].startswith("row 2: malformed CSV: new-line character seen in unquoted field")
+
+
+def test_csv_reader_reads_plain_lines_as_str_split_does():
+    """Lines of code points outside _NOT_PLAIN and LF read as str.split(",") reads them."""
+    special = _NOT_PLAIN + "\n"
+    chars = [c for c in map(chr, range(sys.maxunicode + 1)) if c not in special]
+    fields = [f"{c},a{c}b,{c}{c}" for c in chars]  # a field of it alone, inside, at both ends
+    lines = [",".join(fields[k:k + 1000]) for k in range(0, len(fields), 1000)]
+    assert list(csv.reader(lines)) == [line.split(",") for line in lines]
+    assert list(csv.reader(['"a",b'])) != [['"a"', "b"]]  # the test is not vacuous
 
 
 def test_load_trials_maps_row():
@@ -318,6 +431,13 @@ def test_load_trials_bad_label():
     with pytest.raises(BadLabelError) as exc:
         load_trials(io.StringIO("enroll_id,test_id,label,score\na,b,maybe,0.1\n"))
     assert exc.value.row == 2
+
+
+def test_load_trials_strips_every_space_str_strip_strips_around_a_score():
+    """float keeps U+001C..U+001F around a number, which str.strip strips."""
+    raw = "enroll_id,test_id,label,score\na,b,target,\x1c1.5\u2003\nc,d,target, 2\x1f\n".encode()
+    assert load_trials(raw).scores.tolist() == [1.5, 2.0]
+    assert_loads_like_reference(load_trials, raw)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc"])
@@ -695,5 +815,4 @@ def test_write_csv_scans_for_every_character_csv_writer_quotes():
         except csv.Error:
             quoted.append(char)
     assert "\n" in quoted
-    assert all(_MAY_QUOTE.fullmatch(char) for char in quoted)
-    assert not _MAY_QUOTE.search("\x1f")  # the scan joins each run's values with it
+    assert all(char in _MAY_QUOTE for char in quoted)
