@@ -46,6 +46,15 @@ class GroupScoreModel:
     n_nontarget: int
 
     def __post_init__(self):
+        # metadata.csv must read back under the same names and values
+        for item in (*self.group.names, *self.group.values):
+            if not isinstance(item, str):
+                raise ValueError(f"group {self.group}: attribute names and values "
+                                 f"must be strings, got {item!r}")
+        for name in self.group.names:
+            if not name or name != name.strip().lower():
+                raise ValueError(f"group {self.group}: attribute names must be non-empty, "
+                                 f"lowercase and unpadded, got {name!r}")
         if not (math.isfinite(self.mu_target) and math.isfinite(self.mu_nontarget)):
             raise ValueError(f"group {self.group}: score means must be finite")
         if not 0.0 < self.sigma < math.inf:
@@ -67,6 +76,9 @@ class SynthSpec:
     def __post_init__(self):
         if not self.models:
             raise ValueError("at least one group model is required")
+        # a metadata.csv of speaker ids alone does not load
+        if not any(m.group.names for m in self.models):
+            raise ValueError("at least one group needs an attribute")
         keys = [m.group for m in self.models]
         if len(set(keys)) != len(keys):
             raise ValueError("group keys must be distinct")
@@ -118,7 +130,8 @@ def draw(spec: SynthSpec) -> tuple[TrialTable, SpeakerTable]:
             raise ValueError(f"group {model.group}: a drawn score is not finite; "
                              "lower the means or sigma")
         n = model.n_target + model.n_nontarget
-        stems = [f"s{gi:03d}-{k:07d}" for k in range(n)]
+        # %07d writes what {:07d} writes, without parsing a format spec per trial
+        stems = list(map(f"s{gi:03d}-%07d".__mod__, range(n)))
         enroll = [stem + "e" for stem in stems]
         test = [stem + "t" for stem in stems]
         enroll_ids += enroll
@@ -166,22 +179,26 @@ def load_synth_spec(source: Union[str, Path, dict], seed: int | None = None) -> 
                      "mu_nontarget": 0.0, "sigma": 1.0,
                      "n_target": 1000, "n_nontarget": 1000}, ...]}
 
-    ``seed`` overrides the file's seed when given.
+    ``seed`` overrides the file's seed when given. A missing key raises
+    ValueError naming it.
     """
     if isinstance(source, (str, Path)):
         payload = json.loads(Path(source).read_text(encoding="utf-8"))
     else:
         payload = source
-    models = tuple(
-        GroupScoreModel(
-            group=GroupKey.from_attributes(entry["attributes"]),
-            mu_target=float(entry["mu_target"]),
-            mu_nontarget=float(entry["mu_nontarget"]),
-            sigma=float(entry["sigma"]),
-            n_target=entry["n_target"],
-            n_nontarget=entry["n_nontarget"],
+    try:
+        models = tuple(
+            GroupScoreModel(
+                group=GroupKey.from_attributes(entry["attributes"]),
+                mu_target=float(entry["mu_target"]),
+                mu_nontarget=float(entry["mu_nontarget"]),
+                sigma=float(entry["sigma"]),
+                n_target=entry["n_target"],
+                n_nontarget=entry["n_nontarget"],
+            )
+            for entry in payload["groups"]
         )
-        for entry in payload["groups"]
-    )
-    chosen = seed if seed is not None else payload["seed"]
+        chosen = seed if seed is not None else payload["seed"]
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from None
     return SynthSpec(models=models, seed=chosen)

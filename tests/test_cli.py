@@ -470,6 +470,25 @@ def test_synth_rejects_attribute_names_equal_after_lowercasing(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("attributes,message", [
+    pytest.param([{"gender": 1}, {"gender": "m"}], "must be strings, got 1", id="int-value"),
+    pytest.param([{"gender": None}, {"gender": "m"}], "must be strings, got None", id="null-value"),
+    pytest.param([{"": "f"}, {"": "m"}], "got ''", id="empty-name"),
+    pytest.param([{" gender ": "f"}, {" gender ": "m"}], "got ' gender '", id="padded-name"),
+    pytest.param([{}, {}], "at least one group needs an attribute", id="no-attributes"),
+])
+def test_synth_rejects_attributes_the_loaders_would_not_read_back(
+    tmp_path, capsys, attributes, message
+):
+    spec = json.loads(_spec_text())
+    for group, attrs in zip(spec["groups"], attributes):
+        group["attributes"] = attrs
+    assert _synth(tmp_path, json.dumps(spec)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad synthesis spec") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_unwritable_out_exits_one(tmp_path, capsys):
     (tmp_path / "afile").write_text("", encoding="utf-8")
     assert _synth(tmp_path, _spec_text(), out="afile/sub") == 1

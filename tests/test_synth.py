@@ -9,6 +9,7 @@ import pytest
 
 from biasaudit import (
     GroupingPolicy,
+    GroupKey,
     GroupScoreModel,
     Label,
     SynthSpec,
@@ -81,18 +82,22 @@ def test_generated_trials_group_cleanly_under_both_match():
     }
 
 
-# groups with different attribute names, so the metadata table fills in empty values
+# groups with different attribute names, one with none, so the metadata table fills in
+# empty values
 MIXED_SPEC = SynthSpec(models=(
     model(7, cohort="a"),
     GroupScoreModel(gk(cohort="b", region="x,y"), 1.0, -0.5, 2.0, 3, 5),
     GroupScoreModel(gk(age="30"), 0.0, 0.0, 0.5, 1, 1),
+    GroupScoreModel(gk(), 1.0, 0.0, 1.0, 2, 1),
 ), seed=11)
 
 
 @pytest.mark.parametrize("spec", [
     MIXED_SPEC,
     SynthSpec(models=(model(50), model(30, cohort="b")), seed=99),
-], ids=["mixed", "two-groups"])
+    # group 1000 has a four-digit id prefix: s1000-0000000e
+    SynthSpec(models=tuple(model(1, cohort=str(i)) for i in range(1001)), seed=5),
+], ids=["mixed", "two-groups", "1001-groups"])
 def test_generate_matches_record_reference(spec):
     assert generate(spec) == reference_generate(spec)
 
@@ -117,6 +122,39 @@ def test_model_validation():
         SynthSpec(models=(), seed=1)
     with pytest.raises(ValueError):
         SynthSpec(models=(model(5), model(5)), seed=1)  # duplicate group keys
+    with pytest.raises(ValueError, match="got 'Gender'"):  # load_metadata lowercases it
+        GroupScoreModel(GroupKey(("Gender",), ("f",)), 2.0, 0.0, 1.0, 5, 5)
+
+
+ENTRY = {"mu_target": 2.0, "mu_nontarget": 0.0, "sigma": 1.0, "n_target": 5, "n_nontarget": 5}
+
+
+@pytest.mark.parametrize("attributes,message", [
+    pytest.param([{"gender": 1}], "must be strings, got 1", id="int-value"),
+    pytest.param([{"gender": "f", "age": 3.5}], "must be strings, got 3.5", id="float-value"),
+    pytest.param([{"gender": ["f"]}], "must be strings, got ['f']", id="list-value"),
+    pytest.param([{"": "f"}], "got ''", id="empty-name"),
+    pytest.param([{" gender": "f"}], "got ' gender'", id="padded-name"),
+    pytest.param([{"gender\t": "f"}], "got 'gender\\t'", id="tab-padded-name"),
+    pytest.param([{}], "at least one group needs an attribute", id="no-attributes"),
+    pytest.param([{}, {}], "at least one group needs an attribute", id="no-attributes-twice"),
+])
+def test_spec_rejects_attributes_the_loaders_would_not_read_back(attributes, message):
+    groups = [{**ENTRY, "attributes": a} for a in attributes]
+    with pytest.raises(ValueError) as info:
+        load_synth_spec({"seed": 1, "groups": groups})
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["seed", "groups", "attributes", "mu_nontarget", "n_target"])
+def test_load_synth_spec_names_a_missing_key(key):
+    entry = {**ENTRY, "attributes": {"gender": "f"}}
+    entry.pop(key, None)
+    payload = {"seed": 1, "groups": [entry]}
+    payload.pop(key, None)
+    with pytest.raises(ValueError) as info:
+        load_synth_spec(payload)
+    assert str(info.value) == f"missing key {key!r}"
 
 
 @pytest.mark.parametrize("mu_t,mu_n,sigma", [
