@@ -26,7 +26,6 @@ from .detection import (
     base_metrics,
     compute_sweep,
     eer,
-    error_counts,
     min_cdet,
     threshold_for_fpr,
 )

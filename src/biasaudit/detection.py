@@ -11,24 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateGroupError, EmptyPopulationError
-from .trials import GroupedTrials, GroupKey, Scores
+from .trials import GroupedTrials, GroupKey
 
 
 @dataclass(frozen=True)
 class SweepCurve:
-    """FPR/FNR evaluated on the full threshold grid of one population.
+    """Error counts and rates on the full threshold grid of one population.
 
-    ``fpr[i]`` is the fraction of nontarget scores >= thresholds[i];
-    ``fnr[i]`` the fraction of target scores < thresholds[i]. fpr is
-    nonincreasing and fnr nondecreasing in the threshold.
+    ``false_accepts[i]`` counts the nontarget scores >= thresholds[i] and
+    ``misses[i]`` the target scores < thresholds[i]; ``fpr`` and ``fnr``
+    divide them by n_nontarget and n_target, so fpr is nonincreasing and
+    fnr nondecreasing. No score lies between two grid points, so the
+    counts at any t are those at ``searchsorted(thresholds, t, "left")``.
     """
 
     thresholds: np.ndarray
+    false_accepts: np.ndarray
+    misses: np.ndarray
     fpr: np.ndarray
     fnr: np.ndarray
     n_target: int
@@ -151,7 +156,7 @@ def compute_sweep(
     target_scores: Sequence[float],
     nontarget_scores: Sequence[float],
 ) -> SweepCurve:
-    """Evaluate FPR and FNR over the exact threshold grid."""
+    """Error counts, FPR and FNR over the exact threshold grid."""
     tar = np.asarray(target_scores, dtype=float)
     non = np.asarray(nontarget_scores, dtype=float)
     if tar.size == 0:
@@ -162,20 +167,12 @@ def compute_sweep(
         raise ValueError("scores must be finite")
 
     taus = np.append(np.unique(np.concatenate([tar, non])), np.inf)
-
-    tar_sorted = np.sort(tar)
-    non_sorted = np.sort(non)
-    fnr = np.searchsorted(tar_sorted, taus, side="left") / tar.size
-    fpr = (non.size - np.searchsorted(non_sorted, taus, side="left")) / non.size
-    for arr in (taus, fpr, fnr):
+    misses = np.searchsorted(np.sort(tar), taus, side="left")
+    false_accepts = non.size - np.searchsorted(np.sort(non), taus, side="left")
+    fpr, fnr = false_accepts / non.size, misses / tar.size
+    for arr in (taus, false_accepts, misses, fpr, fnr):
         arr.flags.writeable = False
-    return SweepCurve(
-        thresholds=taus,
-        fpr=fpr,
-        fnr=fnr,
-        n_target=int(tar.size),
-        n_nontarget=int(non.size),
-    )
+    return SweepCurve(taus, false_accepts, misses, fpr, fnr, int(tar.size), int(non.size))
 
 
 def eer(curve: SweepCurve) -> tuple[float, float]:
@@ -238,53 +235,42 @@ def base_metrics(
 ) -> BaseMetrics:
     """Every base metric of one audit, from one sweep per population.
 
-    Each group's scores and the pooled scores (unassigned included) are
-    swept once; EER and minCDet are read off that sweep, each design
-    threshold is calibrated on the pooled sweep, and every group's FPR
-    and FNR are counted at it.
+    The pooled scores (unassigned included) are swept first and every
+    design threshold is calibrated on that sweep. Each group is then
+    swept once and dropped: its EER, minCDet and error counts at every
+    design threshold (one ``searchsorted``) are read off its sweep.
     """
     groups = tuple(sorted(grouped.groups))
     for key in groups:
         scores = grouped.groups[key]
         if scores.target.size == 0 or scores.nontarget.size == 0:
             raise DegenerateGroupError(key)
-    populations = [grouped.groups[key] for key in groups] + [grouped.pooled()]
-    curves = [compute_sweep(s.target, s.nontarget) for s in populations]
-    sizes = np.array([[c.n_target for c in curves], [c.n_nontarget for c in curves]])
-
+    pooled = grouped.pooled()
+    pooled_curve = compute_sweep(pooled.target, pooled.nontarget)
+    designs = sorted(design_fprs, reverse=True)
+    design_points = tuple(DesignPoint(d, threshold_for_fpr(pooled_curve, d)) for d in designs)
+    thresholds = [p.operating_point.threshold for p in design_points]
     keys = [MetricKey("eer"), MetricKey("min_cdet")]
-    rows = [[eer(c)[0] for c in curves], [min_cdet(c, dcf)[0] for c in curves]]
-    errors = [np.zeros(len(curves), dtype=np.int64)] * 2
-    design_points = []
-    for design in sorted(design_fprs, reverse=True):
-        op = threshold_for_fpr(curves[-1], design)
-        false_accepts, misses = error_counts(populations, op.threshold)
-        keys += [MetricKey("fpr", design), MetricKey("fnr", design)]
-        rows += [false_accepts / sizes[1], misses / sizes[0]]
-        errors += [false_accepts, misses]
-        design_points.append(DesignPoint(design, op))
+    keys += [MetricKey(kind, d) for d in designs for kind in ("fpr", "fnr")]
 
-    values = np.array(rows, dtype=float)
+    # one column per group and the pooled population last; fpr and fnr rows alternate
+    values = np.zeros((len(keys), len(groups) + 1))
+    errors = np.zeros_like(values, dtype=np.int64)
+    sizes = np.zeros((2, len(groups) + 1), dtype=np.int64)
+    curves = (compute_sweep(grouped.groups[k].target, grouped.groups[k].nontarget) for k in groups)
+    for j, curve in enumerate(chain(curves, [pooled_curve])):
+        at = np.searchsorted(curve.thresholds, thresholds, side="left")
+        errors[2::2, j], errors[3::2, j] = curve.false_accepts[at], curve.misses[at]
+        sizes[:, j] = curve.n_target, curve.n_nontarget
+        values[:2, j] = eer(curve)[0], min_cdet(curve, dcf)[0]
+    values[2::2] = errors[2::2] / sizes[1]
+    values[3::2] = errors[3::2] / sizes[0]
     return BaseMetrics(
         groups=groups,
         keys=tuple(keys),
         values=values[:, :-1],
         aggregates=values[:, -1],
-        errors=np.array(errors),
+        errors=errors,
         sizes=sizes,
-        design_points=tuple(design_points),
+        design_points=design_points,
     )
-
-
-def error_counts(
-    populations: Sequence[Scores], threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """False accepts and misses of each population at one threshold.
-
-    A nontarget scoring >= ``threshold`` is a false accept and a target
-    scoring below it a miss; dividing by each population's nontarget and
-    target counts gives its FPR and FNR.
-    """
-    false_accepts = [np.count_nonzero(s.nontarget >= threshold) for s in populations]
-    misses = [np.count_nonzero(s.target < threshold) for s in populations]
-    return np.array(false_accepts, dtype=np.int64), np.array(misses, dtype=np.int64)

@@ -79,9 +79,14 @@ class SynthSpec:
         # a metadata.csv of speaker ids alone does not load
         if not any(m.group.names for m in self.models):
             raise ValueError("at least one group needs an attribute")
-        keys = [m.group for m in self.models]
-        if len(set(keys)) != len(keys):
-            raise ValueError("group keys must be distinct")
+        # a missing attribute is written "", so each group's filled row must be its own
+        names = sorted({n for m in self.models for n in m.group.names})
+        first: dict[tuple[str, ...], int] = {}
+        for i, m in enumerate(self.models):
+            row = tuple(dict(zip(m.group.names, m.group.values)).get(n, "") for n in names)
+            if (j := first.setdefault(row, i)) != i:
+                raise ValueError(f"groups {j} ({self.models[j].group}) and {i} ({m.group}) "
+                                 "would write the same metadata row")
         # a float seed would be truncated and SeedSequence rejects negative ones
         seed = self.seed
         if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):

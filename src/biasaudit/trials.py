@@ -543,7 +543,6 @@ def load_trials(source: Source) -> TrialTable:
 _MAY_QUOTE = '\x00\n\r",'
 
 
-
 class _Echo:
     """A stream whose ``write`` returns its text, so ``csv.writer.writerow`` returns the line."""
 
@@ -557,15 +556,10 @@ class _QuotedFields(dict):
 
     A value holding a bare CR (one ``csv.writer`` leaves unquoted before
     Python 3.13, so its row splits when read back) is quoted as 3.13
-    quotes it. When each row has one field, an empty value is written
-    ``""``, as ``csv.writer`` writes a lone empty field, so the row is
-    not read back as blank.
+    quotes it.
     """
 
     _writer = csv.writer(_Echo(), lineterminator="\n")
-
-    def __init__(self, lone: bool):
-        super().__init__({"": '""'} if lone else {})
 
     def __missing__(self, value: str) -> str:
         text = self._writer.writerow([value, ""])[:-2]
@@ -583,22 +577,23 @@ def write_csv(
     A column is a sequence of str or a float array; a float is written as
     the ``repr`` of its value. Rows are written CHUNK_ROWS at a time, each
     run with one ``stream.write``. A run of a str column is written
-    verbatim unless an ``in`` test finds a character of ``_MAY_QUOTE``,
-    or rows have one field; then each value is written as
-    ``_QuotedFields`` writes it, so quoting and ``csv.Error`` are the
-    stdlib's own.
+    verbatim unless an ``in`` test finds a character of ``_MAY_QUOTE``;
+    then each value is written as ``_QuotedFields`` writes it, so quoting
+    and ``csv.Error`` are the stdlib's own. A header of fewer than two
+    fields raises ValueError: a row of one empty field reads back blank.
     """
-    lone = len(header) == 1
-    quoted = _QuotedFields(lone)
+    if len(header) < 2:
+        raise ValueError(f"a CSV needs at least two columns, got {len(header)}")
+    quoted = _QuotedFields()
     stream.write(",".join(map(quoted.__getitem__, header)) + "\n")
-    size = len(columns[0]) if columns else 0
+    size = len(columns[0])
     for start in range(0, size, CHUNK_ROWS):
         run = []
         for column in columns:
             part = column[start:start + CHUNK_ROWS]
             if isinstance(part, np.ndarray):
                 part = list(map(repr, part.tolist()))
-            elif lone or any(map("".join(part).__contains__, _MAY_QUOTE)):
+            elif any(map("".join(part).__contains__, _MAY_QUOTE)):
                 part = list(map(quoted.__getitem__, part))
             run.append(part)
         stream.write("\n".join(map(",".join, zip(*run))) + "\n")
@@ -639,10 +634,14 @@ def write_metadata(
 
     A table's columns are written in its order. Records are first made a
     SpeakerTable, so their columns are the sorted union of attribute
-    names and a speaker missing an attribute gets an empty value.
+    names and a speaker missing an attribute gets an empty value. Speakers
+    without any attribute column raise ValueError before ``dest`` is
+    opened, as ``load_metadata`` rejects a file of speaker ids alone.
     """
     if not isinstance(speakers, SpeakerTable):
         speakers = SpeakerTable.from_records(speakers)
+    if not speakers.columns:
+        raise ValueError("metadata needs at least one attribute column")
     with _text_dest(dest) as stream:
         write_csv(
             stream,

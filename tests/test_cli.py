@@ -476,6 +476,8 @@ def test_synth_rejects_attribute_names_equal_after_lowercasing(tmp_path, capsys)
     pytest.param([{"": "f"}, {"": "m"}], "got ''", id="empty-name"),
     pytest.param([{" gender ": "f"}, {" gender ": "m"}], "got ' gender '", id="padded-name"),
     pytest.param([{}, {}], "at least one group needs an attribute", id="no-attributes"),
+    pytest.param([{"age": "3", "gender": ""}, {"age": "3"}],
+                 "groups 0 (age=3,gender=) and 1 (age=3)", id="colliding-rows"),
 ])
 def test_synth_rejects_attributes_the_loaders_would_not_read_back(
     tmp_path, capsys, attributes, message

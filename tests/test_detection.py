@@ -18,7 +18,6 @@ from biasaudit import (
     base_metrics,
     compute_sweep,
     eer,
-    error_counts,
     min_cdet,
     threshold_for_fpr,
 )
@@ -80,11 +79,33 @@ def test_sweep_invariants(tar, non):
     assert curve.fpr[0] == 1.0 and curve.fnr[0] == 0.0
     assert math.isinf(curve.thresholds[-1])
     assert curve.fpr[-1] == 0.0 and curve.fnr[-1] == 1.0
-    # counting identity: rates times population sizes are integers
-    assert np.allclose(curve.fpr * curve.n_nontarget,
-                       np.round(curve.fpr * curve.n_nontarget), atol=1e-9)
-    assert np.allclose(curve.fnr * curve.n_target,
-                       np.round(curve.fnr * curve.n_target), atol=1e-9)
+    # the rates are the integer error counts over the population sizes, exactly
+    assert curve.false_accepts.dtype.kind == "i" and curve.misses.dtype.kind == "i"
+    assert np.array_equal(curve.fpr, curve.false_accepts / curve.n_nontarget)
+    assert np.array_equal(curve.fnr, curve.misses / curve.n_target)
+    assert curve.false_accepts[0] == curve.n_nontarget and curve.misses[-1] == curve.n_target
+
+
+# few distinct values, so scores tie across and within the two populations
+tied_score_lists = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=20)
+
+
+@given(score_lists | tied_score_lists, score_lists | tied_score_lists)
+def test_sweep_counts_at_any_threshold(tar, non):
+    """Counts read at the first grid point >= t are the brute-force counts at t."""
+    curve = compute_sweep(tar, non)
+    scores = np.unique(np.concatenate([tar, non]))
+    thresholds = [
+        *scores,
+        *(scores[:-1] + scores[1:]) / 2,
+        *np.nextafter(scores, math.inf),
+        *np.nextafter(scores, -math.inf),
+        math.inf, -math.inf, 0.0, -0.0,
+    ]
+    for t in thresholds:
+        i = np.searchsorted(curve.thresholds, t, side="left")
+        assert curve.false_accepts[i] == np.count_nonzero(np.asarray(non) >= t)
+        assert curve.misses[i] == np.count_nonzero(np.asarray(tar) < t)
 
 
 @given(score_lists, score_lists)
@@ -249,6 +270,14 @@ def test_disaggregate_min_cdet_uses_params():
     assert base.keys[1].name == "min_cdet"
 
 
+def counts_at(populations, threshold):
+    """False accepts and misses of each population at one threshold, read off its sweep."""
+    curves = [compute_sweep(p.target, p.nontarget) for p in populations]
+    at = [np.searchsorted(c.thresholds, threshold, side="left") for c in curves]
+    return (np.array([c.false_accepts[i] for c, i in zip(curves, at)]),
+            np.array([c.misses[i] for c, i in zip(curves, at)]))
+
+
 def test_disaggregate_at_threshold_boundaries():
     grouped = grouped_from_scores({
         gk(g="a"): ([1.0, 2.0], [0.0, 0.5]),
@@ -257,10 +286,10 @@ def test_disaggregate_at_threshold_boundaries():
     populations = [*grouped.groups.values(), grouped.pooled()]
     n_target = np.array([p.target.size for p in populations])
     n_nontarget = np.array([p.nontarget.size for p in populations])
-    false_accepts, misses = error_counts(populations, -10.0)
+    false_accepts, misses = counts_at(populations, -10.0)
     assert all(v == 1.0 for v in (false_accepts / n_nontarget).tolist())
     assert all(v == 0.0 for v in (misses / n_target).tolist())
-    false_accepts, misses = error_counts(populations, 10.0)
+    false_accepts, misses = counts_at(populations, 10.0)
     assert all(v == 0.0 for v in (false_accepts / n_nontarget).tolist())
     assert all(v == 1.0 for v in (misses / n_target).tolist())
 
@@ -278,8 +307,8 @@ def test_disaggregate_at_threshold_pooled_equals_group_when_identical():
 def test_disaggregate_at_threshold_records_counts():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 2.0], [0.0, 0.5, 1.5])})
     populations = [*grouped.groups.values(), grouped.pooled()]
-    assert error_counts(populations, 1.0)[0].tolist() == [1, 1]
-    assert error_counts(populations, 1.5)[1].tolist() == [1, 1]
+    assert counts_at(populations, 1.0)[0].tolist() == [1, 1]
+    assert counts_at(populations, 1.5)[1].tolist() == [1, 1]
     # the pooled threshold for FPR 0.4 is 1.0: one of three nontargets
     # accepted, none of the two targets missed
     base = base_metrics(grouped, (0.4,))

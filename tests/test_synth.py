@@ -138,6 +138,16 @@ ENTRY = {"mu_target": 2.0, "mu_nontarget": 0.0, "sigma": 1.0, "n_target": 5, "n_
     pytest.param([{"gender\t": "f"}], "got 'gender\\t'", id="tab-padded-name"),
     pytest.param([{}], "at least one group needs an attribute", id="no-attributes"),
     pytest.param([{}, {}], "at least one group needs an attribute", id="no-attributes-twice"),
+    # a missing attribute is written as "", so these groups' metadata rows are equal
+    pytest.param([{"age": "3", "gender": ""}, {"age": "3"}],
+                 "groups 0 (age=3,gender=) and 1 (age=3) would write the same metadata row",
+                 id="empty-value-row"),
+    pytest.param([{"g": "a"}, {"h": "b"}, {"g": ""}, {}],
+                 "groups 2 (g=) and 3 () would write the same metadata row",
+                 id="no-attributes-row"),
+    pytest.param([{"g": "a"}, {"g": "b"}, {"g": "a"}],
+                 "groups 0 (g=a) and 2 (g=a) would write the same metadata row",
+                 id="equal-keys"),
 ])
 def test_spec_rejects_attributes_the_loaders_would_not_read_back(attributes, message):
     groups = [{**ENTRY, "attributes": a} for a in attributes]
