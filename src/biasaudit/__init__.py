@@ -9,10 +9,9 @@ disparities.
 
 from .attack import (
     AttackScenario,
-    GroupExposure,
     attempts_for_probability,
-    compare_group_exposure,
     expected_time_to_success,
+    exposure,
     success_probability,
 )
 from .config import AuditConfig, build_config, parse_config_file
@@ -55,12 +54,10 @@ from .measures import (
 from .meta import (
     DEFAULT_ALPHAS,
     DEFAULT_DESIGN_FPRS,
-    FdrResult,
-    NrbResult,
+    FdrGrid,
     fdr,
     fdr_grid,
     nrb,
-    nrb_suite,
 )
 from .report import BiasReport, emit, report_to_dict, run_audit
 from .synth import (

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .trials import GroupKey
+import numpy as np
+
+
+_EXACT_COUNTS = 2.0**53  # every integer up to here is a float of its own
 
 
 @dataclass(frozen=True)
@@ -26,22 +28,6 @@ class AttackScenario:
             raise ValueError("fpr must lie in (0, 1]")
         if not 0.0 < self.attempts_per_hour < math.inf:
             raise ValueError("attempts_per_hour must be positive and finite")
-
-
-@dataclass(frozen=True)
-class GroupExposure:
-    """Attack exposure for one group, worst groups sorted first.
-
-    A zero-FPR group is reported as a flagged entry with infinite times
-    rather than as an error.
-    """
-
-    group: GroupKey
-    fpr: float
-    expected_attempts: float
-    expected_hours: float
-    hours_to_probability: float
-    zero_fpr: bool = False
 
 
 def success_probability(scenario: AttackScenario, n_attempts: int) -> float:
@@ -65,13 +51,21 @@ def attempts_for_probability(scenario: AttackScenario, q: float) -> int:
     """Smallest attempt count whose success probability reaches q.
 
     fpr == 1 is a documented special case: a single attempt always
-    succeeds, so 1 is returned for every q.
+    succeeds, so 1 is returned for every q. An fpr so small that the
+    count passes 2**53 raises ValueError: past it, n and n + 1 are the
+    same float and the search below cannot step.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     if scenario.fpr == 1.0:
         return 1
-    n = max(1, math.ceil(math.log1p(-q) / math.log1p(-scenario.fpr)))
+    estimate = math.log1p(-q) / math.log1p(-scenario.fpr)
+    if not estimate <= _EXACT_COUNTS:
+        raise ValueError(
+            f"fpr {scenario.fpr!r} is too small: reaching probability {q!r} takes more "
+            "than 2**53 attempts, which a float cannot count exactly"
+        )
+    n = max(1, math.ceil(estimate))
     # guard the ceil against last-ulp drift so the inverse property is exact
     while n > 1 and success_probability(scenario, n - 1) >= q:
         n -= 1
@@ -80,44 +74,27 @@ def attempts_for_probability(scenario: AttackScenario, q: float) -> int:
     return n
 
 
-def compare_group_exposure(
-    groups: Sequence[GroupKey],
-    fprs: Sequence[float],
+def exposure(
+    fprs: np.ndarray,
     attempts_per_hour: float = 60.0,
     target_probability: float = 0.5,
-) -> list[GroupExposure]:
-    """Per-group attack exposure, sorted worst-exposed (largest FPR) first.
+) -> np.ndarray:
+    """Attack exposure of every FPR in ``fprs``, as a read-only ``(3,) + fprs.shape`` array.
 
-    ``fprs[i]`` is the FPR of ``groups[i]``. Ties keep lexicographic
-    group order. The exposure ratio between two groups equals the
-    inverse ratio of their FPRs.
+    The three planes hold the expected attempts and the expected hours to
+    the first false accept, and the hours until the success probability
+    reaches ``target_probability``. Each value comes from the scalar
+    functions above; a zero FPR gets +inf in every plane.
     """
-    entries: list[GroupExposure] = []
-    for key, fpr in zip(groups, fprs, strict=True):
-        if fpr <= 0.0:
-            entries.append(
-                GroupExposure(
-                    group=key,
-                    fpr=fpr,
-                    expected_attempts=math.inf,
-                    expected_hours=math.inf,
-                    hours_to_probability=math.inf,
-                    zero_fpr=True,
-                )
-            )
+    fprs = np.asarray(fprs, dtype=float)
+    times = np.full((3, fprs.size), math.inf)
+    for i, fpr in enumerate(fprs.ravel().tolist()):
+        if fpr == 0.0:
             continue
         scenario = AttackScenario(fpr=fpr, attempts_per_hour=attempts_per_hour)
         attempts, hours = expected_time_to_success(scenario)
         n_q = attempts_for_probability(scenario, target_probability)
-        entries.append(
-            GroupExposure(
-                group=key,
-                fpr=fpr,
-                expected_attempts=attempts,
-                expected_hours=hours,
-                hours_to_probability=n_q / attempts_per_hour,
-            )
-        )
-    # the order GroupKey's order=True defines, without its Python-level comparisons
-    entries.sort(key=lambda e: (-e.fpr, e.group.names, e.group.values))
-    return entries
+        times[:, i] = attempts, hours, n_q / attempts_per_hour
+    times = times.reshape((3,) + fprs.shape)
+    times.flags.writeable = False
+    return times

@@ -117,7 +117,7 @@ def scenario(fprs, rate, target_probability, attempts, as_json):
         raise ConfigError(f"--target-probability must lie in (0, 1), got {target_probability!r}")
     if attempts is not None and attempts < 0:
         raise ConfigError(f"--attempts must be nonnegative, got {attempts}")
-    parsed: list[tuple[str, float]] = []
+    parsed: list[tuple[str, str, float]] = []
     for i, raw in enumerate(fprs):
         label, _, value = raw.rpartition("=")
         try:
@@ -126,13 +126,16 @@ def scenario(fprs, rate, target_probability, attempts, as_json):
             raise ConfigError(f"cannot parse --fpr {raw!r}") from exc
         if not 0.0 < fpr_value <= 1.0:
             raise ConfigError(f"--fpr {raw!r}: the FPR must lie in (0, 1]")
-        parsed.append((label or f"fpr{i}", fpr_value))
+        parsed.append((raw, label or f"fpr{i}", fpr_value))
 
     rows = []
-    for label, fpr_value in parsed:
+    for raw, label, fpr_value in parsed:
         s = AttackScenario(fpr=fpr_value, attempts_per_hour=rate)
         expected_attempts, expected_hours = expected_time_to_success(s)
-        n_q = attempts_for_probability(s, target_probability)
+        try:
+            n_q = attempts_for_probability(s, target_probability)
+        except ValueError as exc:
+            raise ConfigError(f"--fpr {raw!r}: {exc}") from exc
         row = {
             "label": label,
             "fpr": fpr_value,

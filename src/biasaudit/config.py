@@ -1,7 +1,8 @@
 """Audit configuration: defaults, flat key=value config files, flags.
 
-Config files are UTF-8 text, one ``key = value`` pair per line, ``#``
-comments and blank lines ignored. List values are comma-separated.
+Config files are UTF-8 text (a leading BOM is skipped), one
+``key = value`` pair per line, ``#`` comments and blank lines ignored.
+List values are comma-separated.
 Recognized keys are those of ``PARSERS``; the ``audit`` command's flags
 set the same keys and go through the same parsers.
 Defaults reproduce the standard audit preset: design FPRs
@@ -87,9 +88,14 @@ def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
     """Read a flat key=value config file into a string mapping."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config file {path}: not UTF-8 text: cannot decode byte "
+            f"{exc.object[exc.start]:#04x}; save the file as UTF-8"
+        ) from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

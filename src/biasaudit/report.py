@@ -1,8 +1,9 @@
 """Audit pipeline orchestration and deterministic report emission.
 
 ``run_audit`` executes load -> group -> base metrics -> bias measures ->
-FDR grid -> NRB suite -> attack exposure and returns a ``BiasReport``;
-every stage after ``base_metrics`` reads that one result.
+FDR grid -> NRB -> attack exposure and returns a ``BiasReport``; every
+stage after ``base_metrics`` reads that one result, as arrays indexed
+like it.
 ``emit`` writes ``report.json`` plus CSV mirrors of each table/figure.
 Identical inputs and config produce byte-identical files. Rates are
 serialized both as fractions (machine field) and percent (display
@@ -18,12 +19,14 @@ from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Union
 
-from .attack import GroupExposure, compare_group_exposure
+import numpy as np
+
+from .attack import exposure
 from .config import AuditConfig, config_as_dict
 from .detection import BaseMetrics, DesignPoint, MetricKey, base_metrics
 from .errors import DataError, DegenerateGroupError
 from .measures import BiasMeasures, bias_measures
-from .meta import FdrResult, NrbResult, fdr_grid, nrb_suite
+from .meta import FdrGrid, fdr_grid, nrb
 from .trials import (
     GroupedTrials,
     GroupKey,
@@ -44,26 +47,23 @@ FIG_FDR_GRID = "fig_fdr_grid.csv"
 FIG_NRB_SUITE = "fig_nrb_suite.csv"
 
 
-@dataclass(frozen=True)
-class ExposureBlock:
-    """Per-group attack exposure at one design point, worst-exposed group first."""
-
-    point: DesignPoint
-    entries: tuple[GroupExposure, ...]
-
-
 @dataclass
 class BiasReport:
-    """Full audit result; every table the emitter writes derives from it."""
+    """Full audit result; every table the emitter writes derives from it.
+
+    ``fdr_grid`` rows follow ``base.design_points``, ``nrb`` holds one
+    value per ``base.keys`` row, and ``exposure`` is the ``(3 x design
+    points x groups)`` array of ``attack.exposure`` over the fpr rows.
+    """
 
     config: AuditConfig
     warnings: list[str]
     unassigned_count: int
     base: BaseMetrics
     measures: BiasMeasures
-    fdr_grid: list[FdrResult]
-    nrb_suite: list[NrbResult]
-    exposures: list[ExposureBlock]
+    fdr_grid: FdrGrid
+    nrb: np.ndarray
+    exposure: np.ndarray
 
 
 def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrials, list[str]]:
@@ -114,6 +114,11 @@ def _load(loader: Callable[[str], Any], path: str, what: str) -> Any:
         raise DataError(f"in {path}: {exc}") from exc
 
 
+def _zero_valued(log_ratios: np.ndarray) -> list[int]:
+    """Columns of a log-ratio row whose group value is zero (+inf under zero-policy 'infinity')."""
+    return np.flatnonzero(np.isinf(log_ratios)).tolist()
+
+
 def run_audit(config: AuditConfig) -> BiasReport:
     """Run the full audit pipeline described by ``config``."""
     trials = _load(load_trials, config.scores_path, "scores")
@@ -130,31 +135,20 @@ def run_audit(config: AuditConfig) -> BiasReport:
 
     base = base_metrics(grouped, config.design_fprs, config.dcf)
     measures = bias_measures(base, config.zero_policy, config.average_mode)
-    grid = fdr_grid(base, config.alphas)
-
-    suite = nrb_suite(base, measures)
-    for result in suite:
-        if result.zero_value_groups:
+    for key, log_ratios in zip(base.keys, measures.g2avg_log_ratio):
+        zero_valued = _zero_valued(log_ratios)
+        if zero_valued:
             warnings.append(
-                f"nrb({result.key.name}) is infinite; zero-valued groups: "
-                + ", ".join(str(g) for g in result.zero_value_groups)
+                f"nrb({key.name}) is infinite; zero-valued groups: "
+                + ", ".join(str(base.groups[j]) for j in zero_valued)
             )
-
-    exposures = []
-    for point in base.design_points:
-        key = MetricKey("fpr", point.design_fpr)
-        entries = compare_group_exposure(
-            base.groups,
-            base.values[base.row(key)].tolist(),
-            attempts_per_hour=config.attempts_per_hour,
-            target_probability=config.target_probability,
-        )
-        if any(e.zero_fpr for e in entries):
+    fprs = base.values[2::2]
+    for key, row in zip(base.keys[2::2], fprs):
+        if (row == 0.0).any():
             warnings.append(
                 f"{key.name}: zero-FPR groups have unbounded expected attack time; "
                 "flagged in the exposure table"
             )
-        exposures.append(ExposureBlock(point=point, entries=tuple(entries)))
 
     return BiasReport(
         config=config,
@@ -162,9 +156,9 @@ def run_audit(config: AuditConfig) -> BiasReport:
         unassigned_count=len(grouped.unassigned),
         base=base,
         measures=measures,
-        fdr_grid=grid,
-        nrb_suite=suite,
-        exposures=exposures,
+        fdr_grid=fdr_grid(base, config.alphas),
+        nrb=nrb(measures.g2avg_log_ratio),
+        exposure=exposure(fprs, config.attempts_per_hour, config.target_probability),
     )
 
 
@@ -196,12 +190,12 @@ def _metric_entry(key: MetricKey, value: float) -> dict[str, Any]:
 def report_to_dict(report: BiasReport) -> dict[str, Any]:
     """JSON-ready view of the report (schema documented in the README).
 
-    Every per-group section reads one row of the ``BaseMetrics`` or
-    ``BiasMeasures`` arrays, whose columns follow the sorted group index.
+    Every per-group section reads one row of the report's arrays, whose
+    columns follow the sorted group index. The FDR grid is listed by
+    ascending design FPR, and each attack block worst-exposed group first.
     """
-    base, measures = report.base, report.measures
+    base, measures, grid = report.base, report.measures, report.fdr_grid
     labels = [key.label() for key in base.groups]
-    label_of = dict(zip(base.groups, labels))
     n_target, n_nontarget = base.sizes.tolist()
 
     def per_group(row) -> list[dict[str, Any]]:
@@ -222,6 +216,29 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             "rows": [
                 {"group": label, "fpr": fpr, "g2min_diff": diff, "g2avg_log_ratio": log_ratio}
                 for label, fpr, diff, log_ratio in zip(labels, *columns)
+            ],
+        }
+
+    def attack_block(point: DesignPoint, fprs, times) -> dict[str, Any]:
+        # stable over the sorted group index: ties keep group order, zero FPRs come last
+        order = np.argsort(-fprs, kind="stable").tolist()
+        fprs = fprs.tolist()
+        attempts, hours, to_target = map(_json_floats, times)
+        return {
+            "design_fpr": point.design_fpr,
+            "threshold": _json_float(point.operating_point.threshold),
+            "attempts_per_hour": report.config.attempts_per_hour,
+            "target_probability": report.config.target_probability,
+            "rows": [
+                {
+                    "group": labels[j],
+                    "fpr": fprs[j],
+                    "expected_attempts": attempts[j],
+                    "expected_hours": hours[j],
+                    "hours_to_target_probability": to_target[j],
+                    "zero_fpr": fprs[j] == 0.0,
+                }
+                for j in order
             ],
         }
 
@@ -260,44 +277,36 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         "threshold_decomposition": [decomposition(point) for point in base.design_points],
         "fdr_grid": [
             {
-                "design_fpr": r.design_fpr,
-                "alpha": r.alpha,
-                "threshold": _json_float(r.threshold),
-                "max_delta_fpr": r.max_delta_fpr,
-                "max_delta_fnr": r.max_delta_fnr,
-                "fdr": r.fdr,
+                "design_fpr": point.design_fpr,
+                "alpha": alpha,
+                "threshold": _json_float(point.operating_point.threshold),
+                "max_delta_fpr": max_delta_fpr,
+                "max_delta_fnr": max_delta_fnr,
+                "fdr": value,
             }
-            for r in report.fdr_grid
+            for point, max_delta_fpr, max_delta_fnr, values in reversed(list(zip(
+                base.design_points,
+                grid.max_delta_fpr.tolist(),
+                grid.max_delta_fnr.tolist(),
+                grid.fdr.tolist(),
+            )))
+            for alpha, value in zip(grid.alphas, values)
         ],
         "nrb_suite": [
             {
-                "metric": r.key.name,
-                "group_count": r.group_count,
-                "nrb": _json_float(r.nrb),
+                "metric": key.name,
+                "group_count": len(labels),
+                "nrb": _json_float(value),
                 "per_group_log_ratios": per_group(log_ratios),
-                "zero_value_groups": [label_of[g] for g in r.zero_value_groups],
+                "zero_value_groups": [labels[j] for j in _zero_valued(log_ratios)],
             }
-            for r, log_ratios in zip(report.nrb_suite, measures.g2avg_log_ratio)
+            for key, value, log_ratios in zip(
+                base.keys, report.nrb.tolist(), measures.g2avg_log_ratio
+            )
         ],
         "attack_scenarios": [
-            {
-                "design_fpr": block.point.design_fpr,
-                "threshold": _json_float(block.point.operating_point.threshold),
-                "attempts_per_hour": report.config.attempts_per_hour,
-                "target_probability": report.config.target_probability,
-                "rows": [
-                    {
-                        "group": label_of[e.group],
-                        "fpr": e.fpr,
-                        "expected_attempts": _json_float(e.expected_attempts),
-                        "expected_hours": _json_float(e.expected_hours),
-                        "hours_to_target_probability": _json_float(e.hours_to_probability),
-                        "zero_fpr": e.zero_fpr,
-                    }
-                    for e in block.entries
-                ],
-            }
-            for block in report.exposures
+            attack_block(*block)
+            for block in zip(base.design_points, base.values[2::2], report.exposure.swapaxes(0, 1))
         ],
     }
 

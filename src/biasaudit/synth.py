@@ -175,7 +175,7 @@ def generate(spec: SynthSpec) -> tuple[list[TrialRecord], list[SpeakerMetadata]]
 
 
 def load_synth_spec(source: Union[str, Path, dict], seed: int | None = None) -> SynthSpec:
-    """Build a SynthSpec from a JSON file or an already-parsed dict.
+    """Build a SynthSpec from a UTF-8 JSON file (a leading BOM is skipped) or a parsed dict.
 
     Expected shape::
 
@@ -188,7 +188,7 @@ def load_synth_spec(source: Union[str, Path, dict], seed: int | None = None) -> 
     ValueError naming it.
     """
     if isinstance(source, (str, Path)):
-        payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        payload = json.loads(Path(source).read_text(encoding="utf-8-sig"))
     else:
         payload = source
     try:

@@ -11,9 +11,13 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 
 from biasaudit import (
+    AttackScenario,
+    AuditConfig,
     BadLabelError,
     BaseMetrics,
+    BiasReport,
     DataError,
+    DesignPoint,
     DuplicateSpeakerError,
     EmptyFileError,
     GroupedTrials,
@@ -22,14 +26,21 @@ from biasaudit import (
     MetricKey,
     MissingHeaderError,
     NonFiniteScoreError,
+    OperatingPoint,
     Scores,
     SpeakerMetadata,
     SpeakerTable,
     SynthSpec,
     TrialRecord,
     TrialTable,
+    attempts_for_probability,
+    bias_measures,
+    expected_time_to_success,
+    exposure,
+    fdr_grid,
     load_metadata,
     load_trials,
+    nrb,
     write_metadata,
     write_trials,
 )
@@ -82,6 +93,103 @@ def one_metric(
         errors=errors,
         sizes=sizes,
     )
+
+
+def rate_metrics(
+    fprs: dict[GroupKey, Sequence[float]],
+    fnrs: dict[GroupKey, Sequence[float]] | None = None,
+    design_fprs: Sequence[float] = (0.01,),
+) -> BaseMetrics:
+    """A BaseMetrics whose fpr/fnr rows hold the given per-group rates.
+
+    ``fprs[g][k]`` is group g's FPR at ``design_fprs[k]`` (descending, as
+    ``base_metrics`` orders them); ``fnrs`` defaults to 0.5 everywhere.
+    EER, minCDet and every aggregate are 0.5, and design point k has
+    threshold k.
+    """
+    groups = tuple(sorted(fprs))
+    n = len(design_fprs)
+    fnrs = fnrs if fnrs is not None else {g: [0.5] * n for g in groups}
+    keys = (MetricKey("eer"), MetricKey("min_cdet"))
+    keys += tuple(MetricKey(kind, d) for d in design_fprs for kind in ("fpr", "fnr"))
+    values = np.full((len(keys), len(groups)), 0.5)
+    values[2::2] = np.array([fprs[g] for g in groups], dtype=float).T
+    values[3::2] = np.array([fnrs[g] for g in groups], dtype=float).T
+    return BaseMetrics(
+        groups=groups,
+        keys=keys,
+        values=values,
+        aggregates=np.full(len(keys), 0.5),
+        errors=np.zeros((len(keys), len(groups) + 1), dtype=np.int64),
+        sizes=np.zeros((2, len(groups) + 1), dtype=np.int64),
+        design_points=tuple(
+            DesignPoint(d, OperatingPoint(float(k), d, 0.5)) for k, d in enumerate(design_fprs)
+        ),
+    )
+
+
+def report_of(
+    base: BaseMetrics,
+    alphas: Sequence[float] = (0.0, 0.5, 1.0),
+    attempts_per_hour: float = 60.0,
+    target_probability: float = 0.5,
+) -> BiasReport:
+    """The BiasReport that run_audit builds from ``base`` under zero-policy 'infinity'."""
+    config = AuditConfig(
+        scores_path="scores.csv",
+        metadata_path="metadata.csv",
+        group_attributes=("g",),
+        design_fprs=tuple(p.design_fpr for p in base.design_points),
+        alphas=tuple(alphas),
+        zero_policy="infinity",
+        attempts_per_hour=attempts_per_hour,
+        target_probability=target_probability,
+    )
+    measures = bias_measures(base, zero_policy="infinity")
+    return BiasReport(
+        config=config,
+        warnings=[],
+        unassigned_count=0,
+        base=base,
+        measures=measures,
+        fdr_grid=fdr_grid(base, alphas),
+        nrb=nrb(measures.g2avg_log_ratio),
+        exposure=exposure(base.values[2::2], attempts_per_hour, target_probability),
+    )
+
+
+def reference_fdr(fprs: Sequence[float], fnrs: Sequence[float], alpha: float) -> float:
+    """FDR of one cell in Python floats, the scalar form; a test reference."""
+    fprs, fnrs = [float(v) for v in fprs], [float(v) for v in fnrs]
+    return 1.0 - (alpha * (max(fprs) - min(fprs)) + (1.0 - alpha) * (max(fnrs) - min(fnrs)))
+
+
+def reference_nrb(log_ratios: Sequence[float]) -> float:
+    """NRB of one row, summed left to right in Python floats; a test reference."""
+    return sum(abs(float(v)) for v in log_ratios) / len(log_ratios)
+
+
+def reference_exposure(
+    groups: Sequence[GroupKey],
+    fprs: Sequence[float],
+    attempts_per_hour: float = 60.0,
+    target_probability: float = 0.5,
+) -> list[tuple[GroupKey, float, float, float, float, bool]]:
+    """(group, fpr, attempts, hours, hours to target, zero fpr) per group, worst first.
+
+    One scalar evaluation per group, sorted by (-fpr, group); a test reference.
+    """
+    rows = []
+    for key, fpr in zip(groups, fprs, strict=True):
+        if fpr <= 0.0:
+            rows.append((key, fpr, math.inf, math.inf, math.inf, True))
+            continue
+        scenario = AttackScenario(fpr, attempts_per_hour)
+        attempts, hours = expected_time_to_success(scenario)
+        n_q = attempts_for_probability(scenario, target_probability)
+        rows.append((key, fpr, attempts, hours, n_q / attempts_per_hour, False))
+    rows.sort(key=lambda r: (-r[1], r[0].names, r[0].values))
+    return rows
 
 
 def by_group(groups: Sequence[GroupKey], row: np.ndarray) -> dict[GroupKey, float]:

@@ -30,7 +30,7 @@ from biasaudit import (
     fdr,
     generate,
     min_cdet,
-    nrb_suite,
+    nrb,
     run_audit,
     success_probability,
     threshold_for_fpr,
@@ -192,15 +192,13 @@ def test_c2_fdr_spot_value():
     }
     # FNRs do not enter at alpha = 1; any shared-threshold vector works
     fnrs = {key: 0.25 for key in fprs}
-    result = fdr(
+    (result,) = fdr(
         one_metric(fprs, aggregate=0.001).values[0],
         one_metric(fnrs, aggregate=0.25).values[0],
-        alpha=1.0,
-        design_fpr=0.001,
-        threshold=0.0,
-    )
-    assert result.fdr == pytest.approx(0.995, abs=0.001)
-    note(f"C2: PASS — fdr(alpha=1) = {result.fdr:.4f} (expected 0.995 ± 0.001)")
+        alphas=(1.0,),
+    ).fdr.tolist()
+    assert result == pytest.approx(0.995, abs=0.001)
+    note(f"C2: PASS — fdr(alpha=1) = {result:.4f} (expected 0.995 ± 0.001)")
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def nrb_over_magnitudes():
     # metric values whose |log ratio| against aggregate 1.0 equal the inputs
     values = {k: math.exp(-m) for k, m in zip(keys, T4_LOG_MAGNITUDES)}
     v = one_metric(values, aggregate=1.0, key=MetricKey("fpr", 0.001))
-    (result,) = nrb_suite(v, bias_measures(v))
+    (result,) = nrb(bias_measures(v).g2avg_log_ratio).tolist()
     return result
 
 
@@ -228,8 +226,8 @@ def test_c3_nrb_hand_sum_over_published_magnitudes():
     result = nrb_over_magnitudes()
     hand_sum = sum(T4_LOG_MAGNITUDES) / len(T4_LOG_MAGNITUDES)
     assert hand_sum == pytest.approx(0.70275, abs=1e-12)
-    assert result.nrb == pytest.approx(hand_sum, abs=0.001)
-    note(f"C3: PASS — nrb = {result.nrb:.5f} equals the hand sum 5.622/8 = 0.70275 "
+    assert result == pytest.approx(hand_sum, abs=0.001)
+    note(f"C3: PASS — nrb = {result:.5f} equals the hand sum 5.622/8 = 0.70275 "
          "(the criterion's printed 0.685 contradicts its own arithmetic)")
 
 
@@ -239,7 +237,7 @@ def test_c3_nrb_hand_sum_over_published_magnitudes():
     "over the eight published magnitudes) yields 5.622/8 = 0.70275",
 )
 def test_c3_printed_constant_contradicts_its_procedure():
-    assert nrb_over_magnitudes().nrb == pytest.approx(0.685, abs=0.001)
+    assert nrb_over_magnitudes() == pytest.approx(0.685, abs=0.001)
 
 
 # --------------------------------------------------------------------------
@@ -342,9 +340,9 @@ def test_c6_scale_invariance_suite():
         for key, value in scaled_measures["g2avg_ratio"].items():
             assert math.isclose(value, base_ratio[key], rel_tol=1e-12)
 
-        (base_nrb,) = nrb_suite(v, bias_measures(v))
-        (scaled_nrb,) = nrb_suite(scaled, bias_measures(scaled))
-        assert math.isclose(scaled_nrb.nrb, base_nrb.nrb, rel_tol=1e-12, abs_tol=1e-12)
+        (base_nrb,) = nrb(bias_measures(v).g2avg_log_ratio).tolist()
+        (scaled_nrb,) = nrb(bias_measures(scaled).g2avg_log_ratio).tolist()
+        assert math.isclose(scaled_nrb, base_nrb, rel_tol=1e-12, abs_tol=1e-12)
 
         base_diff = base_measures["g2min_diff"]
         for key, value in scaled_measures["g2min_diff"].items():
@@ -355,8 +353,8 @@ def test_c6_scale_invariance_suite():
         fpr_values = rng.uniform(0.0, 1.0, n_groups)
         fnr_values = rng.uniform(0.0, 1.0, n_groups)
         alpha = float(rng.uniform(0.0, 1.0))
-        base = fdr(fpr_values, fnr_values, alpha, 0.01, 0.0).fdr
-        scaled_fdr = fdr(c_rate * fpr_values, c_rate * fnr_values, alpha, 0.01, 0.0).fdr
+        (base,) = fdr(fpr_values, fnr_values, (alpha,)).fdr.tolist()
+        (scaled_fdr,) = fdr(c_rate * fpr_values, c_rate * fnr_values, (alpha,)).fdr.tolist()
         assert math.isclose(1.0 - scaled_fdr, c_rate * (1.0 - base),
                             rel_tol=1e-12, abs_tol=1e-15)
     note("C6: PASS — 100 random vectors: ratios and NRB scale-invariant at "
@@ -418,19 +416,20 @@ def test_c7_fdr_nrb_contradiction_in_one_audit(tmp_path):
     )
     report = run_audit(config)
 
-    cell = next(r for r in report.fdr_grid if r.alpha == 1.0 and r.design_fpr == 0.001)
-    suite = {r.key.name: r for r in report.nrb_suite}
-    fpr_nrb = suite["fpr@0.001"].nrb
-
+    (point,) = report.base.design_points
+    assert point.design_fpr == 0.001
+    cell = report.fdr_grid.fdr[0, report.fdr_grid.alphas.index(1.0)]
     fprs = report.base.row(MetricKey("fpr", 0.001))
+    fpr_nrb = report.nrb[fprs]
+
     values = sorted(report.base.values[fprs].tolist())
     assert values[1] / values[0] == pytest.approx(5.0, rel=1e-12)
     assert report.base.aggregates[fprs] == pytest.approx(0.001, rel=1e-12)
 
-    assert cell.fdr >= 0.99
+    assert cell >= 0.99
     assert fpr_nrb >= 0.5
     assert fpr_nrb == pytest.approx(math.log(5.0) / 2.0, rel=1e-9)
-    note(f"C7: PASS — one audit: fdr(alpha=1) = {cell.fdr:.5f} ≥ 0.99 while "
+    note(f"C7: PASS — one audit: fdr(alpha=1) = {cell:.5f} ≥ 0.99 while "
          f"nrb(fpr@0.001) = {fpr_nrb:.4f} ≥ 0.5")
 
 

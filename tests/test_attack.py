@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -12,13 +13,24 @@ from hypothesis import strategies as st
 from biasaudit import (
     AttackScenario,
     attempts_for_probability,
-    compare_group_exposure,
     expected_time_to_success,
+    exposure,
+    report_to_dict,
     success_probability,
 )
-from helpers import gk
+from biasaudit.cli import main
+from helpers import gk, rate_metrics, report_of
 
 fprs = st.floats(1e-6, 1.0, exclude_max=False)
+
+
+def exposure_rows(fprs_by_group, attempts_per_hour=60.0, target_probability=0.5):
+    """The report's attack-scenario rows for one design point with these group FPRs."""
+    base = rate_metrics({key: [fpr] for key, fpr in fprs_by_group.items()})
+    report = report_of(base, attempts_per_hour=attempts_per_hour,
+                       target_probability=target_probability)
+    (block,) = report_to_dict(report)["attack_scenarios"]
+    return block["rows"]
 
 
 def test_success_probability_certain_and_empty():
@@ -46,6 +58,23 @@ def test_attempts_for_probability_examples():
     # ceil(ln 0.5 / ln 0.999) computed independently
     assert attempts_for_probability(AttackScenario(0.001), 0.5) == 693
     assert attempts_for_probability(AttackScenario(1.0), 0.9) == 1
+
+
+@pytest.mark.parametrize("fpr", [1e-300, 1e-320])
+def test_attempts_for_probability_rejects_counts_past_exact_floats(fpr):
+    # past 2**53 attempts n and n + 1 are one float: the search would never end,
+    # and at 1e-320 the estimate itself is infinite
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        attempts_for_probability(AttackScenario(fpr), 0.5)
+
+
+@pytest.mark.parametrize("fpr", ["1e-300", "1e-320"])
+def test_scenario_with_a_too_small_fpr_exits_one_with_a_message(capsys, fpr):
+    assert main(["scenario", "--fpr", fpr]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --fpr '{fpr}'")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_attempts_for_probability_rejects_bad_q():
@@ -110,27 +139,42 @@ def test_attempts_for_probability_round_trip(fpr, q):
         assert success_probability(s, n - 1) < q
 
 
+def test_exposure_planes_come_from_the_scalar_functions():
+    fprs = np.array([[0.001, 0.0], [1.0, 0.005]])
+    times = exposure(fprs, attempts_per_hour=30.0, target_probability=0.9)
+    assert times.shape == (3, 2, 2)
+    assert not times.flags.writeable
+    for index, fpr in np.ndenumerate(fprs):
+        attempts, hours, to_target = times[(slice(None), *index)].tolist()
+        if fpr == 0.0:
+            assert attempts == hours == to_target == math.inf
+            continue
+        scenario = AttackScenario(float(fpr), 30.0)
+        assert (attempts, hours) == expected_time_to_success(scenario)
+        assert to_target == attempts_for_probability(scenario, 0.9) / 30.0
+
+
 def test_compare_group_exposure_orders_worst_first():
-    entries = compare_group_exposure([gk(g="a"), gk(g="b")], [0.001, 0.005],
-                                     attempts_per_hour=60.0)
-    assert [e.group for e in entries] == [gk(g="b"), gk(g="a")]
-    assert entries[0].expected_hours == pytest.approx(3.3333, abs=0.001)
-    assert entries[1].expected_hours == pytest.approx(16.6667, abs=0.001)
+    rows = exposure_rows({gk(g="a"): 0.001, gk(g="b"): 0.005}, attempts_per_hour=60.0)
+    assert [r["group"] for r in rows] == [gk(g="b").label(), gk(g="a").label()]
+    assert rows[0]["expected_hours"] == pytest.approx(3.3333, abs=0.001)
+    assert rows[1]["expected_hours"] == pytest.approx(16.6667, abs=0.001)
     # exposure ratio equals the inverse FPR ratio
-    assert entries[1].expected_hours / entries[0].expected_hours == \
+    assert rows[1]["expected_hours"] / rows[0]["expected_hours"] == \
         pytest.approx(0.005 / 0.001, rel=1e-12)
 
 
 def test_compare_group_exposure_single_group():
-    entries = compare_group_exposure([gk(g="only")], [0.01])
-    assert len(entries) == 1
-    assert entries[0].expected_attempts == pytest.approx(100.0)
+    rows = exposure_rows({gk(g="only"): 0.01})
+    assert len(rows) == 1
+    assert rows[0]["expected_attempts"] == pytest.approx(100.0)
 
 
 def test_compare_group_exposure_ties_keep_lexicographic_order():
-    entries = compare_group_exposure([gk(g="b"), gk(g="a"), gk(g="c")], [0.01] * 3)
-    assert [e.group for e in entries] == [gk(g="a"), gk(g="b"), gk(g="c")]
-    assert len({e.expected_hours for e in entries}) == 1
+    rows = exposure_rows({gk(g="b"): 0.01, gk(g="a"): 0.01, gk(g="c"): 0.01})
+    assert [r["group"] for r in rows] == [gk(g="a").label(), gk(g="b").label(),
+                                          gk(g="c").label()]
+    assert len({r["expected_hours"] for r in rows}) == 1
 
 
 def test_compare_group_exposure_sorts_like_group_key_order_within_fpr_ties():
@@ -138,20 +182,21 @@ def test_compare_group_exposure_sorts_like_group_key_order_within_fpr_ties():
     groups = [gk(g="b", r="x"), gk(g="a"), gk(r="y"), gk(g="b", r="a"), gk(g="a", r="z"),
               gk(g="c"), gk(r="a"), gk(g="a", r="a")]
     fprs = [0.0, 0.01, 0.0, 0.01, 0.0, 0.02, 0.01, 0.0]
-    entries = compare_group_exposure(groups, fprs)
-    assert [(e.fpr, e.group) for e in entries] == sorted(
-        zip(fprs, groups), key=lambda pair: (-pair[0], pair[1])
-    )
-    assert [e.group.label() for e in entries] == [
+    rows = exposure_rows(dict(zip(groups, fprs)))
+    assert [(r["fpr"], r["group"]) for r in rows] == [
+        (fpr, key.label())
+        for fpr, key in sorted(zip(fprs, groups), key=lambda pair: (-pair[0], pair[1]))
+    ]
+    assert [r["group"] for r in rows] == [
         "g=c", "g=a", "g=b,r=a", "r=a", "g=a,r=a", "g=a,r=z", "g=b,r=x", "r=y",
     ]
 
 
 def test_compare_group_exposure_flags_zero_fpr():
-    entries = compare_group_exposure([gk(g="a"), gk(g="b")], [0.0, 0.002])
-    flagged = [e for e in entries if e.zero_fpr]
+    rows = exposure_rows({gk(g="a"): 0.0, gk(g="b"): 0.002})
+    flagged = [r for r in rows if r["zero_fpr"]]
     assert len(flagged) == 1
-    assert flagged[0].group == gk(g="a")
-    assert math.isinf(flagged[0].expected_hours)
+    assert flagged[0]["group"] == gk(g="a").label()
+    assert math.isinf(float(flagged[0]["expected_hours"]))
     # flagged entries sort after every finite-exposure group
-    assert entries[-1] is flagged[0]
+    assert rows[-1] is flagged[0]

@@ -198,6 +198,33 @@ def test_config_file_with_cli_override(data_dir):
     assert len(lines) == 1 + 2
 
 
+def test_config_file_with_a_bom_is_read(data_dir):
+    """A config file saved with a UTF-8 BOM gives the audit its flags give."""
+    config_path = data_dir / "bom.cfg"
+    config_path.write_text(
+        f"groups = gender\nscores = {data_dir / 'scores.csv'}\n"
+        f"metadata = {data_dir / 'metadata.csv'}\n"
+        f"design_fprs = 0.05,0.1\nalphas = 0,0.5,1\nout = {data_dir / 'bom_out'}\n",
+        encoding="utf-8-sig",
+    )
+    assert config_path.read_bytes().startswith(b"\xef\xbb\xbfgroups")
+    assert main(["audit", "--config", str(config_path)]) == 0
+    assert main(audit_args(data_dir, out="flag_out")) == 0
+    for table in sorted((data_dir / "flag_out").glob("*.csv")):
+        assert (data_dir / "bom_out" / table.name).read_bytes() == table.read_bytes()
+
+
+def test_non_utf8_config_file_exits_one(data_dir, capsys):
+    config_path = data_dir / "latin1.cfg"
+    config_path.write_bytes(b"groups = gender\n# caf\xe9\n")
+    assert main(["audit", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot read config file {config_path}: not UTF-8 text: cannot decode "
+        "byte 0xe9; save the file as UTF-8\n"
+    )
+
+
 def test_usage_error_exits_one(data_dir):
     assert main(["audit", "--no-such-flag"]) == 1
     assert main(["audit", "--scores", "x.csv"]) == 1  # metadata missing -> config error
@@ -423,6 +450,17 @@ def test_synth_bad_spec_exits_one(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"groups": []}', encoding="utf-8")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 1
+
+
+def test_synth_spec_with_a_bom_writes_the_same_files(tmp_path):
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(json.dumps(SYNTH_SPEC), encoding=encoding)
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bom.json").read_bytes().startswith(b"\xef\xbb\xbf{")
+    for file_name in ("scores.csv", "metadata.csv"):
+        assert (tmp_path / "bom" / file_name).read_bytes() == \
+            (tmp_path / "plain" / file_name).read_bytes()
 
 
 def _synth(tmp_path, spec_text, *extra, out="out"):

@@ -18,7 +18,6 @@ from biasaudit import (
     fdr,
     fdr_grid,
     nrb,
-    nrb_suite,
 )
 from helpers import by_group, gk, grouped_from_scores, one_metric
 
@@ -29,11 +28,16 @@ def row(per_group):
 
 
 def nrb_of(per_group, aggregate, zero_policy="error"):
-    """The NRB result of one metric row, with its log ratios keyed by group."""
+    """The NRB of one metric row, with its log ratios keyed by group."""
     v = one_metric(per_group, aggregate, MetricKey("fpr", 0.001))
     measures = bias_measures(v, zero_policy=zero_policy)
-    (result,) = nrb_suite(v, measures)
-    return result, by_group(v.groups, measures.g2avg_log_ratio[0])
+    (value,) = nrb(measures.g2avg_log_ratio).tolist()
+    return value, by_group(v.groups, measures.g2avg_log_ratio[0])
+
+
+def design_fprs_of(base):
+    """The design FPR of each FDR grid row, in ``base.design_points`` order."""
+    return [point.design_fpr for point in base.design_points]
 
 
 def male_groups(values):
@@ -44,24 +48,25 @@ def male_groups(values):
 def test_fdr_identical_rates_is_one_for_every_alpha():
     fprs = row({gk(g="a"): 0.2, gk(g="b"): 0.2})
     fnrs = row({gk(g="a"): 0.4, gk(g="b"): 0.4})
-    for alpha in (0.0, 0.25, 0.5, 1.0):
-        assert fdr(fprs, fnrs, alpha, 0.001, 1.0).fdr == 1.0
+    result = fdr(fprs, fnrs, (0.0, 0.25, 0.5, 1.0))
+    assert result.fdr.shape == (4,)
+    assert (result.fdr == 1.0).all()
 
 
 def test_fdr_table_male_column_at_alpha_one():
     # max gap 0.005 - 0.000 across the four male FPRs
     fprs = row(male_groups([0.005, 0.000, 0.001, 0.002]))
     fnrs = row(male_groups([0.1, 0.1, 0.1, 0.1]))
-    result = fdr(fprs, fnrs, alpha=1.0, design_fpr=0.001, threshold=0.0)
-    assert result.fdr == pytest.approx(0.995, abs=1e-12)
-    assert result.max_delta_fpr == pytest.approx(0.005, abs=1e-12)
+    result = fdr(fprs, fnrs, (1.0,))
+    assert result.fdr[0] == pytest.approx(0.995, abs=1e-12)
+    assert float(result.max_delta_fpr) == pytest.approx(0.005, abs=1e-12)
 
 
 def test_fdr_convex_combination_arithmetic():
     fprs = row({gk(g="a"): 0.2, gk(g="b"): 0.0})
     fnrs = row({gk(g="a"): 0.0, gk(g="b"): 0.4})
-    result = fdr(fprs, fnrs, alpha=0.5, design_fpr=0.01, threshold=0.0)
-    assert result.fdr == pytest.approx(0.7, abs=1e-12)
+    result = fdr(fprs, fnrs, (0.5,))
+    assert result.fdr[0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_fdr_group_set_mismatch():
@@ -69,23 +74,28 @@ def test_fdr_group_set_mismatch():
     fprs = row({gk(g="a"): 0.1, gk(g="b"): 0.2})
     fnrs = row({gk(g="a"): 0.1, gk(g="b"): 0.2, gk(g="c"): 0.2})
     with pytest.raises(GroupSetMismatchError):
-        fdr(fprs, fnrs, 0.5, 0.01, 0.0)
+        fdr(fprs, fnrs, (0.5,))
 
 
 def test_fdr_rejects_alpha_out_of_range():
     fprs = row({gk(g="a"): 0.1})
     with pytest.raises(ValueError):
-        fdr(fprs, fprs, 1.5, 0.01, 0.0)
+        fdr(fprs, fprs, (1.5,))
+    with pytest.raises(ValueError):
+        fdr(fprs, fprs, (0.5, -0.25))
+    with pytest.raises(ValueError):
+        fdr(fprs, fprs, ())
 
 
 def test_fdr_result_invariant_recomputes():
     fprs = row({gk(g="a"): 0.3, gk(g="b"): 0.1})
     fnrs = row({gk(g="a"): 0.05, gk(g="b"): 0.25})
-    result = fdr(fprs, fnrs, 0.25, 0.05, 1.25)
-    expected = 1.0 - (result.alpha * result.max_delta_fpr
-                      + (1.0 - result.alpha) * result.max_delta_fnr)
-    assert result.fdr == expected
-    assert 0.0 <= result.fdr <= 1.0
+    result = fdr(fprs, fnrs, (0.25,))
+    (alpha,) = result.alphas
+    expected = 1.0 - (alpha * float(result.max_delta_fpr)
+                      + (1.0 - alpha) * float(result.max_delta_fnr))
+    assert result.fdr[0] == expected
+    assert 0.0 <= result.fdr[0] <= 1.0
 
 
 @given(
@@ -97,11 +107,12 @@ def test_fdr_affine_in_alpha(fpr_values, fnr_values):
     keys = [gk(g=f"g{i}") for i in range(n)]
     fprs = row(dict(zip(keys, fpr_values)))
     fnrs = row(dict(zip(keys, fnr_values)))
-    at = {a: fdr(fprs, fnrs, a, 0.01, 0.0) for a in (0.0, 0.5, 1.0)}
-    assert at[0.0].fdr == pytest.approx(1.0 - at[0.0].max_delta_fnr, abs=1e-12)
-    assert at[1.0].fdr == pytest.approx(1.0 - at[1.0].max_delta_fpr, abs=1e-12)
-    midpoint = 0.5 * (at[0.0].fdr + at[1.0].fdr)
-    assert at[0.5].fdr == pytest.approx(midpoint, abs=1e-12)
+    result = fdr(fprs, fnrs, (1.0, 0.0, 0.5))
+    at = dict(zip(result.alphas, result.fdr.tolist()))
+    assert at[0.0] == pytest.approx(1.0 - float(result.max_delta_fnr), abs=1e-12)
+    assert at[1.0] == pytest.approx(1.0 - float(result.max_delta_fpr), abs=1e-12)
+    midpoint = 0.5 * (at[0.0] + at[1.0])
+    assert at[0.5] == pytest.approx(midpoint, abs=1e-12)
 
 
 @given(
@@ -118,8 +129,8 @@ def test_fdr_magnitude_sensitivity(fpr_values, fnr_values, c, alpha):
     fnrs = dict(zip(keys, fnr_values))
     scaled_fprs = {k: c * v for k, v in fprs.items()}
     scaled_fnrs = {k: c * v for k, v in fnrs.items()}
-    base = fdr(row(fprs), row(fnrs), alpha, 0.01, 0.0).fdr
-    scaled = fdr(row(scaled_fprs), row(scaled_fnrs), alpha, 0.01, 0.0).fdr
+    (base,) = fdr(row(fprs), row(fnrs), (alpha,)).fdr.tolist()
+    (scaled,) = fdr(row(scaled_fprs), row(scaled_fnrs), (alpha,)).fdr.tolist()
     assert math.isclose(1.0 - scaled, c * (1.0 - base), rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -129,18 +140,21 @@ def test_fdr_grid_cardinality_and_order():
         gk(g="a"): (rng.normal(2, 1, 500).tolist(), rng.normal(0, 1, 500).tolist()),
         gk(g="b"): (rng.normal(1, 1, 500).tolist(), rng.normal(0, 1, 500).tolist()),
     })
-    grid = fdr_grid(base_metrics(grouped, (0.1, 0.01)), alphas=(1.0, 0.5, 0.0))
-    assert len(grid) == 6
-    assert [(r.design_fpr, r.alpha) for r in grid] == [
-        (0.01, 0.0), (0.01, 0.5), (0.01, 1.0),
-        (0.1, 0.0), (0.1, 0.5), (0.1, 1.0),
-    ]
+    base = base_metrics(grouped, (0.01, 0.1))
+    grid = fdr_grid(base, alphas=(1.0, 0.5, 0.0))
+    assert grid.fdr.size == 6
+    # rows follow the design points (descending design FPR), columns the sorted alphas
+    assert grid.fdr.shape == (2, 3)
+    assert design_fprs_of(base) == [0.1, 0.01]
+    assert grid.alphas == (0.0, 0.5, 1.0)
+    assert grid.max_delta_fpr.shape == grid.max_delta_fnr.shape == (2,)
+    assert not grid.fdr.flags.writeable
 
 
 def test_fdr_grid_single_group_is_one_everywhere():
     grouped = grouped_from_scores({gk(g="only"): ([1.0, 2.0, 3.0], [-1.0, 0.0, 0.5])})
     grid = fdr_grid(base_metrics(grouped, (0.5, 0.1)), alphas=(0.0, 0.5, 1.0))
-    assert all(r.fdr == 1.0 for r in grid)
+    assert (grid.fdr == 1.0).all()
 
 
 def test_fdr_grid_trend_gaps_shrink_with_design_fpr():
@@ -153,28 +167,29 @@ def test_fdr_grid_trend_gaps_shrink_with_design_fpr():
         gk(g="a"): (rng.normal(3, 1, n).tolist(), rng.normal(0, 1, n).tolist()),
         gk(g="b"): (rng.normal(3, 1, n).tolist(), rng.normal(0.8, 1, n).tolist()),
     })
-    grid = fdr_grid(base_metrics(grouped, (0.1, 0.01, 0.001)), alphas=(1.0,))
-    by_design = {r.design_fpr: r.fdr for r in grid}
+    base = base_metrics(grouped, (0.1, 0.01, 0.001))
+    grid = fdr_grid(base, alphas=(1.0,))
+    by_design = dict(zip(design_fprs_of(base), grid.fdr[:, 0].tolist()))
     assert by_design[0.001] > by_design[0.01] > by_design[0.1]
 
 
 def test_nrb_all_equal_is_zero():
-    result, _ = nrb_of({gk(g="a"): 0.3, gk(g="b"): 0.3}, aggregate=0.3)
-    assert result.nrb == 0.0
-    assert result.group_count == 2
+    result, log_ratios = nrb_of({gk(g="a"): 0.3, gk(g="b"): 0.3}, aggregate=0.3)
+    assert result == 0.0
+    assert len(log_ratios) == 2
 
 
 def test_nrb_male_table_magnitudes():
     # hand arithmetic: (1.659 + 0.912 + 0 + 0.654) / 4 = 0.80625
     values = male_groups([math.exp(-1.659), math.exp(0.912), 1.0, math.exp(-0.654)])
     result, _ = nrb_of(values, aggregate=1.0)
-    assert result.nrb == pytest.approx(0.80625, abs=1e-9)
+    assert result == pytest.approx(0.80625, abs=1e-9)
 
 
 def test_nrb_symmetric_ratio_pair():
     r = 3.7
     result, _ = nrb_of({gk(g="a"): r, gk(g="b"): 1.0 / r}, aggregate=1.0)
-    assert result.nrb == pytest.approx(math.log(r), rel=1e-12)
+    assert result == pytest.approx(math.log(r), rel=1e-12)
 
 
 @given(st.lists(st.floats(1e-4, 1e4), min_size=2, max_size=200), st.floats(1e-4, 1e4))
@@ -184,16 +199,26 @@ def test_nrb_result_invariant_recomputes(values, aggregate):
     """NRB is the left-to-right sum of |log ratio| over groups divided by n, exactly."""
     keys = [gk(g=f"g{i:03d}") for i in range(len(values))]  # sorted in index order
     result, log_ratios = nrb_of(dict(zip(keys, values)), aggregate)
-    expected = sum(abs(log_ratios[k]) for k in keys) / result.group_count
-    assert result.nrb == expected
+    expected = sum(abs(log_ratios[k]) for k in keys) / len(log_ratios)
+    assert result == expected
     assert nrb(np.array([log_ratios[k] for k in keys])) == expected
 
 
+def test_nrb_gives_one_read_only_value_per_row():
+    log_ratios = np.array([[0.5, -0.25, 0.0], [math.inf, 1.0, -1.0]])
+    values = nrb(log_ratios)
+    assert values.shape == (2,)
+    assert values.tolist() == [0.25, math.inf]
+    assert not values.flags.writeable
+    assert nrb(log_ratios.reshape(2, 1, 3)).shape == (2, 1)
+
+
 def test_nrb_infinity_policy_flags_offenders():
-    result, _ = nrb_of({gk(g="a"): 0.0, gk(g="b"): 0.01}, aggregate=0.005,
-                       zero_policy="infinity")
-    assert math.isinf(result.nrb)
-    assert result.zero_value_groups == (gk(g="a"),)
+    result, log_ratios = nrb_of({gk(g="a"): 0.0, gk(g="b"): 0.01}, aggregate=0.005,
+                                zero_policy="infinity")
+    assert math.isinf(result)
+    # a zero-valued group is one whose log ratio is infinite
+    assert [k for k, r in log_ratios.items() if math.isinf(r)] == [gk(g="a")]
 
 
 @given(
@@ -205,7 +230,7 @@ def test_nrb_scale_invariance(values, aggregate, c):
     keys = [gk(g=f"g{i}") for i in range(len(values))]
     base, _ = nrb_of(dict(zip(keys, values)), aggregate)
     scaled, _ = nrb_of({k: c * x for k, x in zip(keys, values)}, c * aggregate)
-    assert math.isclose(scaled.nrb, base.nrb, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(scaled, base, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @given(st.lists(st.floats(1e-4, 1e4), min_size=2, max_size=8), st.floats(1e-4, 1e4))
@@ -213,19 +238,19 @@ def test_nrb_zero_iff_every_group_equals_aggregate(values, aggregate):
     keys = [gk(g=f"g{i}") for i in range(len(values))]
     result, _ = nrb_of(dict(zip(keys, values)), aggregate)
     if all(x == aggregate for x in values):
-        assert result.nrb == 0.0
+        assert result == 0.0
     else:
-        assert result.nrb > 0.0
+        assert result > 0.0
 
 
 def test_meta_measures_are_permutation_invariant():
     values = {gk(g="a"): 0.1, gk(g="b"): 0.4, gk(g="c"): 0.2}
     reordered = dict(reversed(list(values.items())))
-    assert nrb_of(values, 0.2)[0].nrb == nrb_of(reordered, 0.2)[0].nrb
+    assert nrb_of(values, 0.2)[0] == nrb_of(reordered, 0.2)[0]
     fnrs = {gk(g="a"): 0.3, gk(g="b"): 0.1, gk(g="c"): 0.5}
-    forward = fdr(row(values), row(fnrs), 0.3, 0.01, 0.0)
-    backward = fdr(row(reordered), row(dict(reversed(list(fnrs.items())))), 0.3, 0.01, 0.0)
-    assert forward.fdr == backward.fdr
+    forward = fdr(row(values), row(fnrs), (0.3,))
+    backward = fdr(row(reordered), row(dict(reversed(list(fnrs.items())))), (0.3,))
+    assert forward.fdr[0] == backward.fdr[0]
 
 
 def test_nrb_suite_identical_groups_is_all_zero():
@@ -233,8 +258,8 @@ def test_nrb_suite_identical_groups_is_all_zero():
     scores = ([0.5, 1.5, 2.5, 3.5], [0.0, 1.0, 2.0, 3.0])
     grouped = grouped_from_scores({gk(g="a"): scores, gk(g="b"): scores})
     base = base_metrics(grouped, (0.5,), DcfParams())
-    suite = nrb_suite(base, bias_measures(base))
-    assert all(r.nrb == 0.0 for r in suite)
+    values = nrb(bias_measures(base).g2avg_log_ratio)
+    assert (values == 0.0).all()
 
 
 def test_nrb_suite_cardinality_and_order():
@@ -245,8 +270,10 @@ def test_nrb_suite_cardinality_and_order():
     scores_b = ([-2.0, 2.5], [-0.5, 1.0])
     grouped = grouped_from_scores({gk(g="a"): scores_a, gk(g="b"): scores_b})
     base = base_metrics(grouped, (0.25, 0.5), DcfParams())
-    suite = nrb_suite(base, bias_measures(base, zero_policy="infinity"))
-    assert [r.key.name for r in suite] == [
+    values = nrb(bias_measures(base, zero_policy="infinity").g2avg_log_ratio)
+    # one value per base-metric row, in the row order of base.keys
+    assert values.shape == (len(base.keys),)
+    assert [key.name for key in base.keys] == [
         "eer", "min_cdet", "fpr@0.5", "fnr@0.5", "fpr@0.25", "fnr@0.25",
     ]
 
@@ -263,18 +290,18 @@ def test_nrb_suite_constant_ratio_ladder():
 
     base = base_metrics(grouped, (0.01, 0.002), DcfParams())
     measures = bias_measures(base)
-    suite = nrb_suite(base, measures)
-    by_name = {r.key.name: r for r in suite}
+    names = [key.name for key in base.keys]
+    by_name = dict(zip(names, nrb(measures.g2avg_log_ratio).tolist()))
     for name in ("fpr@0.01", "fpr@0.002"):
         # groups at 5x/3 and x/3 the aggregate: mean |log ratio| = ln(5)/2
-        assert by_name[name].nrb == pytest.approx(math.log(5.0) / 2.0, rel=1e-9)
-        i = [r.key.name for r in suite].index(name)
+        assert by_name[name] == pytest.approx(math.log(5.0) / 2.0, rel=1e-9)
+        i = names.index(name)
         ratios = by_group(base.groups, measures.g2avg_log_ratio[i])
         assert ratios[gk(g="a")] == pytest.approx(-math.log(5.0 / 3.0), rel=1e-9)
         assert ratios[gk(g="b")] == pytest.approx(math.log(3.0), rel=1e-9)
     # while the ratio-based measure holds constant, the absolute gap shrinks
     grid = fdr_grid(base, alphas=(1.0,))
-    gaps = {r.design_fpr: r.max_delta_fpr for r in grid}
+    gaps = dict(zip(design_fprs_of(base), grid.max_delta_fpr.tolist()))
     assert gaps[0.002] < gaps[0.01]
     assert gaps[0.01] == pytest.approx((100 - 20) / 6000, rel=1e-12)
     assert gaps[0.002] == pytest.approx((20 - 4) / 6000, rel=1e-12)

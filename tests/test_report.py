@@ -38,7 +38,14 @@ from biasaudit.report import (
     TABLE_DECOMPOSITION,
     _dumps,
 )
-from helpers import gk
+from helpers import (
+    gk,
+    rate_metrics,
+    reference_exposure,
+    reference_fdr,
+    reference_nrb,
+    report_of,
+)
 
 
 def write_two_group_fixture(tmp_path, n=4000, seed=414):
@@ -114,12 +121,12 @@ def test_run_audit_single_group_with_unassigned(tmp_path):
     )
     report = run_audit(config)
     assert any("unassigned" in w for w in report.warnings)
-    assert all(r.fdr == 1.0 for r in report.fdr_grid)
-    # single group: the suite value is the lone group's absolute log ratio
-    for result, log_ratios in zip(report.nrb_suite, report.measures.g2avg_log_ratio):
+    assert (report.fdr_grid.fdr == 1.0).all()
+    # single group: each row's NRB is the lone group's absolute log ratio
+    for value, log_ratios in zip(report.nrb.tolist(), report.measures.g2avg_log_ratio):
         (lone,) = log_ratios.tolist()
-        assert result.nrb == abs(lone)
-        assert result.group_count == 1
+        assert value == abs(lone)
+        assert log_ratios.size == 1
 
 
 def test_run_audit_missing_scores_file(tmp_path):
@@ -474,6 +481,71 @@ def test_run_audit_evaluates_each_measure_once_per_metric_row(tmp_path, monkeypa
     assert rows == {
         "g2min_diff": metric_rows, "g2avg_ratio": metric_rows, "g2avg_log_ratio": metric_rows,
     }
+
+
+# Group keys with one or two attributes, so FPR ties are broken by GroupKey's own order.
+_GROUPS = st.lists(
+    st.tuples(st.sampled_from(["g", "r", "gr"]), st.integers(0, 30)),
+    min_size=1, max_size=50, unique=True,
+).map(lambda specs: [
+    gk(**{name: str(i if name == "g" or names == "r" else i % 3) for name in names})
+    for names, i in specs
+])
+# zeros, ones and repeated values, so the report's worst-first order meets ties
+_RATES = st.sampled_from([0.0, 1.0, 0.5, 0.001]) | st.floats(1e-6, 1.0)
+
+
+@st.composite
+def _rate_tables(draw):
+    """A BaseMetrics with drawn fpr/fnr rows, and the alphas and attack settings."""
+    groups = draw(_GROUPS)
+    design_fprs = sorted(draw(st.lists(
+        st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.25]), min_size=1, max_size=3, unique=True,
+    )), reverse=True)
+    rates = st.lists(_RATES, min_size=len(design_fprs), max_size=len(design_fprs))
+    base = rate_metrics(
+        {key: draw(rates) for key in groups}, {key: draw(rates) for key in groups}, design_fprs
+    )
+    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True))
+    return base, alphas, draw(st.floats(0.5, 1000.0)), draw(st.floats(0.01, 0.99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rate_tables())
+def test_meta_measures_and_exposure_match_scalar_references(table):
+    """FDR cells, NRB values and exposure rows, as the report lists them, equal
+    the per-cell and per-group scalar forms bit for bit."""
+    base, alphas, rate, q = table
+    report = report_of(base, alphas, rate, q)
+    payload = report_to_dict(report)
+    labels = {key: key.label() for key in base.groups}
+    # design point i's fpr and fnr rows are rows 2 + 2i and 3 + 2i
+    fpr_rows = dict(zip(base.design_points, base.values[2::2].tolist()))
+    fnr_rows = dict(zip(base.design_points, base.values[3::2].tolist()))
+
+    def gap(row):
+        return max(row) - min(row)
+
+    assert [(c["design_fpr"], c["alpha"], c["max_delta_fpr"], c["max_delta_fnr"], c["fdr"])
+            for c in payload["fdr_grid"]] == [
+        (point.design_fpr, alpha, gap(fpr_rows[point]), gap(fnr_rows[point]),
+         reference_fdr(fpr_rows[point], fnr_rows[point], alpha))
+        for point in sorted(base.design_points, key=lambda p: p.design_fpr)
+        for alpha in sorted(alphas)
+    ]
+    log_ratios = report.measures.g2avg_log_ratio.tolist()
+    assert [float(r["nrb"]) for r in payload["nrb_suite"]] == list(map(reference_nrb, log_ratios))
+    assert [r["zero_value_groups"] for r in payload["nrb_suite"]] == [
+        [labels[key] for key, v in zip(base.groups, row) if math.isinf(v)] for row in log_ratios
+    ]
+    for block, point in zip(payload["attack_scenarios"], base.design_points, strict=True):
+        assert block["design_fpr"] == point.design_fpr
+        expected = reference_exposure(base.groups, fpr_rows[point], rate, q)
+        assert [
+            (r["group"], r["fpr"], float(r["expected_attempts"]), float(r["expected_hours"]),
+             float(r["hours_to_target_probability"]), r["zero_fpr"])
+            for r in block["rows"]
+        ] == [(labels[key], *rest) for key, *rest in expected]
 
 
 # Characters the encoder must escape or keep apart from its own item separator "\x00".
