@@ -74,7 +74,6 @@ from .trials import (
     GroupingPolicy,
     GroupKey,
     Label,
-    Scores,
     SpeakerMetadata,
     SpeakerTable,
     TrialRecord,

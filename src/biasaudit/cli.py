@@ -20,6 +20,7 @@ from typing import Sequence
 
 import click
 
+from . import __version__
 from .attack import (
     AttackScenario,
     attempts_for_probability,
@@ -79,7 +80,7 @@ def _writing(out):
 
 
 @click.group()
-@click.version_option(package_name="biasaudit")
+@click.version_option(version=__version__, prog_name="biasaudit")
 def cli():
     """Audit score-based verification systems for group bias."""
 

@@ -166,7 +166,8 @@ def compute_sweep(
     if not (np.isfinite(tar).all() and np.isfinite(non).all()):
         raise ValueError("scores must be finite")
 
-    taus = np.append(np.unique(np.concatenate([tar, non])), np.inf)
+    # + 0.0 turns a -0.0 into 0.0: np.unique keeps whichever zero sorts first
+    taus = np.append(np.unique(np.concatenate([tar, non])) + 0.0, np.inf)
     misses = np.searchsorted(np.sort(tar), taus, side="left")
     false_accepts = non.size - np.searchsorted(np.sort(non), taus, side="left")
     fpr, fnr = false_accepts / non.size, misses / tar.size
@@ -235,18 +236,17 @@ def base_metrics(
 ) -> BaseMetrics:
     """Every base metric of one audit, from one sweep per population.
 
-    The pooled scores (unassigned included) are swept first and every
+    The pooled scores (every row of the table) are swept first and every
     design threshold is calibrated on that sweep. Each group is then
     swept once and dropped: its EER, minCDet and error counts at every
     design threshold (one ``searchsorted``) are read off its sweep.
     """
     groups = tuple(sorted(grouped.groups))
     for key in groups:
-        scores = grouped.groups[key]
-        if scores.target.size == 0 or scores.nontarget.size == 0:
+        rows = grouped.groups[key]
+        if np.count_nonzero(grouped.trials.is_target[rows]) in (0, len(rows)):
             raise DegenerateGroupError(key)
-    pooled = grouped.pooled()
-    pooled_curve = compute_sweep(pooled.target, pooled.nontarget)
+    pooled_curve = compute_sweep(*grouped.scores())
     designs = sorted(design_fprs, reverse=True)
     design_points = tuple(DesignPoint(d, threshold_for_fpr(pooled_curve, d)) for d in designs)
     thresholds = [p.operating_point.threshold for p in design_points]
@@ -257,7 +257,7 @@ def base_metrics(
     values = np.zeros((len(keys), len(groups) + 1))
     errors = np.zeros_like(values, dtype=np.int64)
     sizes = np.zeros((2, len(groups) + 1), dtype=np.int64)
-    curves = (compute_sweep(grouped.groups[k].target, grouped.groups[k].nontarget) for k in groups)
+    curves = (compute_sweep(*grouped.scores(grouped.groups[k])) for k in groups)
     for j, curve in enumerate(chain(curves, [pooled_curve])):
         at = np.searchsorted(curve.thresholds, thresholds, side="left")
         errors[2::2, j], errors[3::2, j] = curve.false_accepts[at], curve.misses[at]

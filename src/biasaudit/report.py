@@ -30,7 +30,6 @@ from .meta import FdrGrid, fdr_grid, nrb
 from .trials import (
     GroupedTrials,
     GroupKey,
-    Scores,
     assign_groups,
     load_metadata,
     load_trials,
@@ -67,38 +66,53 @@ class BiasReport:
 
 
 def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrials, list[str]]:
-    """Move groups lacking targets or nontargets out of the group map.
+    """Move the rows of groups lacking targets or nontargets out of the group map.
 
     Their trials still count toward every pooled statistic (they join
-    the unassigned bucket), they just get no per-group metrics. Under
-    strict mode a degenerate group is an error instead.
+    the unassigned rows), they just get no per-group metrics. Under
+    strict mode a degenerate group is an error instead. When no group is
+    left, the error counts the unassigned trials and degenerate groups.
     """
     warnings: list[str] = []
-    kept: dict[GroupKey, Scores] = {}
+    kept: dict[GroupKey, np.ndarray] = {}
     displaced = [grouped.unassigned]
-    for key, scores in grouped.groups.items():
-        if scores.target.size and scores.nontarget.size:
-            kept[key] = scores
+    for key, rows in grouped.groups.items():
+        n_target = np.count_nonzero(grouped.trials.is_target[rows])
+        if 0 < n_target < len(rows):
+            kept[key] = rows
             continue
         if strict:
             raise DegenerateGroupError(key)
-        side = "target" if scores.target.size == 0 else "nontarget"
+        side = "target" if n_target == 0 else "nontarget"
         warnings.append(
             f"group {key} has no {side} trials; excluded from per-group metrics "
-            f"({len(scores)} trials kept in pooled statistics)"
+            f"({len(rows)} trials kept in pooled statistics)"
         )
-        displaced.append(scores)
+        displaced.append(rows)
     if not kept:
-        raise DataError("no group has both target and nontarget trials")
-    return GroupedTrials(groups=kept, unassigned=Scores.concatenate(displaced)), warnings
+        n_trials, n_unassigned = len(grouped.trials), len(grouped.unassigned)
+        share = "all" if n_unassigned == n_trials else f"{n_unassigned} of"
+        groups = "group is" if len(displaced) == 2 else "groups are"
+        message = (
+            f"no group has both target and nontarget trials: {share} {n_trials} trials "
+            f"are unassigned and {len(displaced) - 1} {groups} degenerate"
+        )
+        if not grouped.groups:
+            message += (
+                "; check that the scores file's enroll_id and test_id values are speaker_id "
+                "values in the metadata (and, under --policy both-match, that both speakers "
+                "of a trial share the grouping values)"
+            )
+        raise DataError(message)
+    return GroupedTrials(grouped.trials, kept, np.sort(np.concatenate(displaced))), warnings
 
 
 def _empty_value_warnings(grouped: GroupedTrials) -> list[str]:
     """One warning per group whose key holds an empty attribute value."""
     return [
-        f"group {key} has an empty {name} value ({len(scores)} trials); "
+        f"group {key} has an empty {name} value ({len(rows)} trials); "
         "check the metadata for missing values"
-        for key, scores in grouped.groups.items()
+        for key, rows in grouped.groups.items()
         for name, value in zip(key.names, key.values)
         if not value
     ]
@@ -127,7 +141,7 @@ def run_audit(config: AuditConfig) -> BiasReport:
     warnings = _empty_value_warnings(grouped)
     grouped, degenerate = _drop_degenerate(grouped, strict=config.strict)
     warnings += degenerate
-    if grouped.unassigned:
+    if len(grouped.unassigned):
         warnings.append(
             f"{len(grouped.unassigned)} trials are unassigned; they count toward "
             "pooled metrics only"

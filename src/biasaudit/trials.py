@@ -131,40 +131,6 @@ class GroupKey:
 
 
 @dataclass(frozen=True, eq=False)
-class Scores:
-    """Target and nontarget score arrays of one population; ``len`` counts both."""
-
-    target: np.ndarray
-    nontarget: np.ndarray
-
-    def __len__(self) -> int:
-        return self.target.size + self.nontarget.size
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["Scores"]) -> "Scores":
-        return cls(
-            np.concatenate([p.target for p in parts]),
-            np.concatenate([p.nontarget for p in parts]),
-        )
-
-
-@dataclass(frozen=True)
-class GroupedTrials:
-    """Partition of a trial list into group buckets plus an unassigned rest.
-
-    Every input trial lands in exactly one bucket of score arrays. Pooled
-    (overall) statistics always use all trials, unassigned included.
-    """
-
-    groups: dict[GroupKey, Scores]
-    unassigned: Scores
-
-    def pooled(self) -> Scores:
-        """The pooled population: every trial from every bucket."""
-        return Scores.concatenate([*self.groups.values(), self.unassigned])
-
-
-@dataclass(frozen=True, eq=False)
 class TrialTable:
     """Loaded trials as columns in file order; ``len`` counts the trials.
 
@@ -197,6 +163,30 @@ class TrialTable:
             ),
             np.fromiter(map(attrgetter("score"), records), float, len(records)),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class GroupedTrials:
+    """A partition of a trial table's rows into groups plus an unassigned rest.
+
+    Each array holds read-only row numbers into ``trials`` in file
+    order, every row is in exactly one array, and ``groups`` is in sorted
+    key order. Pooled statistics use every row, unassigned included.
+    """
+
+    trials: TrialTable
+    groups: dict[GroupKey, np.ndarray]
+    unassigned: np.ndarray
+
+    def __post_init__(self):
+        for rows in (*self.groups.values(), self.unassigned):
+            rows.flags.writeable = False
+
+    def scores(self, rows: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(target, nontarget) scores of ``rows``, in row order; by default every row."""
+        scores, is_target = self.trials.scores[rows], self.trials.is_target[rows]
+        # compress is 2-4x faster than a boolean index when labels alternate at random
+        return scores.compress(is_target), scores.compress(~is_target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -661,9 +651,9 @@ def assign_groups(
     Under BOTH_MATCH a trial joins group g only if both its speakers
     carry exactly g's attribute tuple; under ENROLLMENT_ONLY the
     enrollment speaker's tuple decides alone. Trials whose deciding
-    speakers are missing from the metadata go to ``unassigned``. Trials
-    are ordered by group code with one stable sort, so each bucket keeps
-    input order, and each bucket is split into its score arrays once.
+    speakers are missing from the metadata go to ``unassigned``. Row
+    numbers are ordered by group code with one stable sort, and each group
+    is a slice of that order, so it lists its rows in file order.
     """
     names = tuple(n.strip().lower() for n in attribute_names)
     if not names or any(not n for n in names) or len(set(names)) != len(names):
@@ -685,15 +675,9 @@ def assign_groups(
     order = np.argsort(group, kind="stable")
     # bounds[c + 1] is where code c starts in sorted order; -1 (unassigned) comes first
     bounds = np.searchsorted(group[order], np.arange(-1, len(codes) + 1)).tolist()
-    scores, is_target = trials.scores[order], trials.is_target[order]
-
-    def bucket(lo: int, hi: int) -> Scores:
-        members, target = scores[lo:hi], is_target[lo:hi]
-        return Scores(members[target], members[~target])
-
     groups = {
-        GroupKey.from_attributes(dict(zip(names, values))): bucket(lo, hi)
+        GroupKey.from_attributes(dict(zip(names, values))): order[lo:hi]
         for values, lo, hi in zip(codes, bounds[1:], bounds[2:])
         if hi > lo
     }
-    return GroupedTrials(groups=dict(sorted(groups.items())), unassigned=bucket(*bounds[:2]))
+    return GroupedTrials(trials, dict(sorted(groups.items())), order[bounds[0]:bounds[1]])

@@ -27,7 +27,6 @@ from biasaudit import (
     MissingHeaderError,
     NonFiniteScoreError,
     OperatingPoint,
-    Scores,
     SpeakerMetadata,
     SpeakerTable,
     SynthSpec,
@@ -55,15 +54,20 @@ def grouped_from_scores(
     groups: dict[GroupKey, tuple[list, list]],
     unassigned: tuple[list, list] = ((), ()),
 ) -> GroupedTrials:
-    """Build a GroupedTrials directly from per-group score lists."""
+    """A GroupedTrials over a table of per-group score lists, each group one range of rows.
 
-    def scores(target, nontarget) -> Scores:
-        return Scores(np.asarray(target, dtype=float), np.asarray(nontarget, dtype=float))
-
-    return GroupedTrials(
-        groups={key: scores(*pair) for key, pair in sorted(groups.items())},
-        unassigned=scores(*unassigned),
-    )
+    The table holds each group's targets then its nontargets, groups in
+    sorted key order, and the unassigned trials last.
+    """
+    keys = sorted(groups)
+    populations = [groups[key] for key in keys] + [unassigned]
+    is_target = [t for tar, non in populations for t in [True] * len(tar) + [False] * len(non)]
+    scores = [float(v) for tar, non in populations for v in (*tar, *non)]
+    ids = [""] * len(scores)
+    table = TrialTable(ids, ids, np.array(is_target, dtype=bool), np.array(scores, dtype=float))
+    bounds = np.cumsum([0] + [len(tar) + len(non) for tar, non in populations]).tolist()
+    rows = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return GroupedTrials(table, dict(zip(keys, rows)), rows[-1])
 
 
 def one_metric(
@@ -133,19 +137,20 @@ def report_of(
     alphas: Sequence[float] = (0.0, 0.5, 1.0),
     attempts_per_hour: float = 60.0,
     target_probability: float = 0.5,
+    zero_policy: str = "infinity",
 ) -> BiasReport:
-    """The BiasReport that run_audit builds from ``base`` under zero-policy 'infinity'."""
+    """The BiasReport that run_audit builds from ``base`` (by default zero-policy 'infinity')."""
     config = AuditConfig(
         scores_path="scores.csv",
         metadata_path="metadata.csv",
         group_attributes=("g",),
         design_fprs=tuple(p.design_fpr for p in base.design_points),
         alphas=tuple(alphas),
-        zero_policy="infinity",
+        zero_policy=zero_policy,
         attempts_per_hour=attempts_per_hour,
         target_probability=target_probability,
     )
-    measures = bias_measures(base, zero_policy="infinity")
+    measures = bias_measures(base, zero_policy=zero_policy)
     return BiasReport(
         config=config,
         warnings=[],

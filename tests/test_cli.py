@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from biasaudit.cli import audit, main
 from biasaudit.config import PARSERS
 from biasaudit import (
     AuditConfig,
+    __version__,
     ConfigError,
     GroupScoreModel,
     SynthSpec,
@@ -319,6 +321,72 @@ def test_python_m_biasaudit_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert "fpr=0.01" in result.stdout
+
+
+def test_version_runs_from_a_source_checkout(capsys):
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"biasaudit, version {version}\n"
+    assert version == __version__
+
+
+def _write_audit_inputs(folder, score_rows, metadata_text):
+    folder.mkdir(exist_ok=True)
+    (folder / "scores.csv").write_text(
+        "enroll_id,test_id,label,score\n" + "".join(f"{row}\n" for row in score_rows),
+        encoding="utf-8",
+    )
+    (folder / "metadata.csv").write_text(metadata_text, encoding="utf-8")
+
+
+def _audit_in(folder, *flags):
+    """Exit code of an audit of the inputs in ``folder``, written to ``folder/out``."""
+    return main([
+        "audit", "--scores", str(folder / "scores.csv"),
+        "--metadata", str(folder / "metadata.csv"), "--out", str(folder / "out"), *flags,
+    ])
+
+
+def test_swapping_rows_with_signed_zeros_moves_no_byte(tmp_path, monkeypatch):
+    rows = [
+        "a,b,target,1", "a,b,target,-0.5", "a,b,nontarget,-0", "a,b,nontarget,0",
+        "c,d,target,2", "c,d,target,3", "c,d,nontarget,-0.25", "c,d,nontarget,-2",
+    ]
+    swapped = rows[:2] + [rows[3], rows[2]] + rows[4:]
+    outputs = []
+    for name, score_rows in (("file", rows), ("swapped", swapped)):
+        _write_audit_inputs(tmp_path / name, score_rows, "speaker_id,g\na,x\nb,x\nc,y\nd,y\n")
+        monkeypatch.chdir(tmp_path / name)  # report.json echoes the paths: keep them equal
+        assert _audit_in(Path("."), "--groups", "g", "--design-fprs", "0.5",
+                         "--zero-policy", "infinity") == 0
+        outputs.append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+    assert outputs[0] == outputs[1]
+    assert b'"threshold": 0.0' in outputs[0]["report.json"]
+    assert b"-0.0" not in outputs[0]["report.json"]
+
+
+def test_audit_with_no_trial_in_the_metadata_says_why(tmp_path, capsys):
+    _write_audit_inputs(tmp_path, ["a,b,target,1", "a,b,nontarget,0"], "speaker_id,g\nx,1\n")
+    assert _audit_in(tmp_path, "--groups", "g") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: no group has both target and nontarget trials: "
+        "all 2 trials are unassigned and 0 groups are degenerate; check that the scores "
+        "file's enroll_id and test_id values are speaker_id values in the metadata"
+    )
+    assert "both-match" in err
+
+
+def test_audit_with_only_degenerate_groups_says_why(tmp_path, capsys):
+    # group x has only targets and group y only nontargets; e and f have no metadata
+    rows = ["a,b,target,1", "c,d,nontarget,0", "e,f,target,0.5"]
+    _write_audit_inputs(tmp_path, rows, "speaker_id,g\na,x\nb,x\nc,y\nd,y\n")
+    assert _audit_in(tmp_path, "--groups", "g") == 2
+    assert capsys.readouterr().err == (
+        "error: no group has both target and nontarget trials: "
+        "1 of 3 trials are unassigned and 2 groups are degenerate\n"
+    )
 
 
 def test_strict_degenerate_exits_three(tmp_path):

@@ -14,7 +14,6 @@ from biasaudit import (
     DegenerateGroupError,
     EmptyPopulationError,
     MetricKey,
-    Scores,
     base_metrics,
     compute_sweep,
     eer,
@@ -255,8 +254,10 @@ def test_disaggregate_two_gaussian_groups():
 
 
 def test_disaggregate_degenerate_group_raises():
-    grouped = grouped_from_scores({gk(g="a"): ([1.0], [0.0])})
-    grouped.groups[gk(g="b")] = Scores(np.array([1.0]), np.array([]))  # targets only
+    grouped = grouped_from_scores({
+        gk(g="a"): ([1.0], [0.0]),
+        gk(g="b"): ([1.0], []),  # targets only
+    })
     with pytest.raises(DegenerateGroupError):
         base_metrics(grouped, ())
 
@@ -272,7 +273,7 @@ def test_disaggregate_min_cdet_uses_params():
 
 def counts_at(populations, threshold):
     """False accepts and misses of each population at one threshold, read off its sweep."""
-    curves = [compute_sweep(p.target, p.nontarget) for p in populations]
+    curves = [compute_sweep(*p) for p in populations]
     at = [np.searchsorted(c.thresholds, threshold, side="left") for c in curves]
     return (np.array([c.false_accepts[i] for c, i in zip(curves, at)]),
             np.array([c.misses[i] for c, i in zip(curves, at)]))
@@ -283,9 +284,9 @@ def test_disaggregate_at_threshold_boundaries():
         gk(g="a"): ([1.0, 2.0], [0.0, 0.5]),
         gk(g="b"): ([1.5], [0.25]),
     })
-    populations = [*grouped.groups.values(), grouped.pooled()]
-    n_target = np.array([p.target.size for p in populations])
-    n_nontarget = np.array([p.nontarget.size for p in populations])
+    populations = [*map(grouped.scores, grouped.groups.values()), grouped.scores()]
+    n_target = np.array([tar.size for tar, _ in populations])
+    n_nontarget = np.array([non.size for _, non in populations])
     false_accepts, misses = counts_at(populations, -10.0)
     assert all(v == 1.0 for v in (false_accepts / n_nontarget).tolist())
     assert all(v == 0.0 for v in (misses / n_target).tolist())
@@ -306,7 +307,7 @@ def test_disaggregate_at_threshold_pooled_equals_group_when_identical():
 
 def test_disaggregate_at_threshold_records_counts():
     grouped = grouped_from_scores({gk(g="a"): ([1.0, 2.0], [0.0, 0.5, 1.5])})
-    populations = [*grouped.groups.values(), grouped.pooled()]
+    populations = [*map(grouped.scores, grouped.groups.values()), grouped.scores()]
     assert counts_at(populations, 1.0)[0].tolist() == [1, 1]
     assert counts_at(populations, 1.5)[1].tolist() == [1, 1]
     # the pooled threshold for FPR 0.4 is 1.0: one of three nontargets

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,7 +21,11 @@ from biasaudit import (
     DegenerateGroupError,
     GroupingPolicy,
     GroupScoreModel,
+    SpeakerTable,
     SynthSpec,
+    TrialTable,
+    assign_groups,
+    base_metrics,
     emit,
     generate,
     load_trials,
@@ -176,6 +181,35 @@ def test_degenerate_group_warns_and_is_pooled_only(tmp_path):
     assert [k.label() for k in report.base.groups] == ["cohort=good"]
     # the two displaced trials still count toward the pooled population
     assert report.base.sizes[0, -1] == 1500 + 2
+
+
+# few distinct values, zeros of both signs among them, so zeros tie within and across groups
+signed_scores = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0])
+trial_rows = st.lists(st.tuples(st.integers(0, 3), st.booleans(), signed_scores), max_size=30)
+
+
+@given(trial_rows, st.randoms(use_true_random=False))
+@example([(0, True, 0.0), (1, True, -0.0)], random.Random(0))
+def test_row_order_moves_no_byte_of_the_report(rows, rng):
+    """Reversing or shuffling the trial table's rows leaves the report's bytes unchanged.
+
+    Speakers s0-s2 form groups a-c; s3 has no metadata, so its trials are
+    unassigned. Each group first gets a target and a nontarget at -1.0 and
+    at 1.0, so none is degenerate and no EER is zero.
+    """
+    speakers = SpeakerTable(["s0", "s1", "s2"], {"g": ["a", "b", "c"]})
+    rows = [(g, t, s) for g in range(3) for t in (True, False) for s in (-1.0, 1.0)] + rows
+    dumped = set()
+    for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
+        ids = [f"s{g}" for g, _, _ in order]
+        table = TrialTable(
+            ids, ids,
+            np.array([t for _, t, _ in order], dtype=bool),
+            np.array([score for *_, score in order], dtype=float),
+        )
+        base = base_metrics(assign_groups(table, speakers, ["g"]), (0.5, 0.1))
+        dumped.add(_dumps(report_to_dict(report_of(base, zero_policy="smooth"))))
+    assert len(dumped) == 1
 
 
 def test_degenerate_group_raises_under_strict(tmp_path):
@@ -430,7 +464,7 @@ def test_emitted_files_match_golden_digests(tmp_path, monkeypatch, zero_policy):
 
 
 def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):
-    """The buckets hold every loaded trial once; one sweep per group plus the pooled."""
+    """The row arrays hold every loaded trial once; one sweep per group plus the pooled."""
     calls: Counter[str] = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("biasaudit.")]
     for home, name in (("trials", "assign_groups"), ("detection", "compute_sweep")):
@@ -440,8 +474,8 @@ def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch)
             calls[_name] += 1
             result = _original(*args, **kwargs)
             if _name == "assign_groups":
-                buckets = [*result.groups.values(), result.unassigned]
-                calls["trials_bucketed"] += sum(len(scores) for scores in buckets)
+                arrays = [*result.groups.values(), result.unassigned]
+                calls["trials_bucketed"] += sum(len(rows) for rows in arrays)
             return result
 
         for module in modules:

@@ -481,9 +481,14 @@ THREE_TRIALS = trial_table([
 
 
 def assert_scores(actual, target, nontarget):
-    """Exact arrays, in input order."""
-    assert_array_equal(actual.target, np.asarray(target, dtype=float), strict=True)
-    assert_array_equal(actual.nontarget, np.asarray(nontarget, dtype=float), strict=True)
+    """Exact (target, nontarget) arrays, in input order."""
+    assert_array_equal(actual[0], np.asarray(target, dtype=float), strict=True)
+    assert_array_equal(actual[1], np.asarray(nontarget, dtype=float), strict=True)
+
+
+def assert_rows(grouped, rows, target, nontarget):
+    """The scores of a group's or the unassigned rows are exactly these, in input order."""
+    assert_scores(grouped.scores(rows), target, nontarget)
 
 
 def test_assign_groups_both_match():
@@ -492,9 +497,9 @@ def test_assign_groups_both_match():
     # trial 3 matches (female, US)
     female, male = gk(gender="female", nationality="US"), gk(gender="male", nationality="US")
     assert list(grouped.groups) == [female, male]
-    assert_scores(grouped.groups[female], [0.2], [])
-    assert_scores(grouped.groups[male], [1.0], [])
-    assert_scores(grouped.unassigned, [], [0.5])
+    assert_rows(grouped, grouped.groups[female], [0.2], [])
+    assert_rows(grouped, grouped.groups[male], [1.0], [])
+    assert_rows(grouped, grouped.unassigned, [], [0.5])
 
 
 def test_assign_groups_enrollment_only():
@@ -505,9 +510,9 @@ def test_assign_groups_enrollment_only():
     # hand-enumerated: the mismatched trial now follows its enrollment speaker
     female, male = gk(gender="female", nationality="US"), gk(gender="male", nationality="US")
     assert list(grouped.groups) == [female, male]
-    assert_scores(grouped.groups[female], [0.2], [])
-    assert_scores(grouped.groups[male], [1.0], [0.5])
-    assert_scores(grouped.unassigned, [], [])
+    assert_rows(grouped, grouped.groups[female], [0.2], [])
+    assert_rows(grouped, grouped.groups[male], [1.0], [0.5])
+    assert_rows(grouped, grouped.unassigned, [], [])
 
 
 def test_assign_groups_missing_speaker_goes_unassigned():
@@ -515,21 +520,27 @@ def test_assign_groups_missing_speaker_goes_unassigned():
                           TrialRecord("ghost", "id1", Label.TARGET, 2.0)])
     grouped = assign_groups(trials, METADATA, ["gender"])
     assert grouped.groups == {}
-    assert_scores(grouped.unassigned, [1.0, 2.0], [])
+    assert_rows(grouped, grouped.unassigned, [1.0, 2.0], [])
     # enrollment-only still needs the enrollment speaker
     grouped = assign_groups(trials, METADATA, ["gender"], GroupingPolicy.ENROLLMENT_ONLY)
     assert list(grouped.groups) == [gk(gender="male")]
-    assert_scores(grouped.unassigned, [2.0], [])
+    assert_rows(grouped, grouped.unassigned, [2.0], [])
 
 
-def test_pooled_concatenates_every_bucket():
+def test_pooled_scores_are_the_whole_table():
     grouped = grouped_from_scores(
         {gk(g="b"): ([3.0], [4.0, 5.0]), gk(g="a"): ([1.0], [2.0])},
         unassigned=([6.0], []),
     )
-    assert [len(s) for s in grouped.groups.values()] == [2, 3]
+    assert [len(rows) for rows in grouped.groups.values()] == [2, 3]
     assert len(grouped.unassigned) == 1
-    assert_scores(grouped.pooled(), [1.0, 3.0, 6.0], [2.0, 4.0, 5.0])
+    assert_scores(grouped.scores(), [1.0, 3.0, 6.0], [2.0, 4.0, 5.0])
+    # file order, not group order: the female trial is the table's last row
+    grouped = assign_groups(THREE_TRIALS, METADATA, ["gender"])
+    table = grouped.trials
+    assert table is THREE_TRIALS
+    assert_scores(grouped.scores(), table.scores[table.is_target], table.scores[~table.is_target])
+    assert_scores(grouped.scores(), [1.0, 0.2], [0.5])
 
 
 def test_assign_groups_unknown_attribute():
@@ -590,9 +601,11 @@ def test_policy_refinement(raw_trials, metadata):
     loose = assign_groups(trials, speakers, ["g"], GroupingPolicy.ENROLLMENT_ONLY)
     for key, members in strict.groups.items():
         wider = loose.groups[key]
-        for label, side in ((Label.TARGET, "target"), (Label.NONTARGET, "nontarget")):
-            inner = Counter((label, s) for s in getattr(members, side).tolist())
-            outer = Counter((label, s) for s in getattr(wider, side).tolist())
+        for label, inner_scores, outer_scores in zip(
+            (Label.TARGET, Label.NONTARGET), strict.scores(members), loose.scores(wider)
+        ):
+            inner = Counter((label, s) for s in inner_scores.tolist())
+            outer = Counter((label, s) for s in outer_scores.tolist())
             assert not inner - outer
 
 
@@ -610,8 +623,9 @@ def test_assign_groups_matches_record_level_partition(raw_trials, metadata, poli
     """Differential check against a record-level reference partition.
 
     Each speaker's value tuple is looked up per policy, the member
-    records of each bucket are collected in input order, and each bucket
-    must equal ``split_scores`` of its members element for element.
+    records of each group are collected in input order, and each group's
+    scores must equal ``split_scores`` of its members element for element.
+    The row arrays are ascending and disjoint and cover every row.
     """
     trials = [TrialRecord(*t) for t in raw_trials]
     speakers = {m.speaker_id: m.attributes for m in metadata}
@@ -627,8 +641,11 @@ def test_assign_groups_matches_record_level_partition(raw_trials, metadata, poli
     grouped = assign_groups(trial_table(trials), speaker_table(metadata), ["B", "a"], policy)
     assert list(grouped.groups) == sorted(members)
     for key, records in members.items():
-        assert_scores(grouped.groups[key], *split_scores(records))
-    assert_scores(grouped.unassigned, *split_scores(unassigned))
+        assert_rows(grouped, grouped.groups[key], *split_scores(records))
+    assert_rows(grouped, grouped.unassigned, *split_scores(unassigned))
+    arrays = [*grouped.groups.values(), grouped.unassigned]
+    assert all((np.diff(rows) > 0).all() and not rows.flags.writeable for rows in arrays)
+    assert_array_equal(np.sort(np.concatenate(arrays)), np.arange(len(trials)))
 
 
 @given(trial_lists, metadata_strategy, st.sampled_from(list(GroupingPolicy)))
@@ -647,9 +664,9 @@ def test_round_trip_preserves_partition(raw_trials, metadata, policy):
     regrouped = assign_groups(reloaded_trials, reloaded_meta, ["g"], policy)
 
     assert list(regrouped.groups) == list(grouped.groups)
-    for key, group_scores in grouped.groups.items():
-        assert_scores(regrouped.groups[key], group_scores.target, group_scores.nontarget)
-    assert_scores(regrouped.unassigned, grouped.unassigned.target, grouped.unassigned.nontarget)
+    for key, rows in grouped.groups.items():
+        assert_rows(regrouped, regrouped.groups[key], *grouped.scores(rows))
+    assert_rows(regrouped, regrouped.unassigned, *grouped.scores(grouped.unassigned))
 
 
 def written(write, value) -> str | tuple:
