@@ -5,9 +5,10 @@ header ``enroll_id,test_id,label,score``; speaker metadata as a UTF-8
 CSV whose header starts with ``speaker_id`` followed by one column per
 attribute. Attribute names are lowercased at load time, values are kept
 verbatim. The loaders return column tables (``TrialTable``,
-``SpeakerTable``) and read the CSV in chunks: plain text (no quote, CR
-or NUL) in blocks of ``BLOCK_CHARS`` characters split with ``str``
-methods, the rest in runs of ``CHUNK_ROWS`` rows read by ``csv.reader``.
+``SpeakerTable``) and read a file in blocks of ``BLOCK_BYTES`` bytes cut
+after their last LF. A plain block (no quote, NUL or CR once each CRLF
+is made an LF) is split with ``str`` methods; from the first that is not
+plain, ``csv.reader`` reads runs of ``CHUNK_ROWS`` rows.
 Each chunk is checked column by column, and only a chunk that fails a
 check is walked row by row to report its first bad row. Loading is
 single-threaded and all loaded structures are treated as immutable
@@ -16,6 +17,7 @@ afterward.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import io
@@ -44,7 +46,7 @@ from .errors import (
 TRIAL_HEADER = ("enroll_id", "test_id", "label", "score")
 METADATA_ID_COLUMN = "speaker_id"
 CHUNK_ROWS = 4096  # rows held at once while a chunk is split into columns
-BLOCK_CHARS = 65536  # characters read at once while plain text is split into rows
+BLOCK_BYTES = 65536  # bytes read at once from a path, bytes or binary stream
 
 Source = Union[str, Path, bytes, IO]
 
@@ -236,54 +238,81 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-# Characters that may make csv.reader read a line otherwise than str.split(","):
-# a quote, a CR (a line end of its own) and a NUL (rejected on Python 3.10).
-# The tests check every other code point.
+# Characters that may make csv.reader read a line otherwise than str.split(","),
+# once each CRLF is made an LF: a quote, a CR (a line end of its own) and a NUL
+# (rejected on Python 3.10). The tests check every other code point.
 _NOT_PLAIN = '"\r\x00'
 
 _Chunk = tuple[int, Union[list[Sequence[str]], None], Iterable[list[str]]]
 
 
-class _CsvReader:
-    """A ``csv.reader`` over a text stream whose rest can also be read in chunks.
+def _text_blocks(stream: IO[bytes]) -> Iterator[str]:
+    """The UTF-8 text of a binary stream in blocks of whole lines, a byte-order mark skipped.
 
-    ``next`` reads one row through ``csv.reader``, and ``chunks`` reads
-    every row after that. ``line_num`` counts the physical lines read so
-    far, as ``csv.reader.line_num`` does. ``split`` says whether the
-    stream splits lines as ``newline=""`` does, so that plain text may be
-    split without ``csv.reader``.
+    Bytes are read BLOCK_BYTES at a time, each block cut after its last LF
+    (never part of a longer UTF-8 sequence). If a block does not decode,
+    the lines ahead of its first bad byte are yielded before the
+    UnicodeDecodeError, as a line-by-line reader would read them.
+    """
+    pieces: list[bytes] = []  # a line that no LF has ended yet, as read
+    skip = codecs.BOM_UTF8  # stripped from the first block only
+    while True:
+        data = stream.read(BLOCK_BYTES)
+        cut = data.rfind(b"\n") + 1
+        if data and not cut:
+            pieces.append(data)  # joined once, when the line ends
+            continue
+        pieces.append(data[:cut])
+        block = b"".join(pieces).removeprefix(skip)
+        pieces, skip = [data[cut:]], b""
+        try:
+            yield block.decode()
+        except UnicodeDecodeError as exc:
+            yield block[:block.rfind(b"\n", 0, exc.start) + 1].decode()
+            raise
+        if not data:
+            return
+
+
+class _CsvReader:
+    """The rows of text blocks of whole lines, or of a text ``stream`` read by ``csv.reader``.
+
+    ``header`` reads the first row and ``chunks`` the rest; ``line_num`` counts the
+    physical lines read so far, as ``csv.reader.line_num`` does.
     """
 
-    def __init__(self, stream: IO[str], split: bool):
-        self._stream = stream
-        self._split = split
-        self._reader = csv.reader(stream)
+    def __init__(self, blocks: Iterator[str], stream: Union[IO[str], None] = None):
+        self._blocks = blocks
+        self._block = io.StringIO()  # the block csv.reader reads lines from
+        self._reader = csv.reader(self._lines() if stream is None else stream)
         self._lines_before = 0  # physical lines read other than by self._reader
 
     @property
     def line_num(self) -> int:
         return self._lines_before + self._reader.line_num
 
-    def __iter__(self) -> "_CsvReader":
-        return self
+    def _lines(self) -> Iterator[str]:
+        """The lines of each block, split as ``newline=""`` splits them."""
+        while (block := next(self._blocks, None)) is not None:
+            self._block = io.StringIO(block, newline="")
+            yield from self._block
 
-    def __next__(self) -> list[str]:
-        return next(self._reader)
+    def header(self) -> Union[list[str], None]:
+        """The first row, or None if the text holds none."""
+        return next(self._reader, None)
 
     def chunks(self, width: int) -> Iterator[_Chunk]:
-        """(first record number, columns, rows) of each run of the rows not read yet.
+        """(first record number, columns, rows) of each run of the rows after the header.
 
         Records count from 2 and include blank rows. ``columns`` are those
         of the run's non-blank rows, or None if one of them is not
         ``width`` fields wide; ``rows`` gives the run's rows, for a walk
-        row by row. Plain text is split directly (see ``_split_chunks``);
-        from the first block that is not plain, and throughout when
-        ``split`` is false, ``csv.reader`` reads CHUNK_ROWS rows at a
-        time. When it raises, the rows it read before are yielded first,
-        so a bad row among them is reported ahead of the parse error, as
-        it would be by a loop checking each row as it is read.
+        row by row. Plain blocks are split directly (see ``_split_chunks``),
+        the rest read by ``csv.reader`` CHUNK_ROWS rows at a time. When
+        reading raises, the rows read before are yielded first, so a bad
+        row among them is reported first, as a row-by-row check would.
         """
-        first = (yield from self._split_chunks(width)) if self._split else 2
+        first = yield from self._split_chunks(width)
         while True:
             rows: list[list[str]] = []
             try:
@@ -299,37 +328,29 @@ class _CsvReader:
     def _split_chunks(self, width: int) -> Iterator[_Chunk]:
         """Chunks of plain blocks; returns the next record number for ``csv.reader`` to read.
 
-        The text is read BLOCK_CHARS at a time, each block cut at its last
-        LF. A block with no character of ``_NOT_PLAIN`` and no line longer
-        than ``csv.field_size_limit()`` holds one row per line, which
-        ``str.split(",")`` splits as ``csv.reader`` would. At the first
-        block that is not plain, ``csv.reader`` takes over, fed the rest of
-        the text from that block on with its line endings intact.
+        The blocks start with the rest of the header's block. A block with no
+        character of ``_NOT_PLAIN`` once each CRLF is made an LF, and no line
+        longer than ``csv.field_size_limit()``, is one row per line, split by
+        ``str.split(",")`` as ``csv.reader`` would. From the first block
+        that is not plain, ``csv.reader`` reads on, line endings intact.
         """
         first = 2
         limit = csv.field_size_limit()
-        carry = ""  # the start of a line that the last block cut
-        while True:
-            data = self._stream.read(BLOCK_CHARS)
-            text = carry + data
-            cut = text.rfind("\n") + 1 if data else len(text)
-            lines, carry = text[:cut].split("\n"), text[cut:]
+        for text in chain([self._block.read()], self._blocks):
+            plain = text.replace("\r\n", "\n") if "\r" in text else text
+            lines = plain.split("\n")
             if not lines[-1]:
                 lines.pop()
-            if any(map(text.__contains__, _NOT_PLAIN)) or (
-                len(text) > limit and max(map(len, [carry, *lines])) > limit
+            if any(map(plain.__contains__, _NOT_PLAIN)) or (
+                len(plain) > limit and max(map(len, lines)) > limit
             ):
+                self._blocks = chain([text], self._blocks)
                 break
             if lines:
                 rows = (line.split(",") if line else [] for line in lines)
                 yield first, _split_fields(lines, width), rows
                 first += len(lines)
                 self._lines_before += len(lines)
-            if not data:
-                return first  # at the end of the text, where csv.reader reads nothing
-        self._lines_before = self.line_num
-        rest = io.StringIO(text + self._stream.readline(), newline="")
-        self._reader = csv.reader(chain(rest, self._stream))
         return first
 
 
@@ -337,32 +358,26 @@ class _CsvReader:
 def _csv_rows(source: Source) -> Iterator[_CsvReader]:
     """A ``_CsvReader`` of a path, bytes, or file-like source.
 
-    Bytes are decoded as UTF-8 with a leading byte-order mark skipped; a
-    byte that is not UTF-8, or a row the csv module cannot parse, raises
-    DataError. A path, bytes or binary stream is read with
-    ``newline=""``, so quoted line breaks stay verbatim; a caller's text
-    stream splits lines by its own newline setting, so ``csv.reader``
-    reads all of it. A caller's stream is left open. The garbage
-    collector is paused while the rows are read (see ``_gc_paused``).
+    A path, bytes or binary stream is read by ``_text_blocks``; a caller's
+    text stream splits lines by its own newline setting, so ``csv.reader``
+    reads all of it. A byte that is not UTF-8, or a row the csv module
+    cannot parse, raises DataError. A caller's stream is left open. The
+    garbage collector is paused while the rows are read (``_gc_paused``).
     """
     reader = None
     try:
         with ExitStack() as stack:
             stack.enter_context(_gc_paused())
             if isinstance(source, (str, Path)):
-                stream = stack.enter_context(
-                    open(source, "r", encoding="utf-8-sig", newline="")
-                )
+                reader = _CsvReader(_text_blocks(stack.enter_context(open(source, "rb"))))
             elif isinstance(source, bytes):
-                stream = io.StringIO(source.decode("utf-8-sig"), newline="")
+                reader = _CsvReader(_text_blocks(io.BytesIO(source)))
             elif isinstance(source, io.TextIOBase):
-                stream = source
+                reader = _CsvReader(iter(()), source)
             elif hasattr(source, "read"):  # binary file-like
-                stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-                stack.callback(stream.detach)  # closing the wrapper would close the source
+                reader = _CsvReader(_text_blocks(source))
             else:
                 raise TypeError(f"unsupported source type: {type(source)!r}")
-            reader = _CsvReader(stream, split=stream is not source)
             yield reader
     except UnicodeDecodeError as exc:
         raise DataError(
@@ -418,10 +433,9 @@ def load_metadata(source: Source) -> SpeakerTable:
     verbatim. Duplicate speaker ids are an error.
     """
     with _csv_rows(source) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError("metadata file is empty") from None
+        header = reader.header()
+        if header is None:
+            raise EmptyFileError("metadata file is empty")
         if not header or header[0].strip().lower() != METADATA_ID_COLUMN:
             raise MissingHeaderError(
                 f"metadata header must start with {METADATA_ID_COLUMN!r}, "
@@ -502,10 +516,9 @@ def load_trials(source: Source) -> TrialTable:
     are case-insensitive; scores must parse as finite reals.
     """
     with _csv_rows(source) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeaderError("scores file is empty") from None
+        header = reader.header()
+        if header is None:
+            raise MissingHeaderError("scores file is empty")
         if [c.strip().lower() for c in header] != list(TRIAL_HEADER):
             raise MissingHeaderError(
                 f"scores header must be {','.join(TRIAL_HEADER)!r}, got {header!r}"

@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
-from biasaudit.trials import _LABELS, METADATA_ID_COLUMN, TRIAL_HEADER, Source, _csv_rows
+from biasaudit.trials import _LABELS, METADATA_ID_COLUMN, TRIAL_HEADER, Source
 
 
 def gk(**attributes: str) -> GroupKey:
@@ -255,9 +256,42 @@ def speaker_records(table: SpeakerTable) -> list[SpeakerMetadata]:
     ]
 
 
+@contextmanager
+def reference_csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
+    """``csv.reader`` over a source decoded line by line; a test reference for the loaders.
+
+    A path, bytes or binary stream is split at each LF and every line is
+    decoded alone, the first as ``utf-8-sig``, then split as
+    ``newline=""`` splits it. A caller's text stream goes to ``csv.reader``
+    as it is. A byte that is not UTF-8, or a row the csv module cannot
+    parse, raises the loaders' DataError.
+    """
+    with ExitStack() as stack:
+        if isinstance(source, (str, Path)):
+            source = stack.enter_context(open(source, "rb"))
+        elif isinstance(source, bytes):
+            source = io.BytesIO(source)
+        if not isinstance(source, io.TextIOBase):
+            source = (
+                text
+                for k, line in enumerate(source)
+                for text in io.StringIO(line.decode("utf-8" if k else "utf-8-sig"), newline="")
+            )
+        reader = csv.reader(source)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"not UTF-8 text: cannot decode byte {exc.object[exc.start]:#04x}; "
+                "save the file as UTF-8"
+            ) from exc
+        except csv.Error as exc:
+            raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from exc
+
+
 def reference_load_metadata(source: Source) -> list[SpeakerMetadata]:
     """The record-level metadata loader that checks each row as it is read; a test reference."""
-    with _csv_rows(source) as reader:
+    with reference_csv_rows(source) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -294,7 +328,7 @@ def reference_load_metadata(source: Source) -> list[SpeakerMetadata]:
 
 def reference_load_trials(source: Source) -> list[TrialRecord]:
     """The record-level trial loader that checks each row as it is read; a test reference."""
-    with _csv_rows(source) as reader:
+    with reference_csv_rows(source) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -37,7 +37,7 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
-from biasaudit.trials import _MAY_QUOTE, _NOT_PLAIN, BLOCK_CHARS, _Echo, write_csv
+from biasaudit.trials import _MAY_QUOTE, _NOT_PLAIN, BLOCK_BYTES, _Echo, write_csv
 from helpers import (
     gk,
     grouped_from_scores,
@@ -195,7 +195,8 @@ LONGER_FUZZ_SEEDS = {
     load_metadata: b'speaker_id,gender,nationality\na,f,US\nb,m,"I,N"\nc,f,DE\n\nd,m,US\ne,f,FR\n',
 }
 FUZZ_SPLICES = [
-    b",", b'"', b"\n", b"\r", b"\x00", b"\x1c", b"\xef\xbb\xbf", b"\xe9", b"nan", b"TARGET",
+    b",", b'"', b"\n", b"\r", b"\r\n", b"\x00", b"\x1c", b"\xef\xbb\xbf", b"\xe9", b"\xc2",
+    b"nan", b"TARGET",
 ]
 
 
@@ -239,41 +240,36 @@ def assert_loads_like_reference(loader, raw: bytes):
     assert not any(stream.closed for stream in streams)
 
 
-# each loader with the module's block size, and in blocks of 5 characters, which cut most rows
+# each loader with the module's block size, and in blocks of 5 bytes, which cut most rows
 FUZZ_LOADERS = [
-    pytest.param(loader, block_chars, id=name + suffix)
-    for block_chars, suffix in ((BLOCK_CHARS, ""), (5, "-5-char-blocks"))
+    pytest.param(loader, block_bytes, id=name + suffix)
+    for block_bytes, suffix in ((BLOCK_BYTES, ""), (5, "-5-byte-blocks"))
     for loader, name in ((load_trials, "scores"), (load_metadata, "metadata"))
 ]
 
 
-@pytest.mark.parametrize("loader, block_chars", FUZZ_LOADERS)
+@pytest.mark.parametrize("loader, block_bytes", FUZZ_LOADERS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_loaders_load_or_raise_data_error(loader, block_chars, data):
+def test_loaders_load_or_raise_data_error(loader, block_bytes, data):
     """Differential: the chunked loaders agree with the row-by-row references."""
     raw = data.draw(st.binary(max_size=64) | mutated(FUZZ_SEEDS[loader]))
-    with patch("biasaudit.trials.BLOCK_CHARS", block_chars):
+    with patch("biasaudit.trials.BLOCK_BYTES", block_bytes):
         assert_loads_like_reference(loader, raw)
 
 
-@pytest.mark.parametrize("loader, block_chars", FUZZ_LOADERS)
+@pytest.mark.parametrize("loader, block_bytes", FUZZ_LOADERS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_loaders_match_reference_in_two_row_chunks(loader, block_chars, data):
+def test_loaders_match_reference_in_two_row_chunks(loader, block_bytes, data):
     raw = data.draw(mutated(LONGER_FUZZ_SEEDS[loader]))
     with patch("biasaudit.trials.CHUNK_ROWS", 2), \
-            patch("biasaudit.trials.BLOCK_CHARS", block_chars):
+            patch("biasaudit.trials.BLOCK_BYTES", block_bytes):
         assert_loads_like_reference(loader, raw)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a binary stream's block is decoded whole, so a UTF-8 sequence cut off by the end of "
-    "the file is reported before a bad row ahead of it; reading line by line, the "
-    "reference reports the row"
-))
 def test_loaders_report_a_bad_row_before_a_utf8_sequence_cut_off_at_the_end():
-    """A falsifying example of the two-row-chunk fuzz test, pinned."""
+    """The rows ahead of a UTF-8 sequence cut off by the end of the file are checked first."""
     assert_loads_like_reference(
         load_trials,
         b"enroll_id,test_id,label,score\n,a,b,target,0.5\nc,d,NonTarget,-1e3\n"
@@ -284,10 +280,12 @@ def test_loaders_report_a_bad_row_before_a_utf8_sequence_cut_off_at_the_end():
 LIMIT = csv.field_size_limit()
 OVERSIZE_FIELD = b"x" * (LIMIT + 1)
 SCORE_HEADER = b"enroll_id,test_id,label,score\n"
-# each row longer than a 12-character block
+# each row longer than a 12-byte block
 SCORE_ROWS = [b"e%02d,t%02d,target,%d\n" % (k, k, k) for k in range(12)]
+CRLF_SCORE_HEADER = SCORE_HEADER[:-1] + b"\r\n"
+CRLF_SCORE_ROWS = [row[:-1] + b"\r\n" for row in SCORE_ROWS]
 QUOTED_SCORE_ROW = b'"e\nx",t,nontarget,1\n'  # one record on two physical lines
-# loader, input, and the error message (or row count) it must give in 12-character blocks
+# loader, input, and the error message (or row count) it must give in 12-byte blocks
 # and three-row chunks; the rows of a plain block are split without csv.reader
 SMALL_CHUNK_CASES = {
     "scores-bad-label": (
@@ -351,10 +349,28 @@ SMALL_CHUNK_CASES = {
         + b"e,t,maybe,1\n",
         "row 12: bad trial label 'maybe'",
     ),
+    "scores-crlf-rows-straddle-blocks": (
+        load_trials, CRLF_SCORE_HEADER + b"".join(CRLF_SCORE_ROWS), 12,
+    ),
+    "scores-bom-then-crlf": (load_trials, BOM + CRLF_SCORE_HEADER + b"".join(CRLF_SCORE_ROWS), 12),
+    "scores-bare-cr-in-a-crlf-block": (
+        load_trials,
+        CRLF_SCORE_HEADER + b"".join(CRLF_SCORE_ROWS[:8]) + b"e,t,target,1\re,t,maybe,2\r\n"
+        + b"".join(CRLF_SCORE_ROWS[8:]),
+        "row 11: bad trial label 'maybe'",
+    ),
+    "scores-bad-row-then-invalid-byte-in-one-block": (
+        load_trials,
+        SCORE_HEADER + b"a,b,maybe,1\n\xe9\n" + b"".join(SCORE_ROWS),
+        "row 2: bad trial label 'maybe'",
+    ),
+    "metadata-bom-at-a-later-block-start-is-kept": (
+        load_metadata, b"speaker_id,g\ns000000,xx\n" + BOM + b"a,x\na,y\n", 3,
+    ),
     "scores-crlf-from-a-late-block-then-parse-error": (
         load_trials,
-        SCORE_HEADER + b"".join(SCORE_ROWS[:7])
-        + b"".join(row[:-1] + b"\r\n" for row in SCORE_ROWS[7:]) + OVERSIZE_FIELD + b"\r\n",
+        SCORE_HEADER + b"".join(SCORE_ROWS[:7]) + b"".join(CRLF_SCORE_ROWS[7:])
+        + OVERSIZE_FIELD + b"\r\n",
         f"row 14: malformed CSV: field larger than field limit ({LIMIT})",
     ),
     "scores-bare-cr-in-a-late-block": (
@@ -396,14 +412,39 @@ SMALL_CHUNK_CASES = {
 
 @pytest.mark.parametrize("case", list(SMALL_CHUNK_CASES))
 def test_loaders_match_reference_across_chunk_boundaries(monkeypatch, case):
-    """12-character blocks and three-row chunks: errors keep their row, duplicates are caught
-    across chunks, and csv.reader reads on from the first quote, CR or NUL."""
-    monkeypatch.setattr("biasaudit.trials.BLOCK_CHARS", 12)
+    """12-byte blocks and three-row chunks: errors keep their row, duplicates are caught
+    across chunks, and csv.reader reads on from the first quote, bare CR or NUL."""
+    monkeypatch.setattr("biasaudit.trials.BLOCK_BYTES", 12)
     monkeypatch.setattr("biasaudit.trials.CHUNK_ROWS", 3)
     loader, raw, expected = SMALL_CHUNK_CASES[case]
     loaded = load_or_error(loader, raw)
     assert (len(loaded) if isinstance(expected, int) else loaded[1]) == expected
     assert_loads_like_reference(loader, raw)
+
+
+class ShortReads(io.BytesIO):
+    """A binary stream whose ``read`` returns at most three bytes at a time."""
+
+    def read(self, size=-1):
+        return super().read(3 if size is None or size < 0 else min(size, 3))
+
+
+@pytest.mark.parametrize("loader, raw", [
+    (load_trials, LONGER_FUZZ_SEEDS[load_trials]),
+    (load_trials, BOM + CRLF_SCORE_HEADER + b"".join(CRLF_SCORE_ROWS)),
+    (load_trials, SCORE_HEADER + b"".join(SCORE_ROWS) + b"e,t,target,\xc2"),
+    (load_metadata, LONGER_FUZZ_SEEDS[load_metadata]),
+    (load_metadata, BOM + b'speaker_id,g\r\na,"x\r\ny"\r\nb,y\r\na,x\r\n'),
+], ids=["scores", "scores-bom-crlf", "scores-cut-off-utf8", "metadata", "metadata-duplicate"])
+def test_loaders_read_a_binary_stream_of_short_reads_as_a_bytes_io(loader, raw):
+    stream = ShortReads(raw)
+    loaded, expected = load_or_error(loader, stream), load_or_error(loader, io.BytesIO(raw))
+    if not isinstance(expected, tuple):  # tables compare by identity, so compare their rows
+        as_records = REFERENCES[loader][1]
+        loaded, expected = as_records(loaded), as_records(expected)
+    assert loaded == expected
+    gc.collect()
+    assert not stream.closed
 
 
 def test_loaders_read_a_text_stream_by_its_own_lines():
