@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Union
 
@@ -134,7 +134,8 @@ def _parse_policy(raw: str) -> GroupingPolicy:
         ) from None
 
 
-# config key -> (AuditConfig field, or a dcf_* DcfParams field; parser of the raw value)
+# config key -> (AuditConfig field, or a dcf_* DcfParams field; parser of the raw value),
+# in the order the report's config echo lists them
 PARSERS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "scores": ("scores_path", str),
     "metadata": ("metadata_path", str),
@@ -142,12 +143,12 @@ PARSERS: dict[str, tuple[str, Callable[[Any], Any]]] = {
         p.strip() for p in raw.split(",") if p.strip()
     )),
     "policy": ("policy", _parse_policy),
-    "design_fprs": ("design_fprs", lambda raw: _parse_floats(raw, "design_fprs")),
-    "alphas": ("alphas", lambda raw: _parse_floats(raw, "alphas")),
     "dcf_c_miss": ("dcf_c_miss", float),
     "dcf_c_fa": ("dcf_c_fa", float),
     "dcf_p_target": ("dcf_p_target", float),
     "dcf_normalize": ("dcf_normalize", lambda raw: _parse_bool(raw, "dcf_normalize")),
+    "design_fprs": ("design_fprs", lambda raw: _parse_floats(raw, "design_fprs")),
+    "alphas": ("alphas", lambda raw: _parse_floats(raw, "alphas")),
     "zero_policy": ("zero_policy", str),
     "average_mode": ("average_mode", str),
     "out": ("output_dir", str),
@@ -199,32 +200,25 @@ def build_config(
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    try:
-        return AuditConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    required = {f.name for f in fields(AuditConfig) if f.default is MISSING is f.default_factory}
+    missing = [k for k, (name, _) in PARSERS.items() if name in required and name not in merged]
+    if missing:
+        raise ConfigError(
+            f"missing required settings: {', '.join(missing)}; "
+            "set each by its flag or in the config file"
+        )
+    return AuditConfig(**merged)
 
 
 def config_as_dict(config: AuditConfig) -> dict[str, Any]:
-    """Config echo for the report header, JSON-ready."""
-    return {
-        "scores": config.scores_path,
-        "metadata": config.metadata_path,
-        "groups": list(config.group_attributes),
-        "policy": config.policy.value,
-        "dcf": {
-            "c_miss": config.dcf.c_miss,
-            "c_fa": config.dcf.c_fa,
-            "p_target": config.dcf.p_target,
-            "normalize": config.dcf.normalize,
-        },
-        "design_fprs": list(config.design_fprs),
-        "alphas": list(config.alphas),
-        "zero_policy": config.zero_policy,
-        "average_mode": config.average_mode,
-        "out": config.output_dir,
-        "emit_figures": config.emit_figures,
-        "attempts_per_hour": config.attempts_per_hour,
-        "target_probability": config.target_probability,
-        "strict": config.strict,
-    }
+    """The report's JSON-ready config echo: each PARSERS key in order, dcf_* under "dcf"."""
+    echo: dict[str, Any] = {}
+    for key, (field_name, _) in PARSERS.items():
+        if key.startswith("dcf_"):
+            echo.setdefault("dcf", {})[key[4:]] = getattr(config.dcf, key[4:])
+            continue
+        value = getattr(config, field_name)
+        if isinstance(value, GroupingPolicy):
+            value = value.value
+        echo[key] = list(value) if isinstance(value, tuple) else value
+    return echo

@@ -99,10 +99,13 @@ class MetricKey:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """The threshold calibrated on the pooled population for one design FPR."""
+    """The threshold calibrated on the pooled population for one design FPR.
+
+    Its pooled FPR and FNR are the ``aggregates`` of its fpr and fnr rows.
+    """
 
     design_fpr: float
-    operating_point: OperatingPoint
+    threshold: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +251,7 @@ def base_metrics(
             raise DegenerateGroupError(key)
     pooled_curve = compute_sweep(*grouped.scores())
     designs = sorted(design_fprs, reverse=True)
-    design_points = tuple(DesignPoint(d, threshold_for_fpr(pooled_curve, d)) for d in designs)
-    thresholds = [p.operating_point.threshold for p in design_points]
+    thresholds = [threshold_for_fpr(pooled_curve, d).threshold for d in designs]
     keys = [MetricKey("eer"), MetricKey("min_cdet")]
     keys += [MetricKey(kind, d) for d in designs for kind in ("fpr", "fnr")]
 
@@ -272,5 +274,5 @@ def base_metrics(
         aggregates=values[:, -1],
         errors=errors,
         sizes=sizes,
-        design_points=design_points,
+        design_points=tuple(map(DesignPoint, designs, thresholds)),
     )

@@ -57,7 +57,6 @@ class BiasReport:
 
     config: AuditConfig
     warnings: list[str]
-    unassigned_count: int
     base: BaseMetrics
     measures: BiasMeasures
     fdr_grid: FdrGrid
@@ -167,7 +166,6 @@ def run_audit(config: AuditConfig) -> BiasReport:
     return BiasReport(
         config=config,
         warnings=warnings,
-        unassigned_count=len(grouped.unassigned),
         base=base,
         measures=measures,
         fdr_grid=fdr_grid(base, config.alphas),
@@ -224,9 +222,9 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         )
         return {
             "design_fpr": point.design_fpr,
-            "threshold": _json_float(point.operating_point.threshold),
-            "pooled_fpr": point.operating_point.fpr,
-            "pooled_fnr": point.operating_point.fnr,
+            "threshold": _json_float(point.threshold),
+            "pooled_fpr": base.aggregates[i].item(),
+            "pooled_fnr": base.aggregates[i + 1].item(),  # the fnr row follows the fpr row
             "rows": [
                 {"group": label, "fpr": fpr, "g2min_diff": diff, "g2avg_log_ratio": log_ratio}
                 for label, fpr, diff, log_ratio in zip(labels, *columns)
@@ -240,7 +238,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         attempts, hours, to_target = map(_json_floats, times)
         return {
             "design_fpr": point.design_fpr,
-            "threshold": _json_float(point.operating_point.threshold),
+            "threshold": _json_float(point.threshold),
             "attempts_per_hour": report.config.attempts_per_hour,
             "target_probability": report.config.target_probability,
             "rows": [
@@ -264,7 +262,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             {"group": label, "n_target": t, "n_nontarget": n}
             for label, t, n in zip(labels, n_target, n_nontarget)
         ],
-        "unassigned_trials": report.unassigned_count,
+        "unassigned_trials": int(base.sizes[:, -1].sum() - base.sizes[:, :-1].sum()),
         "pooled": {"n_target": n_target[-1], "n_nontarget": n_nontarget[-1]},
         "base_metrics": [
             {
@@ -293,7 +291,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             {
                 "design_fpr": point.design_fpr,
                 "alpha": alpha,
-                "threshold": _json_float(point.operating_point.threshold),
+                "threshold": _json_float(point.threshold),
                 "max_delta_fpr": max_delta_fpr,
                 "max_delta_fnr": max_delta_fnr,
                 "fdr": value,

@@ -6,9 +6,9 @@ CSV whose header starts with ``speaker_id`` followed by one column per
 attribute. Attribute names are lowercased at load time, values are kept
 verbatim. The loaders return column tables (``TrialTable``,
 ``SpeakerTable``) and read a file in blocks of ``BLOCK_BYTES`` bytes cut
-after their last LF. A plain block (no quote, NUL or CR once each CRLF
-is made an LF) is split with ``str`` methods; from the first that is not
-plain, ``csv.reader`` reads runs of ``CHUNK_ROWS`` rows.
+after their last line end. A plain block (no quote or NUL) is split with
+``str`` methods once each CRLF and CR is made an LF; from the first that
+is not plain, ``csv.reader`` reads runs of ``CHUNK_ROWS`` rows.
 Each chunk is checked column by column, and only a chunk that fails a
 check is walked row by row to report its first bad row. Loading is
 single-threaded and all loaded structures are treated as immutable
@@ -239,9 +239,9 @@ def _gc_paused() -> Iterator[None]:
 
 
 # Characters that may make csv.reader read a line otherwise than str.split(","),
-# once each CRLF is made an LF: a quote, a CR (a line end of its own) and a NUL
-# (rejected on Python 3.10). The tests check every other code point.
-_NOT_PLAIN = '"\r\x00'
+# once each line end (LF, CRLF or CR) is made an LF: a quote and a NUL (rejected
+# on Python 3.10). The tests check every other code point.
+_NOT_PLAIN = '"\x00'
 
 _Chunk = tuple[int, Union[list[Sequence[str]], None], Iterable[list[str]]]
 
@@ -249,16 +249,17 @@ _Chunk = tuple[int, Union[list[Sequence[str]], None], Iterable[list[str]]]
 def _text_blocks(stream: IO[bytes]) -> Iterator[str]:
     """The UTF-8 text of a binary stream in blocks of whole lines, a byte-order mark skipped.
 
-    Bytes are read BLOCK_BYTES at a time, each block cut after its last LF
-    (never part of a longer UTF-8 sequence). If a block does not decode,
-    the lines ahead of its first bad byte are yielded before the
+    Bytes are read BLOCK_BYTES at a time, each block cut after its last LF or
+    CR (never part of a longer UTF-8 sequence), but not after a CR that may
+    be half a CRLF: the last byte read. If a block does not decode, the
+    lines ahead of its first bad byte are yielded before the
     UnicodeDecodeError, as a line-by-line reader would read them.
     """
-    pieces: list[bytes] = []  # a line that no LF has ended yet, as read
+    pieces: list[bytes] = []  # a line that no line end has ended yet, as read
     skip = codecs.BOM_UTF8  # stripped from the first block only
     while True:
         data = stream.read(BLOCK_BYTES)
-        cut = data.rfind(b"\n") + 1
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
         if data and not cut:
             pieces.append(data)  # joined once, when the line ends
             continue
@@ -268,7 +269,8 @@ def _text_blocks(stream: IO[bytes]) -> Iterator[str]:
         try:
             yield block.decode()
         except UnicodeDecodeError as exc:
-            yield block[:block.rfind(b"\n", 0, exc.start) + 1].decode()
+            ends = block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)
+            yield block[:max(ends) + 1].decode()
             raise
         if not data:
             return
@@ -328,16 +330,16 @@ class _CsvReader:
     def _split_chunks(self, width: int) -> Iterator[_Chunk]:
         """Chunks of plain blocks; returns the next record number for ``csv.reader`` to read.
 
-        The blocks start with the rest of the header's block. A block with no
-        character of ``_NOT_PLAIN`` once each CRLF is made an LF, and no line
-        longer than ``csv.field_size_limit()``, is one row per line, split by
-        ``str.split(",")`` as ``csv.reader`` would. From the first block
-        that is not plain, ``csv.reader`` reads on, line endings intact.
+        The blocks start with the rest of the header's block. With each CRLF,
+        then each CR, made an LF, a block with no ``_NOT_PLAIN`` character and
+        no line over ``csv.field_size_limit()`` is one row per line, split by
+        ``str.split(",")`` as ``csv.reader`` would. From the first block that
+        is not plain, ``csv.reader`` reads on, line endings intact.
         """
         first = 2
         limit = csv.field_size_limit()
         for text in chain([self._block.read()], self._blocks):
-            plain = text.replace("\r\n", "\n") if "\r" in text else text
+            plain = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
             lines = plain.split("\n")
             if not lines[-1]:
                 lines.pop()

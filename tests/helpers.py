@@ -27,7 +27,6 @@ from biasaudit import (
     MetricKey,
     MissingHeaderError,
     NonFiniteScoreError,
-    OperatingPoint,
     SpeakerMetadata,
     SpeakerTable,
     SynthSpec,
@@ -127,9 +126,7 @@ def rate_metrics(
         aggregates=np.full(len(keys), 0.5),
         errors=np.zeros((len(keys), len(groups) + 1), dtype=np.int64),
         sizes=np.zeros((2, len(groups) + 1), dtype=np.int64),
-        design_points=tuple(
-            DesignPoint(d, OperatingPoint(float(k), d, 0.5)) for k, d in enumerate(design_fprs)
-        ),
+        design_points=tuple(map(DesignPoint, design_fprs, map(float, range(n)))),
     )
 
 
@@ -155,7 +152,6 @@ def report_of(
     return BiasReport(
         config=config,
         warnings=[],
-        unassigned_count=0,
         base=base,
         measures=measures,
         fdr_grid=fdr_grid(base, alphas),
@@ -260,11 +256,11 @@ def speaker_records(table: SpeakerTable) -> list[SpeakerMetadata]:
 def reference_csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
     """``csv.reader`` over a source decoded line by line; a test reference for the loaders.
 
-    A path, bytes or binary stream is split at each LF and every line is
-    decoded alone, the first as ``utf-8-sig``, then split as
-    ``newline=""`` splits it. A caller's text stream goes to ``csv.reader``
-    as it is. A byte that is not UTF-8, or a row the csv module cannot
-    parse, raises the loaders' DataError.
+    A path, bytes or binary stream is split at each LF, CRLF and CR, as
+    ``newline=""`` splits text, and every line is decoded alone, the first
+    as ``utf-8-sig``. A caller's text stream goes to ``csv.reader`` as it
+    is. A byte that is not UTF-8, or a row the csv module cannot parse,
+    raises the loaders' DataError.
     """
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
@@ -272,10 +268,10 @@ def reference_csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
         elif isinstance(source, bytes):
             source = io.BytesIO(source)
         if not isinstance(source, io.TextIOBase):
-            source = (
-                text
-                for k, line in enumerate(source)
-                for text in io.StringIO(line.decode("utf-8" if k else "utf-8-sig"), newline="")
+            data = b"".join(iter(source.read, b""))
+            source = (  # bytes.splitlines splits at these three line ends only
+                line.decode("utf-8" if k else "utf-8-sig")
+                for k, line in enumerate(data.splitlines(keepends=True))
             )
         reader = csv.reader(source)
         try:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from biasaudit.cli import audit, main
-from biasaudit.config import PARSERS
+from biasaudit.config import PARSERS, build_config, config_as_dict
 from biasaudit import (
     AuditConfig,
     __version__,
@@ -117,6 +117,21 @@ def test_preset_paper_pins_only_the_grids(data_dir):
     assert payload["config"]["dcf"] == {
         "c_miss": 2.0, "c_fa": 1.0, "p_target": 0.1, "normalize": True,
     }
+
+
+def test_config_echo_holds_every_key_in_table_order():
+    """Each PARSERS key in table order, the dcf_* keys as one mapping after policy."""
+    config = build_config({
+        "scores": "s.csv", "metadata": "m.csv", "groups": "g, h", "policy": "enrollment-only",
+    })
+    echo = config_as_dict(config)
+    assert list(echo) == list(dict.fromkeys(
+        "dcf" if key.startswith("dcf_") else key for key in PARSERS
+    ))
+    assert list(echo)[list(echo).index("policy") + 1] == "dcf"
+    assert echo["dcf"] == {"c_miss": 1.0, "c_fa": 1.0, "p_target": 0.05, "normalize": True}
+    assert echo["groups"] == ["g", "h"] and echo["policy"] == "enrollment-only"
+    assert json.loads(json.dumps(echo)) == echo
 
 
 # (config key, the flags that set it, the same value as config-file text)
@@ -233,6 +248,15 @@ def test_usage_error_exits_one(data_dir):
     config_path = data_dir / "bad.cfg"
     config_path.write_text("unknown_key = 1\n", encoding="utf-8")
     assert main(["audit", "--config", str(config_path)]) == 1
+
+
+def test_a_missing_setting_is_named_by_its_config_key(capsys):
+    assert main(["audit", "--metadata", "m.csv", "--groups", "g"]) == 1
+    assert capsys.readouterr().err == (
+        "error: missing required settings: scores; set each by its flag or in the config file\n"
+    )
+    assert main(["audit", "--scores", "s.csv"]) == 1
+    assert "error: missing required settings: metadata, groups;" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, values", [

@@ -313,7 +313,7 @@ def test_disaggregate_at_threshold_records_counts():
     # the pooled threshold for FPR 0.4 is 1.0: one of three nontargets
     # accepted, none of the two targets missed
     base = base_metrics(grouped, (0.4,))
-    assert base.design_points[0].operating_point.threshold == 1.0
+    assert base.design_points[0].threshold == 1.0
     fpr, fnr = base.row(MetricKey("fpr", 0.4)), base.row(MetricKey("fnr", 0.4))
     assert base.keys[fpr].name == "fpr@0.4"
     assert (base.errors[fpr].tolist(), base.population(fpr).tolist()) == ([1, 1], [3, 3])

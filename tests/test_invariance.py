@@ -2,7 +2,8 @@
 
 One synthetic fixture is audited as written, then in transformed copies:
 other line ends, a byte-order mark, every field quoted, every trial
-repeated, every score scaled by a power of two. Each relation states which
+repeated, every score scaled by a power of two, every attribute value
+renamed in an order-preserving way. Each relation states which
 values of the report may change and how; every other value must be
 byte-identical.
 """
@@ -20,6 +21,7 @@ import pytest
 from biasaudit import (
     AuditConfig,
     GroupScoreModel,
+    SpeakerTable,
     SynthSpec,
     TrialTable,
     draw,
@@ -80,6 +82,10 @@ def crlf(data: bytes) -> bytes:
     return data.replace(b"\n", b"\r\n")
 
 
+def cr(data: bytes) -> bytes:
+    return data.replace(b"\n", b"\r")
+
+
 def bom(data: bytes) -> bytes:
     return codecs.BOM_UTF8 + data
 
@@ -98,10 +104,10 @@ def plain(tmp_path_factory):
 
 
 @pytest.mark.parametrize("transform", [
-    crlf, bom, quoted, lambda data: bom(crlf(data)), lambda data: crlf(quoted(data)),
-], ids=["crlf", "bom", "quoted", "bom-crlf", "quoted-crlf"])
+    crlf, cr, bom, quoted, lambda data: bom(crlf(data)), lambda data: crlf(quoted(data)),
+], ids=["crlf", "cr", "bom", "quoted", "bom-crlf", "quoted-crlf"])
 def test_audit_does_not_depend_on_the_input_format(tmp_path, plain, transform):
-    """LF, CRLF, BOM-prefixed and fully quoted copies give the same report and tables."""
+    """LF, CRLF, CR, BOM-prefixed and fully quoted copies give the same report and tables."""
     payload, tables = audit(tmp_path, "copy", transform(SCORES), transform(METADATA))
     assert json.dumps(payload) == json.dumps(plain[0])
     assert tables == plain[1]
@@ -135,3 +141,16 @@ def test_scaling_every_score_by_a_power_of_two_scales_only_the_thresholds(tmp_pa
         if isinstance(entry["threshold"], float):  # the +inf sentinel is written "Infinity"
             entry["threshold"] *= scale
     assert json.dumps(payload) == json.dumps(expected)
+
+
+def test_renaming_attribute_values_in_order_changes_only_the_group_labels(tmp_path, plain):
+    """A shared prefix keeps the order of the values: each label gains it, nothing else moves."""
+    values = SPEAKERS.columns["accent"]
+    renamed = SpeakerTable(SPEAKERS.speaker_ids, {"accent": ["z-" + v for v in values]})
+    payload, tables = audit(tmp_path, "renamed", SCORES, written(renamed))
+    text = json.dumps(plain[0])
+    assert text.count("accent=") > len(SPEC.models)  # labels appear in every section
+    assert json.dumps(payload) == text.replace("accent=", "accent=z-")
+    assert tables == {
+        name: data.replace(b"accent=", b"accent=z-") for name, data in plain[1].items()
+    }

@@ -125,7 +125,9 @@ def test_run_audit_single_group_with_unassigned(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     report = run_audit(config)
-    assert any("unassigned" in w for w in report.warnings)
+    unassigned = report_to_dict(report)["unassigned_trials"]
+    assert unassigned > 0
+    assert any(w.startswith(f"{unassigned} trials are unassigned") for w in report.warnings)
     assert (report.fdr_grid.fdr == 1.0).all()
     # single group: each row's NRB is the lone group's absolute log ratio
     for value, log_ratios in zip(report.nrb.tolist(), report.measures.g2avg_log_ratio):

@@ -37,7 +37,7 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
-from biasaudit.trials import _MAY_QUOTE, _NOT_PLAIN, BLOCK_BYTES, _Echo, write_csv
+from biasaudit.trials import _MAY_QUOTE, _NOT_PLAIN, BLOCK_BYTES, _Echo, _text_blocks, write_csv
 from helpers import (
     gk,
     grouped_from_scores,
@@ -284,6 +284,8 @@ SCORE_HEADER = b"enroll_id,test_id,label,score\n"
 SCORE_ROWS = [b"e%02d,t%02d,target,%d\n" % (k, k, k) for k in range(12)]
 CRLF_SCORE_HEADER = SCORE_HEADER[:-1] + b"\r\n"
 CRLF_SCORE_ROWS = [row[:-1] + b"\r\n" for row in SCORE_ROWS]
+CR_SCORE_HEADER = SCORE_HEADER[:-1] + b"\r"
+CR_SCORE_ROWS = [row[:-1] + b"\r" for row in SCORE_ROWS]
 QUOTED_SCORE_ROW = b'"e\nx",t,nontarget,1\n'  # one record on two physical lines
 # loader, input, and the error message (or row count) it must give in 12-byte blocks
 # and three-row chunks; the rows of a plain block are split without csv.reader
@@ -359,6 +361,22 @@ SMALL_CHUNK_CASES = {
         + b"".join(CRLF_SCORE_ROWS[8:]),
         "row 11: bad trial label 'maybe'",
     ),
+    "scores-cr-rows-straddle-blocks": (load_trials, CR_SCORE_HEADER + b"".join(CR_SCORE_ROWS), 12),
+    "scores-cr-rows-then-bad-label": (
+        load_trials,
+        CR_SCORE_HEADER + b"".join(CR_SCORE_ROWS[:9]) + b"e,t,maybe,1\r"
+        + b"".join(CR_SCORE_ROWS[9:]),
+        "row 11: bad trial label 'maybe'",
+    ),
+    "scores-cr-bad-row-before-an-invalid-byte": (
+        load_trials,
+        b"enroll_id,test_id,label,score\rbad\ra,b,target,0.5\r\xff\r",
+        "row 2: expected 4 columns, got 1",
+    ),
+    "scores-crlf-split-by-a-read": (  # the CR is byte 47, the last of the fourth read
+        load_trials, SCORE_HEADER + b"ab,cd,target,1.00\r\ne,f,maybe,1\r\n",
+        "row 3: bad trial label 'maybe'",
+    ),
     "scores-bad-row-then-invalid-byte-in-one-block": (
         load_trials,
         SCORE_HEADER + b"a,b,maybe,1\n\xe9\n" + b"".join(SCORE_ROWS),
@@ -413,13 +431,33 @@ SMALL_CHUNK_CASES = {
 @pytest.mark.parametrize("case", list(SMALL_CHUNK_CASES))
 def test_loaders_match_reference_across_chunk_boundaries(monkeypatch, case):
     """12-byte blocks and three-row chunks: errors keep their row, duplicates are caught
-    across chunks, and csv.reader reads on from the first quote, bare CR or NUL."""
+    across chunks, and csv.reader reads on from the first quote or NUL."""
     monkeypatch.setattr("biasaudit.trials.BLOCK_BYTES", 12)
     monkeypatch.setattr("biasaudit.trials.CHUNK_ROWS", 3)
     loader, raw, expected = SMALL_CHUNK_CASES[case]
     loaded = load_or_error(loader, raw)
     assert (len(loaded) if isinstance(expected, int) else loaded[1]) == expected
     assert_loads_like_reference(loader, raw)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_loaders_check_the_lines_ahead_of_a_bad_byte_first(end):
+    """In one block, the lines ahead of a byte that is not UTF-8 are read first, whatever
+    their line ends."""
+    lines = [b"enroll_id,test_id,label,score", b"bad", b"a,b,target,0.5", b"\xff", b"c,d,target,1"]
+    raw = end.join([*lines, b""])
+    assert load_or_error(load_trials, raw)[1] == "row 2: expected 4 columns, got 1"
+    assert_loads_like_reference(load_trials, raw)
+
+
+@pytest.mark.parametrize("rows", [CR_SCORE_ROWS, CRLF_SCORE_ROWS], ids=["cr", "crlf"])
+def test_text_blocks_are_cut_after_every_kind_of_line_end(monkeypatch, rows):
+    """Bare-CR lines are cut into blocks like LF lines; a CRLF split by a read is kept whole."""
+    monkeypatch.setattr("biasaudit.trials.BLOCK_BYTES", 7)  # the second CRLF ends a read at its CR
+    blocks = list(_text_blocks(io.BytesIO(b"".join(rows))))
+    assert "".join(blocks) == b"".join(rows).decode()
+    assert len(blocks) > len(rows) // 2
+    assert all(block.endswith(rows[0][-1:].decode()) for block in blocks[:-1])
 
 
 class ShortReads(io.BytesIO):
@@ -456,8 +494,8 @@ def test_loaders_read_a_text_stream_by_its_own_lines():
 
 
 def test_csv_reader_reads_plain_lines_as_str_split_does():
-    """Lines of code points outside _NOT_PLAIN and LF read as str.split(",") reads them."""
-    special = _NOT_PLAIN + "\n"
+    """Lines of code points outside _NOT_PLAIN and the line ends read as str.split(",") does."""
+    special = _NOT_PLAIN + "\r\n"
     chars = [c for c in map(chr, range(sys.maxunicode + 1)) if c not in special]
     fields = [f"{c},a{c}b,{c}{c}" for c in chars]  # a field of it alone, inside, at both ends
     lines = [",".join(fields[k:k + 1000]) for k in range(0, len(fields), 1000)]
