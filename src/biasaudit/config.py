@@ -1,8 +1,8 @@
 """Audit configuration: defaults, flat key=value config files, flags.
 
 Config files are UTF-8 text (a leading BOM is skipped), one
-``key = value`` pair per line, ``#`` comments and blank lines ignored.
-List values are comma-separated.
+``key = value`` pair per line ended by LF, CRLF or CR, ``#`` comments
+and blank lines ignored. List values are comma-separated.
 Recognized keys are those of ``PARSERS``; the ``audit`` command's flags
 set the same keys and go through the same parsers.
 Defaults reproduce the standard audit preset: design FPRs
@@ -96,7 +96,8 @@ def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
             f"cannot read config file {path}: not UTF-8 text: cannot decode byte "
             f"{exc.object[exc.start]:#04x}; save the file as UTF-8"
         ) from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # the loaders' line ends
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

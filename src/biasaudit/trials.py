@@ -5,14 +5,14 @@ header ``enroll_id,test_id,label,score``; speaker metadata as a UTF-8
 CSV whose header starts with ``speaker_id`` followed by one column per
 attribute. Attribute names are lowercased at load time, values are kept
 verbatim. The loaders return column tables (``TrialTable``,
-``SpeakerTable``) and read a file in blocks of ``BLOCK_BYTES`` bytes cut
-after their last line end. A plain block (no quote or NUL) is split with
-``str`` methods once each CRLF and CR is made an LF; from the first that
-is not plain, ``csv.reader`` reads runs of ``CHUNK_ROWS`` rows.
-Each chunk is checked column by column, and only a chunk that fails a
-check is walked row by row to report its first bad row. Loading is
-single-threaded and all loaded structures are treated as immutable
-afterward.
+``SpeakerTable``) and read every source, a caller's text stream too, in
+blocks of ``BLOCK_BYTES`` bytes cut after their last LF, CRLF or CR. A
+plain block (no quote or NUL) is split with ``str`` methods once each
+CRLF and CR is made an LF; from the first that is not plain,
+``csv.reader`` reads runs of ``CHUNK_ROWS`` rows. Each chunk is checked
+column by column, and only a chunk that fails a check is walked row by
+row to report its first bad row. Loading is single-threaded and all
+loaded structures are treated as immutable afterward.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from enum import Enum
 from itertools import chain, islice, repeat
 from operator import attrgetter, is_
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
 TRIAL_HEADER = ("enroll_id", "test_id", "label", "score")
 METADATA_ID_COLUMN = "speaker_id"
 CHUNK_ROWS = 4096  # rows held at once while a chunk is split into columns
-BLOCK_BYTES = 65536  # bytes read at once from a path, bytes or binary stream
+BLOCK_BYTES = 65536  # bytes (characters of a text stream) read at once from a source
 
 Source = Union[str, Path, bytes, IO]
 
@@ -246,8 +246,8 @@ _NOT_PLAIN = '"\x00'
 _Chunk = tuple[int, Union[list[Sequence[str]], None], Iterable[list[str]]]
 
 
-def _text_blocks(stream: IO[bytes]) -> Iterator[str]:
-    """The UTF-8 text of a binary stream in blocks of whole lines, a byte-order mark skipped.
+def _text_blocks(read: Callable[[int], bytes]) -> Iterator[str]:
+    """The UTF-8 text of a ``read`` of bytes in blocks of whole lines, a byte-order mark skipped.
 
     Bytes are read BLOCK_BYTES at a time, each block cut after its last LF or
     CR (never part of a longer UTF-8 sequence), but not after a CR that may
@@ -258,7 +258,7 @@ def _text_blocks(stream: IO[bytes]) -> Iterator[str]:
     pieces: list[bytes] = []  # a line that no line end has ended yet, as read
     skip = codecs.BOM_UTF8  # stripped from the first block only
     while True:
-        data = stream.read(BLOCK_BYTES)
+        data = read(BLOCK_BYTES)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
         if data and not cut:
             pieces.append(data)  # joined once, when the line ends
@@ -277,16 +277,15 @@ def _text_blocks(stream: IO[bytes]) -> Iterator[str]:
 
 
 class _CsvReader:
-    """The rows of text blocks of whole lines, or of a text ``stream`` read by ``csv.reader``.
+    """The rows of text blocks of whole lines: ``header`` reads the first, ``chunks`` the rest.
 
-    ``header`` reads the first row and ``chunks`` the rest; ``line_num`` counts the
-    physical lines read so far, as ``csv.reader.line_num`` does.
+    ``line_num`` counts the physical lines read so far, as ``csv.reader.line_num`` does.
     """
 
-    def __init__(self, blocks: Iterator[str], stream: Union[IO[str], None] = None):
+    def __init__(self, blocks: Iterator[str]):
         self._blocks = blocks
         self._block = io.StringIO()  # the block csv.reader reads lines from
-        self._reader = csv.reader(self._lines() if stream is None else stream)
+        self._reader = csv.reader(self._lines())
         self._lines_before = 0  # physical lines read other than by self._reader
 
     @property
@@ -358,28 +357,28 @@ class _CsvReader:
 
 @contextmanager
 def _csv_rows(source: Source) -> Iterator[_CsvReader]:
-    """A ``_CsvReader`` of a path, bytes, or file-like source.
+    """A ``_CsvReader`` of the ``_text_blocks`` of a path, bytes, or file-like source.
 
-    A path, bytes or binary stream is read by ``_text_blocks``; a caller's
-    text stream splits lines by its own newline setting, so ``csv.reader``
-    reads all of it. A byte that is not UTF-8, or a row the csv module
-    cannot parse, raises DataError. A caller's stream is left open. The
-    garbage collector is paused while the rows are read (``_gc_paused``).
+    Each read of a caller's text stream is encoded as UTF-8, a lone
+    surrogate as bytes that do not decode. A byte that is not UTF-8, or a
+    row the csv module cannot parse, raises DataError. A caller's stream
+    is left open, and the garbage collector paused while rows are read.
     """
-    reader = None
     try:
         with ExitStack() as stack:
             stack.enter_context(_gc_paused())
             if isinstance(source, (str, Path)):
-                reader = _CsvReader(_text_blocks(stack.enter_context(open(source, "rb"))))
+                read = stack.enter_context(open(source, "rb")).read
             elif isinstance(source, bytes):
-                reader = _CsvReader(_text_blocks(io.BytesIO(source)))
+                read = io.BytesIO(source).read
             elif isinstance(source, io.TextIOBase):
-                reader = _CsvReader(iter(()), source)
+                def read(size: int) -> bytes:
+                    return source.read(size).encode("utf-8", "surrogatepass")
             elif hasattr(source, "read"):  # binary file-like
-                reader = _CsvReader(_text_blocks(source))
+                read = source.read
             else:
                 raise TypeError(f"unsupported source type: {type(source)!r}")
+            reader = _CsvReader(_text_blocks(read))
             yield reader
     except UnicodeDecodeError as exc:
         raise DataError(
@@ -520,7 +519,7 @@ def load_trials(source: Source) -> TrialTable:
     with _csv_rows(source) as reader:
         header = reader.header()
         if header is None:
-            raise MissingHeaderError("scores file is empty")
+            raise EmptyFileError("scores file is empty")
         if [c.strip().lower() for c in header] != list(TRIAL_HEADER):
             raise MissingHeaderError(
                 f"scores header must be {','.join(TRIAL_HEADER)!r}, got {header!r}"

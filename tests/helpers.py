@@ -256,24 +256,25 @@ def speaker_records(table: SpeakerTable) -> list[SpeakerMetadata]:
 def reference_csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
     """``csv.reader`` over a source decoded line by line; a test reference for the loaders.
 
-    A path, bytes or binary stream is split at each LF, CRLF and CR, as
-    ``newline=""`` splits text, and every line is decoded alone, the first
-    as ``utf-8-sig``. A caller's text stream goes to ``csv.reader`` as it
-    is. A byte that is not UTF-8, or a row the csv module cannot parse,
-    raises the loaders' DataError.
+    The bytes of a source (a caller's text stream encoded as UTF-8, a lone
+    surrogate as bytes that do not decode) are split at each LF, CRLF and
+    CR, as ``newline=""`` splits text, and every line is decoded alone,
+    the first as ``utf-8-sig``. A byte that is not UTF-8, or a row the csv
+    module cannot parse, raises the loaders' DataError.
     """
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
             source = stack.enter_context(open(source, "rb"))
         elif isinstance(source, bytes):
             source = io.BytesIO(source)
-        if not isinstance(source, io.TextIOBase):
+        if isinstance(source, io.TextIOBase):
+            data = source.read().encode("utf-8", "surrogatepass")
+        else:
             data = b"".join(iter(source.read, b""))
-            source = (  # bytes.splitlines splits at these three line ends only
-                line.decode("utf-8" if k else "utf-8-sig")
-                for k, line in enumerate(data.splitlines(keepends=True))
-            )
-        reader = csv.reader(source)
+        reader = csv.reader(  # bytes.splitlines splits at these three line ends only
+            line.decode("utf-8" if k else "utf-8-sig")
+            for k, line in enumerate(data.splitlines(keepends=True))
+        )
         try:
             yield reader
         except UnicodeDecodeError as exc:
@@ -328,7 +329,7 @@ def reference_load_trials(source: Source) -> list[TrialRecord]:
         try:
             header = next(reader)
         except StopIteration:
-            raise MissingHeaderError("scores file is empty") from None
+            raise EmptyFileError("scores file is empty") from None
         if [c.strip().lower() for c in header] != list(TRIAL_HEADER):
             raise MissingHeaderError(
                 f"scores header must be {','.join(TRIAL_HEADER)!r}, got {header!r}"

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from biasaudit.cli import audit, main
-from biasaudit.config import PARSERS, build_config, config_as_dict
+from biasaudit.config import PARSERS, build_config, config_as_dict, parse_config_file
 from biasaudit import (
     AuditConfig,
     __version__,
@@ -240,6 +240,28 @@ def test_non_utf8_config_file_exits_one(data_dir, capsys):
         f"error: cannot read config file {config_path}: not UTF-8 text: cannot decode "
         "byte 0xe9; save the file as UTF-8\n"
     )
+
+
+# every line end of str.splitlines other than LF, CRLF and CR
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+def test_config_file_lines_end_only_at_lf_crlf_and_cr(tmp_path, separator):
+    """A config line ends at LF, CRLF or CR, as a loaded CSV's does; other separators stay in
+    the value or the comment they are in, and later lines keep their numbers."""
+    config_path = tmp_path / "audit.cfg"
+    text = (
+        f"# note{separator}scores = other.csv\r"
+        f"scores = a{separator}b.csv\r\n"
+        f"# old: metadata = m.csv{separator}groups = gender\n"
+        "metadata = m.csv\r"
+    )
+    config_path.write_text(text, encoding="utf-8", newline="")
+    assert parse_config_file(config_path) == {"scores": f"a{separator}b.csv", "metadata": "m.csv"}
+    config_path.write_text(text + "\rnot a setting\n", encoding="utf-8", newline="")
+    with pytest.raises(ConfigError, match=r"\.cfg:6: expected key=value, got 'not a setting'$"):
+        parse_config_file(config_path)
 
 
 def test_usage_error_exits_one(data_dir):

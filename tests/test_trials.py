@@ -166,11 +166,13 @@ def test_loaders_report_unparsable_csv_as_data_error(tmp_path, loader, row, as_p
         loader(source)
 
 
-@pytest.mark.parametrize("source_type", ["bytes", "stream", "path"])
+@pytest.mark.parametrize("source_type", ["bytes", "stream", "text-stream", "path"])
 def test_loaders_split_lines_the_same_for_every_source_type(tmp_path, source_type):
     def source(data: bytes):
         if source_type == "stream":
             return io.BytesIO(data)
+        if source_type == "text-stream":
+            return io.StringIO(data.decode())
         if source_type == "path":
             (tmp_path / "input.csv").write_bytes(data)
             return str(tmp_path / "input.csv")
@@ -228,16 +230,21 @@ def load_or_error(load, source):
 
 
 def assert_loads_like_reference(loader, raw: bytes):
-    """Both loaders load equal content, or raise the same DataError type and message."""
+    """Both loaders load equal content, or raise the same DataError type and message, from
+    bytes, a binary stream and, if ``raw`` is UTF-8, a text stream of its text."""
     reference, as_records = REFERENCES[loader]
-    streams = (io.BytesIO(raw), io.BytesIO(raw))
-    for source, reference_source in ((raw, raw), streams):
+    pairs = [(raw, raw), (io.BytesIO(raw), io.BytesIO(raw))]
+    try:
+        pairs.append((io.StringIO(raw.decode()), io.StringIO(raw.decode())))
+    except UnicodeDecodeError:
+        pass
+    for source, reference_source in pairs:
         loaded = load_or_error(loader, source)
         if not isinstance(loaded, tuple):
             loaded = as_records(loaded)
         assert loaded == load_or_error(reference, reference_source)
     gc.collect()
-    assert not any(stream.closed for stream in streams)
+    assert not any(stream.closed for pair in pairs[1:] for stream in pair)
 
 
 # each loader with the module's block size, and in blocks of 5 bytes, which cut most rows
@@ -454,7 +461,7 @@ def test_loaders_check_the_lines_ahead_of_a_bad_byte_first(end):
 def test_text_blocks_are_cut_after_every_kind_of_line_end(monkeypatch, rows):
     """Bare-CR lines are cut into blocks like LF lines; a CRLF split by a read is kept whole."""
     monkeypatch.setattr("biasaudit.trials.BLOCK_BYTES", 7)  # the second CRLF ends a read at its CR
-    blocks = list(_text_blocks(io.BytesIO(b"".join(rows))))
+    blocks = list(_text_blocks(io.BytesIO(b"".join(rows)).read))
     assert "".join(blocks) == b"".join(rows).decode()
     assert len(blocks) > len(rows) // 2
     assert all(block.endswith(rows[0][-1:].decode()) for block in blocks[:-1])
@@ -486,11 +493,54 @@ def test_loaders_read_a_binary_stream_of_short_reads_as_a_bytes_io(loader, raw):
 
 
 def test_loaders_read_a_text_stream_by_its_own_lines():
-    """A caller's text stream splits lines by its newline setting, so csv.reader reads all of it."""
-    text = "speaker_id,gender\na,f\rb,m\n"
-    loaded = load_or_error(load_metadata, io.StringIO(text))
-    assert loaded == load_or_error(reference_load_metadata, io.StringIO(text))
-    assert loaded[1].startswith("row 2: malformed CSV: new-line character seen in unquoted field")
+    """A caller's text stream ends its lines at LF, CRLF and CR, and skips a BOM, as a file does."""
+    for text in (
+        "speaker_id,gender\na,f\rb,m\n", "speaker_id,gender\ra,f\rb,m\r",
+        "\ufeffspeaker_id,gender\r\na,f\r\nb,m\r\n",
+    ):
+        speakers = load_metadata(io.StringIO(text))
+        assert speakers.speaker_ids == ["a", "b"] and speakers.columns["gender"] == ["f", "m"]
+        assert speaker_records(speakers) == reference_load_metadata(io.StringIO(text))
+
+
+# the fuzz seeds and a few more; every chunk-boundary case and fuzz example is also read
+# from a text stream by assert_loads_like_reference, in small blocks
+TEXT_CASES = {
+    **{f"{name}-seed-{loader.__name__}": (loader, seeds[loader]) for loader in FUZZ_SEEDS
+       for name, seeds in (("fuzz", FUZZ_SEEDS), ("longer-fuzz", LONGER_FUZZ_SEEDS))},
+    "scores-cr-only": (load_trials, LONGER_FUZZ_SEEDS[load_trials].replace(b"\n", b"\r")),
+    "metadata-bom": (load_metadata, BOM + LONGER_FUZZ_SEEDS[load_metadata]),
+    "metadata-quoted-crlf": (load_metadata, b'speaker_id,gender\r\n"a\r\nb",f\r\n'),
+    "scores-non-ascii": (load_trials, SCORE_HEADER + "Jos\xe9,b,target,1\n".encode()),
+    "scores-empty": (load_trials, b""),
+}
+
+
+@pytest.mark.parametrize("case", list(TEXT_CASES))
+def test_a_text_stream_loads_as_its_bytes_do(case):
+    loader, raw = TEXT_CASES[case]
+    loaded, expected = load_or_error(loader, io.StringIO(raw.decode())), load_or_error(loader, raw)
+    if not isinstance(expected, tuple):
+        as_records = REFERENCES[loader][1]
+        loaded, expected = as_records(loaded), as_records(expected)
+    assert loaded == expected
+
+
+NOT_UTF8_0XED = "not UTF-8 text: cannot decode byte 0xed; save the file as UTF-8"
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    (load_trials, "enroll_id,test_id,label,score\na,b,target,1\nc\ud800,d,target,1\n",
+     NOT_UTF8_0XED),
+    (load_metadata, "speaker_id,gender\na,f\nb,\udfff\n", NOT_UTF8_0XED),
+    (load_trials, "enroll_id,test_id,label,score\nbad\nc\ud800,d,target,1\n",
+     "row 2: expected 4 columns, got 1"),
+], ids=["scores", "metadata", "scores-bad-row-first"])
+def test_a_lone_surrogate_in_a_text_stream_is_a_data_error(loader, text, message):
+    """A lone surrogate reads as bytes that do not decode; the rows ahead are checked first."""
+    loaded = load_or_error(loader, io.StringIO(text))
+    assert loaded[1] == message
+    assert loaded == load_or_error(REFERENCES[loader][0], io.StringIO(text))
 
 
 def test_csv_reader_reads_plain_lines_as_str_split_does():
@@ -542,7 +592,7 @@ def test_load_trials_non_finite_score(bad):
 def test_load_trials_missing_header():
     with pytest.raises(MissingHeaderError):
         load_trials(io.StringIO("a,b,target,0.1\n"))
-    with pytest.raises(MissingHeaderError):
+    with pytest.raises(EmptyFileError, match="^scores file is empty$"):
         load_trials(io.StringIO(""))
 
 
