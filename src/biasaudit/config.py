@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Union
 
 from .detection import DcfParams, MetricKey
-from .errors import ConfigError
+from .errors import ConfigError, not_utf8
 from .measures import AVERAGE_MODES, ZERO_POLICIES
 from .meta import DEFAULT_ALPHAS, DEFAULT_DESIGN_FPRS
 from .trials import GroupingPolicy
@@ -92,10 +92,7 @@ def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"cannot read config file {path}: not UTF-8 text: cannot decode byte "
-            f"{exc.object[exc.start]:#04x}; save the file as UTF-8"
-        ) from exc
+        raise ConfigError(f"cannot read config file {path}: {not_utf8(exc)}") from exc
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # the loaders' line ends
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()

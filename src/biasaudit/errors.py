@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its message for text that is not UTF-8.
 
 The CLI maps these onto process exit codes: usage and configuration
 problems exit 1, data problems exit 2, and degenerate groups under
@@ -6,6 +6,12 @@ problems exit 1, data problems exit 2, and degenerate groups under
 """
 
 from __future__ import annotations
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """What every reader says of a file that is not UTF-8: its first bad byte, and what to do."""
+    byte = exc.object[exc.start]
+    return f"not UTF-8 text: cannot decode byte {byte:#04x}; save the file as UTF-8"
 
 
 class AuditError(Exception):

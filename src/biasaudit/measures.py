@@ -29,7 +29,6 @@ from .trials import GroupKey
 G2MIN_DIFF = "g2min_diff"
 G2AVG_RATIO = "g2avg_ratio"
 G2AVG_LOG_RATIO = "g2avg_log_ratio"
-MEASURE_NAMES = (G2MIN_DIFF, G2AVG_RATIO, G2AVG_LOG_RATIO)
 
 ZERO_POLICIES = ("error", "infinity", "smooth")
 AVERAGE_MODES = ("pooled", "group_mean")
@@ -51,7 +50,7 @@ class BiasMeasures:
     average_mode: str
 
     def row(self, i: int) -> tuple[tuple[str, str, np.ndarray], ...]:
-        """(measure name, reference, per-group values) of row ``i``, in MEASURE_NAMES order."""
+        """Row ``i`` as (name, reference, values) of g2min_diff, g2avg_ratio, g2avg_log_ratio."""
         average = f"average:{self.average_mode}"
         return (
             (G2MIN_DIFF, f"best_group:{self.best_groups[i].label()}", self.g2min_diff[i]),

@@ -136,6 +136,10 @@ def run_audit(config: AuditConfig) -> BiasReport:
     """Run the full audit pipeline described by ``config``."""
     trials = _load(load_trials, config.scores_path, "scores")
     metadata = _load(load_metadata, config.metadata_path, "metadata")
+    for table, path, empty in ((trials, config.scores_path, "holds no trials"),
+                               (metadata, config.metadata_path, "lists no speakers")):
+        if not len(table):
+            raise DataError(f"in {path}: the file {empty}")
     grouped = assign_groups(trials, metadata, config.group_attributes, config.policy)
     warnings = _empty_value_warnings(grouped)
     grouped, degenerate = _drop_degenerate(grouped, strict=config.strict)

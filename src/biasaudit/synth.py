@@ -24,6 +24,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import not_utf8
 from .trials import (
     GroupKey,
     Label,
@@ -185,10 +186,13 @@ def load_synth_spec(source: Union[str, Path, dict], seed: int | None = None) -> 
                      "n_target": 1000, "n_nontarget": 1000}, ...]}
 
     ``seed`` overrides the file's seed when given. A missing key raises
-    ValueError naming it.
+    ValueError naming it, and a file that is not UTF-8 one naming its first bad byte.
     """
     if isinstance(source, (str, Path)):
-        payload = json.loads(Path(source).read_text(encoding="utf-8-sig"))
+        try:
+            payload = json.loads(Path(source).read_text(encoding="utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(not_utf8(exc)) from exc
     else:
         payload = source
     try:

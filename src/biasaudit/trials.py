@@ -5,14 +5,14 @@ header ``enroll_id,test_id,label,score``; speaker metadata as a UTF-8
 CSV whose header starts with ``speaker_id`` followed by one column per
 attribute. Attribute names are lowercased at load time, values are kept
 verbatim. The loaders return column tables (``TrialTable``,
-``SpeakerTable``) and read every source, a caller's text stream too, in
-blocks of ``BLOCK_BYTES`` bytes cut after their last LF, CRLF or CR. A
-plain block (no quote or NUL) is split with ``str`` methods once each
-CRLF and CR is made an LF; from the first that is not plain,
-``csv.reader`` reads runs of ``CHUNK_ROWS`` rows. Each chunk is checked
-column by column, and only a chunk that fails a check is walked row by
-row to report its first bad row. Loading is single-threaded and all
-loaded structures are treated as immutable afterward.
+``SpeakerTable``). A source is a path, ``bytes``, or anything whose
+``read`` gives bytes or text; each is read in blocks of ``BLOCK_BYTES``
+bytes cut after their last LF, CRLF or CR. A plain block (no quote or
+NUL) is split with ``str`` methods once each CRLF and CR is made an LF;
+from the first that is not plain, ``csv.reader`` reads runs of
+``CHUNK_ROWS`` rows. Each chunk is checked column by column, and only a
+chunk that fails a check is walked row by row to report its first bad
+row. Loading is single-threaded; loaded tables are treated as immutable.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ from .errors import (
     MissingHeaderError,
     NonFiniteScoreError,
     UnknownAttributeError,
+    not_utf8,
 )
 
 TRIAL_HEADER = ("enroll_id", "test_id", "label", "score")
 METADATA_ID_COLUMN = "speaker_id"
 CHUNK_ROWS = 4096  # rows held at once while a chunk is split into columns
-BLOCK_BYTES = 65536  # bytes (characters of a text stream) read at once from a source
+BLOCK_BYTES = 65536  # bytes (characters, if ``read`` gives text) read at once from a source
 
 Source = Union[str, Path, bytes, IO]
 
@@ -246,19 +247,20 @@ _NOT_PLAIN = '"\x00'
 _Chunk = tuple[int, Union[list[Sequence[str]], None], Iterable[list[str]]]
 
 
-def _text_blocks(read: Callable[[int], bytes]) -> Iterator[str]:
-    """The UTF-8 text of a ``read`` of bytes in blocks of whole lines, a byte-order mark skipped.
+def _text_blocks(read: Callable[[int], Union[bytes, str]]) -> Iterator[str]:
+    """The UTF-8 text of ``read(BLOCK_BYTES)`` calls in blocks of whole lines, a BOM skipped.
 
-    Bytes are read BLOCK_BYTES at a time, each block cut after its last LF or
-    CR (never part of a longer UTF-8 sequence), but not after a CR that may
-    be half a CRLF: the last byte read. If a block does not decode, the
-    lines ahead of its first bad byte are yielded before the
-    UnicodeDecodeError, as a line-by-line reader would read them.
+    A read that gives ``str`` is encoded, a lone surrogate as bytes that do not decode.
+    Each block is cut after its last LF or CR (never part of a longer UTF-8 sequence), but
+    not after a CR that may be half a CRLF: the last byte read. If a block does not decode,
+    the lines ahead of its first bad byte are yielded before the UnicodeDecodeError.
     """
     pieces: list[bytes] = []  # a line that no line end has ended yet, as read
     skip = codecs.BOM_UTF8  # stripped from the first block only
     while True:
         data = read(BLOCK_BYTES)
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogatepass")
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
         if data and not cut:
             pieces.append(data)  # joined once, when the line ends
@@ -357,10 +359,10 @@ class _CsvReader:
 
 @contextmanager
 def _csv_rows(source: Source) -> Iterator[_CsvReader]:
-    """A ``_CsvReader`` of the ``_text_blocks`` of a path, bytes, or file-like source.
+    """A ``_CsvReader`` of the ``_text_blocks`` of a path, ``bytes``, or anything with ``read``.
 
-    Each read of a caller's text stream is encoded as UTF-8, a lone
-    surrogate as bytes that do not decode. A byte that is not UTF-8, or a
+    A path is opened binary and bytes are read as a ``BytesIO``; any other
+    source's ``read`` may give bytes or text. A byte that is not UTF-8, or a
     row the csv module cannot parse, raises DataError. A caller's stream
     is left open, and the garbage collector paused while rows are read.
     """
@@ -368,23 +370,14 @@ def _csv_rows(source: Source) -> Iterator[_CsvReader]:
         with ExitStack() as stack:
             stack.enter_context(_gc_paused())
             if isinstance(source, (str, Path)):
-                read = stack.enter_context(open(source, "rb")).read
+                source = stack.enter_context(open(source, "rb"))
             elif isinstance(source, bytes):
-                read = io.BytesIO(source).read
-            elif isinstance(source, io.TextIOBase):
-                def read(size: int) -> bytes:
-                    return source.read(size).encode("utf-8", "surrogatepass")
-            elif hasattr(source, "read"):  # binary file-like
-                read = source.read
-            else:
+                source = io.BytesIO(source)
+            elif not hasattr(source, "read"):
                 raise TypeError(f"unsupported source type: {type(source)!r}")
-            reader = _CsvReader(_text_blocks(read))
-            yield reader
+            yield (reader := _CsvReader(_text_blocks(source.read)))
     except UnicodeDecodeError as exc:
-        raise DataError(
-            f"not UTF-8 text: cannot decode byte {exc.object[exc.start]:#04x}; "
-            "save the file as UTF-8"
-        ) from exc
+        raise DataError(not_utf8(exc)) from exc
     except csv.Error as exc:
         raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from exc
 
@@ -410,19 +403,14 @@ def _split_fields(lines: list[str], width: int) -> list[list[str]] | None:
     return [fields[k::width] for k in range(width)]
 
 
-def _check_metadata_rows(rows: Iterable[list[str]], first: int, width: int, seen: set[str]):
-    """Walk a chunk that failed a check row by row and raise at its first bad row."""
+def _raise_at_bad_row(rows: Iterable[list[str]], first: int, width: int, check: Callable):
+    """Raise at a failed chunk's first non-blank row not ``width`` wide or failing ``check``."""
     for lineno, row in enumerate(rows, start=first):
         if not row:
             continue
         if len(row) != width:
             raise DataError(f"row {lineno}: expected {width} columns, got {len(row)}")
-        speaker_id = row[0].strip()
-        if not speaker_id:
-            raise DataError(f"row {lineno}: empty speaker_id")
-        if speaker_id in seen:
-            raise DuplicateSpeakerError(speaker_id)
-        seen.add(speaker_id)
+        check(lineno, row)
     raise AssertionError("a chunk that failed its checks has no bad row")
 
 
@@ -452,12 +440,20 @@ def load_metadata(source: Source) -> SpeakerTable:
         columns: dict[str, list[str]] = {name: [] for name in attr_names}
         seen: set[str] = set()
         shared: dict[str, str] = {}  # one string object per distinct value
+
+        def check(lineno: int, row: list[str]) -> None:
+            speaker_id = row[0].strip()
+            if not speaker_id:
+                raise DataError(f"row {lineno}: empty speaker_id")
+            if speaker_id in seen:
+                raise DuplicateSpeakerError(speaker_id)
+            seen.add(speaker_id)
         for first, fields, rows in reader.chunks(len(header)):
             ids = [] if fields is None else list(map(str.strip, fields[0]))
             new_ids = set(ids)
             unique = len(new_ids) == len(ids) and "" not in new_ids and seen.isdisjoint(new_ids)
             if fields is None or not unique:
-                _check_metadata_rows(rows, first, len(header), seen)
+                _raise_at_bad_row(rows, first, len(header), check)
             seen |= new_ids
             speaker_ids += ids
             for column, values in zip(columns.values(), fields[1:]):
@@ -465,23 +461,17 @@ def load_metadata(source: Source) -> SpeakerTable:
         return SpeakerTable(speaker_ids, columns)
 
 
-def _check_trial_rows(rows: Iterable[list[str]], first: int):
-    """Walk a chunk that failed a check row by row and raise at its first bad row."""
-    for lineno, row in enumerate(rows, start=first):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"row {lineno}: expected 4 columns, got {len(row)}")
-        _, _, raw_label, raw_score = [c.strip() for c in row]
-        if raw_label.lower() not in _LABELS:
-            raise BadLabelError(lineno, raw_label)
-        try:
-            score = float(raw_score)
-        except ValueError:
-            raise NonFiniteScoreError(lineno, raw_score) from None
-        if not math.isfinite(score):
-            raise NonFiniteScoreError(lineno, raw_score)
-    raise AssertionError("a chunk that failed its checks has no bad row")
+def _check_trial_row(lineno: int, row: list[str]) -> None:
+    """Raise at a trial row whose label or score does not parse, or whose score is not finite."""
+    _, _, raw_label, raw_score = [c.strip() for c in row]
+    if raw_label.lower() not in _LABELS:
+        raise BadLabelError(lineno, raw_label)
+    try:
+        score = float(raw_score)
+    except ValueError:
+        raise NonFiniteScoreError(lineno, raw_score) from None
+    if not math.isfinite(score):
+        raise NonFiniteScoreError(lineno, raw_score)
 
 
 def _parse_trial_fields(
@@ -533,7 +523,7 @@ def load_trials(source: Source) -> TrialTable:
         for first, fields, rows in reader.chunks(4):
             parsed = None if fields is None else _parse_trial_fields(*fields[2:], is_target)
             if parsed is None or not np.isfinite(parsed[1]).all():
-                _check_trial_rows(rows, first)
+                _raise_at_bad_row(rows, first, 4, _check_trial_row)
             targets.append(parsed[0])
             scores.append(parsed[1])
             enroll_ids += map(str.strip, fields[0])

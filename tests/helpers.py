@@ -256,21 +256,22 @@ def speaker_records(table: SpeakerTable) -> list[SpeakerMetadata]:
 def reference_csv_rows(source: Source) -> Iterator[Iterator[list[str]]]:
     """``csv.reader`` over a source decoded line by line; a test reference for the loaders.
 
-    The bytes of a source (a caller's text stream encoded as UTF-8, a lone
-    surrogate as bytes that do not decode) are split at each LF, CRLF and
-    CR, as ``newline=""`` splits text, and every line is decoded alone,
-    the first as ``utf-8-sig``. A byte that is not UTF-8, or a row the csv
-    module cannot parse, raises the loaders' DataError.
+    A path is opened binary and bytes are read as a ``BytesIO``; any other
+    source is read by ``read()`` calls until one gives nothing, each that
+    gives ``str`` encoded as UTF-8 (a lone surrogate as bytes that do not
+    decode). The bytes are split at each LF, CRLF and CR, as ``newline=""``
+    splits text, and every line is decoded alone, the first as
+    ``utf-8-sig``. A byte that is not UTF-8, or a row the csv module cannot
+    parse, raises the loaders' DataError.
     """
     with ExitStack() as stack:
         if isinstance(source, (str, Path)):
             source = stack.enter_context(open(source, "rb"))
         elif isinstance(source, bytes):
             source = io.BytesIO(source)
-        if isinstance(source, io.TextIOBase):
-            data = source.read().encode("utf-8", "surrogatepass")
-        else:
-            data = b"".join(iter(source.read, b""))
+        data = b""
+        while piece := source.read():
+            data += piece.encode("utf-8", "surrogatepass") if isinstance(piece, str) else piece
         reader = csv.reader(  # bytes.splitlines splits at these three line ends only
             line.decode("utf-8" if k else "utf-8-sig")
             for k, line in enumerate(data.splitlines(keepends=True))

@@ -435,6 +435,22 @@ def test_audit_with_only_degenerate_groups_says_why(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("score_rows, metadata_text, file_name, message", [
+    ([], "speaker_id,g\na,x\n", "scores.csv", "the file holds no trials"),
+    (["a,b,target,1", "a,b,nontarget,0"], "speaker_id,g\n", "metadata.csv",
+     "the file lists no speakers"),
+    # a blank row is no trial, and the scores file is named first
+    (["", ""], "speaker_id,g\n", "scores.csv", "the file holds no trials"),
+], ids=["scores", "metadata", "both"])
+def test_audit_of_a_file_with_a_header_alone_names_the_file(
+    tmp_path, capsys, score_rows, metadata_text, file_name, message
+):
+    _write_audit_inputs(tmp_path, score_rows, metadata_text)
+    assert _audit_in(tmp_path, "--groups", "g") == 2
+    assert capsys.readouterr().err == f"error: in {tmp_path / file_name}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_strict_degenerate_exits_three(tmp_path):
     from biasaudit import Label, SpeakerMetadata, TrialRecord
 
@@ -597,6 +613,22 @@ def _spec_text(seed=2026, **group):
 def test_synth_rejects_a_bad_seed(tmp_path, capsys, spec_text, extra):
     assert _synth(tmp_path, spec_text, *extra) == 1
     assert capsys.readouterr().err.startswith("error: bad synthesis spec")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data, byte", [
+    (b"\xff{}", "0xff"), (b'\xef\xbb\xbf{"seed": "caf\xe9"}', "0xe9"),
+], ids=["first-byte", "after-a-bom"])
+def test_synth_rejects_a_spec_that_is_not_utf8_with_the_loaders_message(
+    tmp_path, capsys, data, byte
+):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(data)
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad synthesis spec {spec_path}: not UTF-8 text: cannot decode byte "
+        f"{byte}; save the file as UTF-8\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

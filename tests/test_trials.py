@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import io
 import sys
+import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -229,22 +232,34 @@ def load_or_error(load, source):
         return type(exc), str(exc)
 
 
+class TextReads:
+    """A source that is no ``io`` class: its ``read`` gives at most five characters of ``str``."""
+
+    def __init__(self, text: str):
+        self._text = io.StringIO(text)
+
+    def read(self, size: int = -1) -> str:
+        return self._text.read(5 if size < 0 else min(size, 5))
+
+
 def assert_loads_like_reference(loader, raw: bytes):
     """Both loaders load equal content, or raise the same DataError type and message, from
-    bytes, a binary stream and, if ``raw`` is UTF-8, a text stream of its text."""
+    bytes, a binary stream and, if ``raw`` is UTF-8, a text stream and a ``TextReads`` of
+    its text; every source loads what the bytes load."""
     reference, as_records = REFERENCES[loader]
     pairs = [(raw, raw), (io.BytesIO(raw), io.BytesIO(raw))]
     try:
-        pairs.append((io.StringIO(raw.decode()), io.StringIO(raw.decode())))
+        text = raw.decode()
     except UnicodeDecodeError:
         pass
-    for source, reference_source in pairs:
-        loaded = load_or_error(loader, source)
-        if not isinstance(loaded, tuple):
-            loaded = as_records(loaded)
-        assert loaded == load_or_error(reference, reference_source)
+    else:
+        pairs += [(io.StringIO(text), io.StringIO(text)), (TextReads(text), TextReads(text))]
+    loaded = [load_or_error(loader, source) for source, _ in pairs]
+    loaded = [result if isinstance(result, tuple) else as_records(result) for result in loaded]
+    assert loaded == [load_or_error(reference, source) for _, source in pairs]
+    assert loaded == loaded[:1] * len(pairs)
     gc.collect()
-    assert not any(stream.closed for pair in pairs[1:] for stream in pair)
+    assert not any(stream.closed for pair in pairs[1:3] for stream in pair)
 
 
 # each loader with the module's block size, and in blocks of 5 bytes, which cut most rows
@@ -541,6 +556,43 @@ def test_a_lone_surrogate_in_a_text_stream_is_a_data_error(loader, text, message
     loaded = load_or_error(loader, io.StringIO(text))
     assert loaded[1] == message
     assert loaded == load_or_error(REFERENCES[loader][0], io.StringIO(text))
+
+
+@contextmanager
+def stdlib_text_reader(kind: str, folder, raw: bytes):
+    """A stdlib text reader of ``raw`` at its start; none is an ``io.TextIOBase`` on 3.10-3.13."""
+    if kind == "codecs-open":
+        (folder / "input.csv").write_bytes(raw)
+        with codecs.open(folder / "input.csv", "r", "utf-8") as stream:
+            yield stream
+        return
+    make = {"named": tempfile.NamedTemporaryFile, "spooled": tempfile.SpooledTemporaryFile}[kind]
+    with make(mode="w+", encoding="utf-8", newline="", dir=folder) as stream:
+        stream.write(raw.decode())
+        stream.seek(0)
+        yield stream
+
+
+@pytest.mark.parametrize("kind", ["named", "spooled", "codecs-open"])
+@pytest.mark.parametrize("loader, raw", [
+    (load_trials, BOM + CRLF_SCORE_HEADER + b"".join(CRLF_SCORE_ROWS)),
+    (load_metadata, 'speaker_id,gender\nJos\xe9,f\n"a\r\nb",m\rc,f\n'.encode()),
+    (load_metadata, b"speaker_id,gender\na,f\n\na,m\n"),
+], ids=["scores-bom-crlf", "metadata", "metadata-duplicate"])
+def test_stdlib_text_readers_load_as_their_bytes_do(tmp_path, kind, loader, raw):
+    with stdlib_text_reader(kind, tmp_path, raw) as stream:
+        loaded, expected = load_or_error(loader, stream), load_or_error(loader, raw)
+    if not isinstance(expected, tuple):
+        as_records = REFERENCES[loader][1]
+        loaded, expected = as_records(loaded), as_records(expected)
+    assert loaded == expected
+
+
+def test_a_text_reader_that_cannot_decode_gives_the_loaders_message(tmp_path):
+    with stdlib_text_reader("codecs-open", tmp_path, b"speaker_id,gender\nJos\xe9,f\n") as stream:
+        assert load_or_error(load_metadata, stream) == (
+            DataError, "not UTF-8 text: cannot decode byte 0xe9; save the file as UTF-8"
+        )
 
 
 def test_csv_reader_reads_plain_lines_as_str_split_does():
