@@ -35,7 +35,7 @@ from .errors import (
     DegenerateGroupError,
 )
 from .measures import AVERAGE_MODES, ZERO_POLICIES
-from .report import emit, run_audit
+from .report import emit, json_float, run_audit
 from .synth import draw, load_synth_spec
 from .trials import GroupingPolicy, write_metadata, write_trials
 
@@ -151,7 +151,13 @@ def scenario(fprs, rate, target_probability, attempts, as_json):
     rows.sort(key=lambda r: (-r["fpr"], r["label"]))
 
     if as_json:
-        click.echo(json.dumps({"attempts_per_hour": rate, "rows": rows}, indent=2))
+        # a tiny --rate makes hours overflow to inf; write it as report.json does
+        rows_json = [
+            {name: json_float(v) if isinstance(v, float) else v for name, v in row.items()}
+            for row in rows
+        ]
+        payload = {"attempts_per_hour": rate, "rows": rows_json}
+        click.echo(json.dumps(payload, indent=2, allow_nan=False))
         return
     click.echo(f"attempts/hour: {rate:g}   target probability: {target_probability:g}")
     for row in rows:

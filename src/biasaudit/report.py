@@ -16,8 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Union
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -178,14 +179,15 @@ def run_audit(config: AuditConfig) -> BiasReport:
     )
 
 
-def _json_float(value: float) -> float | str:
+def json_float(value: float) -> float | str:
     """A float as report.json holds it: non-finite values become strings.
 
     Only the fields that can hold a non-finite value go through here:
     thresholds (the +inf sentinel), log ratios and NRB (+inf under
-    zero-policy 'infinity') and the attack times of zero-FPR groups.
-    ``emit`` serializes with ``allow_nan=False``, so a missed field fails
-    loudly instead of writing non-standard JSON.
+    zero-policy 'infinity') and the attack times of zero-FPR groups;
+    ``scenario --json`` writes its floats the same way. Both serialize
+    with ``allow_nan=False``, so a missed field fails loudly instead of
+    writing non-standard JSON.
     """
     if math.isfinite(value):
         return value
@@ -193,8 +195,8 @@ def _json_float(value: float) -> float | str:
 
 
 def _json_floats(row) -> list[float | str]:
-    """A float array row as report.json holds it; see ``_json_float``."""
-    return [_json_float(v) for v in row.tolist()]
+    """A float array row as report.json holds it; see ``json_float``."""
+    return [json_float(v) for v in row.tolist()]
 
 
 def _metric_entry(key: MetricKey, value: float) -> dict[str, Any]:
@@ -226,7 +228,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         )
         return {
             "design_fpr": point.design_fpr,
-            "threshold": _json_float(point.threshold),
+            "threshold": json_float(point.threshold),
             "pooled_fpr": base.aggregates[i].item(),
             "pooled_fnr": base.aggregates[i + 1].item(),  # the fnr row follows the fpr row
             "rows": [
@@ -242,7 +244,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
         attempts, hours, to_target = map(_json_floats, times)
         return {
             "design_fpr": point.design_fpr,
-            "threshold": _json_float(point.threshold),
+            "threshold": json_float(point.threshold),
             "attempts_per_hour": report.config.attempts_per_hour,
             "target_probability": report.config.target_probability,
             "rows": [
@@ -295,7 +297,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             {
                 "design_fpr": point.design_fpr,
                 "alpha": alpha,
-                "threshold": _json_float(point.threshold),
+                "threshold": json_float(point.threshold),
                 "max_delta_fpr": max_delta_fpr,
                 "max_delta_fnr": max_delta_fnr,
                 "fdr": value,
@@ -312,7 +314,7 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
             {
                 "metric": key.name,
                 "group_count": len(labels),
-                "nrb": _json_float(value),
+                "nrb": json_float(value),
                 "per_group_log_ratios": per_group(log_ratios),
                 "zero_value_groups": [labels[j] for j in _zero_valued(log_ratios)],
             }
@@ -327,8 +329,36 @@ def report_to_dict(report: BiasReport) -> dict[str, Any]:
     }
 
 
+class _Texts(dict):
+    """(type, value) -> the value's text under ``form``, computed once per distinct key.
+
+    One table lives for one output. The key holds the type because equal
+    values of different types can print differently (1, 1.0 and True; 30
+    and 30.0), and a value ``form`` rejects (``Fraction(1, 2)`` next to an
+    equal 0.5) must still be rejected. A float zero is never stored:
+    0.0 == -0.0.
+    """
+
+    __slots__ = ("_form",)
+
+    def __init__(self, form: Callable[[Any], str]) -> None:
+        super().__init__()
+        self._form = form
+
+    def __missing__(self, key: tuple[type, Any]) -> str:
+        value = key[1]
+        text = self._form(value)
+        if not (isinstance(value, float) and value == 0.0):
+            self[key] = text
+        return text
+
+    def of(self, values: Sequence[Any]) -> list[str]:
+        """The text of each value, in order."""
+        return list(map(self.__getitem__, zip(map(type, values), values)))
+
+
 def _fmt(value: float) -> str:
-    """Shortest round-trip decimal form; deterministic.
+    """A CSV number: the shortest round-trip decimal form; deterministic.
 
     Payload values go through ``float`` first, so the JSON-safe strings
     "Infinity", "-Infinity" and "NaN" print as inf, -inf and nan.
@@ -341,7 +371,8 @@ class _CsvFile(NamedTuple):
 
     name: str
     header: tuple[str, ...]
-    rows: Callable[[dict[str, Any]], Iterable[list[Any]]]
+    rows: Callable[[dict[str, Any]], Iterable[tuple[Any, ...]]]
+    numbers: tuple[int, ...]  # the columns written by ``_fmt``; the rest are str
     figure: bool = False  # written only under ``emit_figures``
 
 
@@ -349,38 +380,40 @@ _CSV_FILES = (
     _CsvFile(
         TABLE_BASE_METRICS, ("metric", "group", "value_fraction", "value_percent"),
         lambda p: (
-            [m["metric"], r["group"], _fmt(r["fraction"]),
-             _fmt(r["percent"]) if "percent" in r else ""]
+            (m["metric"], r["group"], r["fraction"], r.get("percent", ""))
             for m in p["base_metrics"]
             for r in [*m["per_group"], {"group": "pooled", **m["aggregate"]}]
         ),
+        numbers=(2, 3),
     ),
     _CsvFile(
         TABLE_BIAS_MEASURES, ("measure", "metric", "group", "value", "reference"),
         lambda p: (
-            [b["measure"], b["metric"], r["group"], _fmt(r["value"]), b["reference"]]
+            (b["measure"], b["metric"], r["group"], r["value"], b["reference"])
             for b in p["bias_measures"] for r in b["per_group"]
         ),
+        numbers=(3,),
     ),
     _CsvFile(
         TABLE_DECOMPOSITION,
         ("design_fpr", "threshold", "group", "fpr", "g2min_diff", "g2avg_log_ratio"),
         lambda p: (
-            [_fmt(d["design_fpr"]), _fmt(d["threshold"]), r["group"], _fmt(r["fpr"]),
-             _fmt(r["g2min_diff"]), _fmt(r["g2avg_log_ratio"])]
+            (d["design_fpr"], d["threshold"], r["group"], r["fpr"], r["g2min_diff"],
+             r["g2avg_log_ratio"])
             for d in p["threshold_decomposition"] for r in d["rows"]
         ),
+        numbers=(0, 1, 3, 4, 5),
     ),
     _CsvFile(
         FIG_FDR_GRID, ("design_fpr", "alpha", "fdr"),
-        lambda p: (
-            [_fmt(r["design_fpr"]), _fmt(r["alpha"]), _fmt(r["fdr"])] for r in p["fdr_grid"]
-        ),
+        lambda p: ((r["design_fpr"], r["alpha"], r["fdr"]) for r in p["fdr_grid"]),
+        numbers=(0, 1, 2),
         figure=True,
     ),
     _CsvFile(
         FIG_NRB_SUITE, ("metric_name", "nrb"),
-        lambda p: ([r["metric"], _fmt(r["nrb"])] for r in p["nrb_suite"]),
+        lambda p: ((r["metric"], r["nrb"]) for r in p["nrb_suite"]),
+        numbers=(1,),
         figure=True,
     ),
 )
@@ -392,14 +425,19 @@ _SCALARS = json.JSONEncoder(separators=("\x00", ": "), allow_nan=False)
 _CONTAINERS = (list, tuple, dict)
 
 
-def _split(container) -> list[str]:
-    """Encode a non-empty list, tuple or dict of scalars in one C call; one string per item."""
-    return _SCALARS.encode(container)[1:-1].split("\x00")
+def _json_text(value) -> str:
+    """A scalar's text in ``json.dumps(..., allow_nan=False)``; raises as it does."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return _SCALARS.encode(value)
 
 
 def _keys(mapping, indent: str) -> list[str]:
     """The openings of a non-empty dict's items: '{' or ',', a newline and '"key": '."""
-    names = [indent + item[:-1] for item in _split(dict.fromkeys(mapping, 0))]
+    items = _SCALARS.encode(dict.fromkeys(mapping, 0))[1:-1].split("\x00")
+    names = [indent + item[:-1] for item in items]
     return ["{" + names[0], *("," + name for name in names[1:])]
 
 
@@ -415,12 +453,12 @@ def _table(rows) -> list[Any] | None:
     return list(chain.from_iterable(map(dict.values, rows)))
 
 
-def _indented(obj, out: list[str], level: int = 0) -> None:
+def _indented(obj, out: list[str], texts: _Texts, level: int = 0) -> None:
     """Append to ``out`` the chunks of ``json.dumps(obj, indent=2, allow_nan=False)``.
 
     Python walks only the containers. When every value of a dict, a list or a
-    table (``_table``) is a scalar, the stdlib's C encoder writes them all in
-    one call and each is joined to the opening that precedes it.
+    table (``_table``) is a scalar, each is joined to the opening that
+    precedes it, its text read from ``texts``.
     """
     if not isinstance(obj, _CONTAINERS) or not obj:
         out.append(_SCALARS.encode(obj))
@@ -439,18 +477,18 @@ def _indented(obj, out: list[str], level: int = 0) -> None:
     else:
         openings, values, end = chain(["[" + inner], repeat("," + inner)), obj, close + "]"
     if not any(map(isinstance, values, repeat(_CONTAINERS))):
-        out.extend(chain.from_iterable(zip(openings, _split(values))))
+        out.extend(chain.from_iterable(zip(openings, texts.of(values))))
     else:
         for opening, value in zip(openings, values):
             out.append(opening)
-            _indented(value, out, depth)
+            _indented(value, out, texts, depth)
     out.append(end)
 
 
 def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2, allow_nan=False)``, scalars encoded in C."""
+    """``json.dumps(obj, indent=2, allow_nan=False)``, each distinct scalar encoded once."""
     chunks: list[str] = []
-    _indented(obj, chunks)
+    _indented(obj, chunks, _Texts(_json_text))
     return "".join(chunks)
 
 
@@ -465,11 +503,16 @@ def emit(report: BiasReport, output_dir: Union[str, Path]) -> list[Path]:
     report_path = out / REPORT_JSON
     report_path.write_text(_dumps(payload) + "\n", encoding="utf-8")
     written = [report_path]
+    texts = _Texts(_fmt)
+    texts[str, ""] = ""  # the pooled row of a metric that is no rate has no percent
     for table in _CSV_FILES:
         if table.figure and not report.config.emit_figures:
             continue
+        columns = list(zip(*table.rows(payload)))
+        for i in table.numbers:
+            columns[i] = texts.of(columns[i])
         path = out / table.name
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, table.header, list(zip(*table.rows(payload))))
+            write_csv(fh, table.header, columns)
         written.append(path)
     return written

@@ -512,6 +512,23 @@ def test_scenario_text_and_json(capsys):
     assert row["success_probability_at_attempts"] == pytest.approx(0.639, abs=0.001)
 
 
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_scenario_json_writes_an_overflowed_time_as_report_json_does(capsys):
+    """A rate so small that the hours overflow gives the string "Infinity", not a bare token."""
+    assert main(["scenario", "--fpr", "0.5", "--rate", "1e-320", "--attempts", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert payload["attempts_per_hour"] == 1e-320
+    (row,) = payload["rows"]
+    assert row["expected_attempts"] == 2.0
+    assert row["expected_hours"] == "Infinity"
+    assert row["hours_to_target_probability"] == "Infinity"
+    assert row["attempts_to_target_probability"] == 1
+    assert row["success_probability_at_attempts"] == 0.875
+
+
 def test_scenario_rejects_bad_fpr():
     assert main(["scenario", "--fpr", "nope"]) == 1
     assert main(["scenario", "--fpr", "2.0"]) == 1

@@ -8,7 +8,11 @@ import math
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any
 
 import numpy as np
 import pytest
@@ -465,6 +469,86 @@ def test_emitted_files_match_golden_digests(tmp_path, monkeypatch, zero_policy):
             assert ",inf" in text[name]
 
 
+_CSV_NAMES = (
+    TABLE_BASE_METRICS, TABLE_BIAS_MEASURES, TABLE_DECOMPOSITION, FIG_FDR_GRID, FIG_NRB_SUITE,
+)
+
+
+def test_csv_mirrors_write_each_number_as_the_repr_of_its_float(tmp_path, monkeypatch):
+    """Signed zeros side by side in one column, 30.0 and the three non-finite
+    sentinel strings each print as ``repr(float(v))``, however often they repeat."""
+    def fraction(value, percent=None):
+        cell = {"unit": "fraction", "fraction": value}
+        return cell if percent is None else {**cell, "percent": percent}
+
+    payload = {
+        "base_metrics": [
+            {
+                "metric": "fpr@0.5",
+                "aggregate": fraction(0.0, 0.0),
+                "per_group": [{"group": "a", **fraction(-0.0, -0.0)},
+                              {"group": "b", **fraction(0.0, 30.0)},
+                              {"group": "c", **fraction(-0.0, 30.0)}],
+            },
+            {
+                "metric": "dcf@0.5",
+                "aggregate": fraction(30.0),
+                "per_group": [{"group": "a", **fraction(0.0)}, {"group": "b", **fraction(-0.0)}],
+            },
+        ],
+        "bias_measures": [{
+            "measure": "g2avg_log_ratio", "metric": "fpr@0.5", "reference": "group_mean",
+            "per_group": [{"group": g, "value": v} for g, v in zip(
+                "abcdefg", ["Infinity", "-Infinity", "NaN", -0.0, 0.0, "Infinity", -0.0])],
+        }],
+        "threshold_decomposition": [{
+            "design_fpr": 0.5, "threshold": "Infinity", "pooled_fpr": 0.0, "pooled_fnr": 0.0,
+            "rows": [
+                {"group": "a", "fpr": 0.0, "g2min_diff": -0.0, "g2avg_log_ratio": "-Infinity"},
+                {"group": "b", "fpr": -0.0, "g2min_diff": 0.0, "g2avg_log_ratio": "NaN"},
+                {"group": "c", "fpr": 30.0, "g2min_diff": -0.0, "g2avg_log_ratio": 0.0},
+            ],
+        }],
+        "fdr_grid": [
+            {"design_fpr": 0.5, "alpha": alpha, "threshold": "Infinity", "max_delta_fpr": 0.0,
+             "max_delta_fnr": 0.0, "fdr": fdr}
+            for alpha, fdr in ((0.0, -0.0), (30.0, 0.0), (-0.0, 30.0))
+        ],
+        "nrb_suite": [
+            {"metric": name, "nrb": nrb}
+            for name, nrb in (("fpr@0.5", "Infinity"), ("fnr@0.5", -0.0), ("eer", 0.0),
+                              ("dcf@0.5", "NaN"), ("cllr", "-Infinity"))
+        ],
+    }
+    monkeypatch.setattr(sys.modules["biasaudit.report"], "report_to_dict", lambda _: payload)
+    emit(SimpleNamespace(config=SimpleNamespace(emit_figures=True)), tmp_path)
+    text = {name: (tmp_path / name).read_text(encoding="utf-8") for name in _CSV_NAMES}
+    assert text == {
+        TABLE_BASE_METRICS: (
+            "metric,group,value_fraction,value_percent\n"
+            "fpr@0.5,a,-0.0,-0.0\nfpr@0.5,b,0.0,30.0\nfpr@0.5,c,-0.0,30.0\n"
+            "fpr@0.5,pooled,0.0,0.0\n"
+            "dcf@0.5,a,0.0,\ndcf@0.5,b,-0.0,\ndcf@0.5,pooled,30.0,\n"
+        ),
+        TABLE_BIAS_MEASURES: (
+            "measure,metric,group,value,reference\n"
+            + "".join(f"g2avg_log_ratio,fpr@0.5,{g},{v},group_mean\n" for g, v in zip(
+                "abcdefg", ["inf", "-inf", "nan", "-0.0", "0.0", "inf", "-0.0"]))
+        ),
+        TABLE_DECOMPOSITION: (
+            "design_fpr,threshold,group,fpr,g2min_diff,g2avg_log_ratio\n"
+            "0.5,inf,a,0.0,-0.0,-inf\n0.5,inf,b,-0.0,0.0,nan\n0.5,inf,c,30.0,-0.0,0.0\n"
+        ),
+        FIG_FDR_GRID: "design_fpr,alpha,fdr\n0.5,0.0,-0.0\n0.5,30.0,0.0\n0.5,-0.0,30.0\n",
+        FIG_NRB_SUITE: (
+            "metric_name,nrb\nfpr@0.5,inf\nfnr@0.5,-0.0\neer,0.0\ndcf@0.5,nan\ncllr,-inf\n"
+        ),
+    }
+    assert (tmp_path / REPORT_JSON).read_text(encoding="utf-8") == (
+        json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    )
+
+
 def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):
     """The row arrays hold every loaded trial once; one sweep per group plus the pooled."""
     calls: Counter[str] = Counter()
@@ -517,6 +601,37 @@ def test_run_audit_evaluates_each_measure_once_per_metric_row(tmp_path, monkeypa
     assert rows == {
         "g2min_diff": metric_rows, "g2avg_ratio": metric_rows, "g2avg_log_ratio": metric_rows,
     }
+
+
+def test_emit_formats_each_distinct_value_once_per_output(tmp_path, monkeypatch):
+    """report.json and the CSV mirrors each compute one text per distinct (type, value);
+    a float zero is not stored, since 0.0 == -0.0 but the two print differently."""
+    report_module = sys.modules["biasaudit.report"]
+    made: Counter[tuple[str, type, Any]] = Counter()
+    for name in ("_json_text", "_fmt"):
+        original = getattr(report_module, name)
+
+        def counted(value, _name=name, _original=original):
+            made[_name, type(value), value] += 1
+            return _original(value)
+
+        monkeypatch.setattr(report_module, name, counted)
+
+    config = base_config(tmp_path)
+    written = emit(run_audit(config), config.output_dir)
+    assert {path.name for path in written} == set(_CSV_NAMES) | {REPORT_JSON}
+    repeated = {
+        key: n for key, n in made.items()
+        if n > 1 and not (isinstance(key[2], float) and key[2] == 0.0)
+    }
+    assert repeated == {}
+    assert {name for name, _, _ in made} == {"_json_text", "_fmt"}
+    # the payload repeats its values, so the CSV mirrors make fewer texts than they write
+    cells = sum(
+        len(table.numbers) * (len((tmp_path / "out" / table.name).read_text().splitlines()) - 1)
+        for table in report_module._CSV_FILES
+    )
+    assert sum(n for (name, _, _), n in made.items() if name == "_fmt") < cells
 
 
 # Group keys with one or two attributes, so FPR ties are broken by GroupKey's own order.
@@ -627,6 +742,9 @@ _TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_TREES)
 @example([{1: 0}, {True: 0}, {1.0: 0}])  # equal keys, three spellings
+@example([0.0, -0.0, 0.0, -0.0])  # equal values, two spellings
+@example([{"v": 30}, {"v": 30.0}, {"v": True}, {"v": 1}, {"v": 1.0}])  # equal table cells
+@example([0.5, np.float64(0.5), 0.5])  # equal values of two types, one spelling
 @example({"rows": [{"g": "a", "v": [1]}, {"g": "b", "v": 2}], "empty": [{}, [], ()]})
 def test_report_encoder_writes_the_bytes_of_json_dumps_indent_2(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2, allow_nan=False)
@@ -659,8 +777,13 @@ def test_report_encoder_rejects_non_finite_floats_at_every_depth(tree, bad, path
     lambda x: {"a": x},
     lambda x: [{"g": "a", "v": 1}, {"g": "b", "v": x}],
     lambda x: {"nested": [[x]]},
+    lambda x: [0.5, x],  # after an equal float
+    lambda x: [{"g": "a", "v": 0.5}, {"g": "b", "v": x}],  # a table cell after an equal one
 ])
-@pytest.mark.parametrize("unsupported", [object(), {1, 2}, b"raw", np.int64(3)])
+@pytest.mark.parametrize("unsupported", [
+    object(), {1, 2}, b"raw", np.int64(3),
+    Fraction(1, 2), Decimal("0.5"), np.float32(0.5),  # each equals 0.5 and hashes like it
+])
 def test_report_encoder_rejects_unsupported_objects(wrap, unsupported):
     with pytest.raises(TypeError):
         json.dumps(wrap(unsupported), indent=2, allow_nan=False)
