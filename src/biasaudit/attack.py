@@ -83,18 +83,19 @@ def exposure(
 
     The three planes hold the expected attempts and the expected hours to
     the first false accept, and the hours until the success probability
-    reaches ``target_probability``. Each value comes from the scalar
-    functions above; a zero FPR gets +inf in every plane.
+    reaches ``target_probability``. Each distinct FPR is evaluated once by
+    the scalar functions above; a zero FPR gets +inf in every plane.
     """
     fprs = np.asarray(fprs, dtype=float)
-    times = np.full((3, fprs.size), math.inf)
-    for i, fpr in enumerate(fprs.ravel().tolist()):
+    distinct, inverse = np.unique(fprs, return_inverse=True)
+    times = np.full((3, distinct.size), math.inf)
+    for i, fpr in enumerate(distinct.tolist()):
         if fpr == 0.0:
             continue
         scenario = AttackScenario(fpr=fpr, attempts_per_hour=attempts_per_hour)
         attempts, hours = expected_time_to_success(scenario)
         n_q = attempts_for_probability(scenario, target_probability)
         times[:, i] = attempts, hours, n_q / attempts_per_hour
-    times = times.reshape((3,) + fprs.shape)
+    times = times[:, inverse.reshape(fprs.shape)]
     times.flags.writeable = False
     return times

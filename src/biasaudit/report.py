@@ -15,16 +15,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, cycle, islice, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from .attack import exposure
 from .config import AuditConfig, config_as_dict
-from .detection import BaseMetrics, DesignPoint, MetricKey, base_metrics
+from .detection import BaseMetrics, base_metrics
 from .errors import DataError, DegenerateGroupError
 from .measures import BiasMeasures, bias_measures
 from .meta import FdrGrid, fdr_grid, nrb
@@ -194,325 +194,277 @@ def json_float(value: float) -> float | str:
     return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
 
 
-def _json_floats(row) -> list[float | str]:
-    """A float array row as report.json holds it; see ``json_float``."""
-    return [json_float(v) for v in row.tolist()]
+def _finite(value: float) -> str:
+    """A float's JSON text; a non-finite one raises ValueError, as ``allow_nan=False`` does."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
 
 
-def _metric_entry(key: MetricKey, value: float) -> dict[str, Any]:
-    if key.is_rate:  # error rates get a percent display field alongside the fraction
-        return {"unit": "fraction", "fraction": value, "percent": value * 100.0}
-    return {"unit": "fraction", "fraction": value}
+def _json_number(value: float) -> str:
+    """The JSON text of a field that goes through ``json_float``."""
+    return float.__repr__(value) if math.isfinite(value) else f'"{json_float(value)}"'
+
+
+# the CSV mirrors write a non-finite value as repr does
+_CSV_TEXT = {'"Infinity"': "inf", '"-Infinity"': "-inf", '"NaN"': "nan"}
+
+
+def _texts(values, form: Callable[[float], str]) -> np.ndarray:
+    """The JSON and the CSV text of every cell of a float array, as a ``(2,) + shape`` array.
+
+    ``form`` gives a value's JSON text and runs once per distinct float64
+    bit pattern, so 0.0 and -0.0 stay apart. A CSV cell holds the same
+    text, but a non-finite value is written inf, -inf or nan.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    json_texts = list(map(form, bits.view(np.float64).tolist()))
+    table = np.array([json_texts, [_CSV_TEXT.get(t, t) for t in json_texts]], dtype=object)
+    return table[:, inverse.reshape(values.shape)]
+
+
+def _object(fields: dict[str, str], level: int) -> str:
+    """A dict whose values have the texts ``fields`` holds, as ``json.dumps(indent=2)``
+    writes it at depth ``level``; a ``%s`` value makes the result a %-template."""
+    pad = "\n" + "  " * (level + 1)
+    items = ",".join(f'{pad}"{key}": {text}' for key, text in fields.items())
+    return "{" + items + "\n" + "  " * level + "}"
+
+
+def _slots(*keys: str) -> dict[str, str]:
+    return dict.fromkeys(keys, "%s")
+
+
+def _array(items: Sequence[str], level: int) -> str:
+    """The JSON list of the texts ``items`` at depth ``level``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _nested(value: Any, level: int) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` as it reads at depth ``level``.
+
+    A newline inside a string is written as an escape, so every newline
+    of the text starts an indented line.
+    """
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * level)
+
+
+def _cells(*columns: Iterable[str]) -> tuple[str, ...]:
+    """The texts of equal-length columns, row by row."""
+    return tuple(chain.from_iterable(zip(*columns)))
+
+
+def _each(values: Iterable[Any], n: int) -> list[Any]:
+    """Every value repeated ``n`` times in a row."""
+    return [value for value in values for _ in range(n)]
+
+
+_Csv = tuple[str, tuple[str, ...], list[list[str]]]
+
+
+def _render(report: BiasReport) -> tuple[list[str], list[_Csv]]:
+    """The chunks of report.json and the (name, header, columns) of each CSV mirror.
+
+    Every section reads the report's arrays: each number array is
+    formatted by ``_texts``, and each list of per-group rows is one
+    %-template filled with those texts. The CSV mirrors take their
+    number cells from the same texts. Every per-group list follows the
+    sorted group index; the FDR grid is listed by ascending design FPR,
+    and each attack block worst-exposed group first.
+    """
+    base, measures, grid, config = report.base, report.measures, report.fdr_grid, report.config
+    labels = [key.label() for key in base.groups]
+    quoted = np.array(list(map(encode_basestring_ascii, labels)), dtype=object)
+    n, points = len(labels), base.design_points
+    names = [key.name for key in base.keys]
+    design = [json.dumps(point.design_fpr, allow_nan=False) for point in points]
+    design_csv = [repr(float(point.design_fpr)) for point in points]
+    thresholds = _texts([point.threshold for point in points], _json_number)
+    n_target, n_nontarget = base.sizes.tolist()
+
+    def group_rows(*keys: str) -> str:  # a per-group list of dicts at depth 3
+        return _array([_object(_slots("group", *keys), 4)] * n, 3)
+
+    # base metrics: a metric's groups then its aggregate as one row
+    rows = np.column_stack([base.values, base.aggregates])
+    rates = [key.is_rate for key in base.keys]
+    fractions = _texts(rows, _finite)
+    percents = np.full(fractions.shape, "", dtype=object)
+    percents[:, rates] = _texts(rows[rates] * 100.0, _finite)
+    templates = {}
+    for rate, keys in ((False, ("fraction",)), (True, ("fraction", "percent"))):
+        value = {"unit": '"fraction"', **_slots(*keys)}
+        rows_template = _array([_object({"group": "%s", **value}, 4)] * n, 3)
+        templates[rate] = _object(
+            {"metric": "%s", "aggregate": _object(value, 3), "per_group": rows_template}, 2
+        )
+    base_entries = []
+    for name, rate, fraction, percent in zip(
+        names, rates, fractions[0].tolist(), percents[0].tolist()
+    ):
+        columns = (fraction, percent) if rate else (fraction,)
+        base_entries.append(templates[rate] % (
+            encode_basestring_ascii(name), *(c[-1] for c in columns), *_cells(quoted, *columns)
+        ))
+
+    # bias measures: one entry per (metric, measure)
+    bias = _texts(np.stack(
+        [measures.g2min_diff, measures.g2avg_ratio, measures.g2avg_log_ratio], axis=1
+    ), _json_number)
+    heads = [
+        (measure, name, reference)
+        for i, name in enumerate(names)
+        for measure, reference, _ in measures.row(i)
+    ]
+    template = _object(
+        {**_slots("measure", "metric", "reference"), "per_group": group_rows("value")}, 2
+    )
+    bias_entries = [
+        template % (*map(encode_basestring_ascii, head), *_cells(quoted, values))
+        for head, values in zip(heads, bias[0].reshape(len(heads), n).tolist())
+    ]
+    log_ratios = bias[:, :, 2]
+
+    # threshold decomposition: design point k's fpr row is row 2 + 2k, its fnr row the next
+    diffs = _texts(measures.g2min_diff[2::2], _finite)
+    template = _object({
+        **_slots("design_fpr", "threshold", "pooled_fpr", "pooled_fnr"),
+        "rows": group_rows("fpr", "g2min_diff", "g2avg_log_ratio"),
+    }, 2)
+    decomposition = [
+        template % (
+            design[k], thresholds[0, k], fractions[0, i, n], fractions[0, i + 1, n],
+            *_cells(quoted, fractions[0, i], diffs[0, k], log_ratios[0, i]),
+        )
+        for k, i in enumerate(range(2, 2 + 2 * len(points), 2))
+    ]
+
+    # FDR grid: one dict per (design point, alpha), ascending design FPR
+    deltas = _texts(np.stack([grid.max_delta_fpr, grid.max_delta_fnr]), _finite)[0]
+    fdr = _texts(grid.fdr, _finite)
+    grid_cells = [(k, a) for k in reversed(range(len(points))) for a in range(len(grid.alphas))]
+    alphas = [json.dumps(alpha, allow_nan=False) for alpha in grid.alphas]
+    template = _object(_slots(
+        "design_fpr", "alpha", "threshold", "max_delta_fpr", "max_delta_fnr", "fdr"
+    ), 2)
+    grid_entries = [
+        template % (
+            design[k], alphas[a], thresholds[0, k], deltas[0, k], deltas[1, k], fdr[0, k, a]
+        )
+        for k, a in grid_cells
+    ]
+
+    # NRB suite
+    nrb_values = _texts(report.nrb, _json_number)
+    template = _object({
+        "metric": "%s", "group_count": str(n), "nrb": "%s",
+        "per_group_log_ratios": group_rows("value"), "zero_value_groups": "%s",
+    }, 2)
+    nrb_entries = [
+        template % (
+            encode_basestring_ascii(name), nrb_values[0, i], *_cells(quoted, log_ratios[0, i]),
+            _array(quoted[_zero_valued(measures.g2avg_log_ratio[i])].tolist(), 3),
+        )
+        for i, name in enumerate(names)
+    ]
+
+    # attack scenarios: per design point, groups by descending fpr
+    times = _texts(report.exposure, _json_number)[0]
+    template = _object({
+        "design_fpr": "%s", "threshold": "%s",
+        "attempts_per_hour": json.dumps(config.attempts_per_hour, allow_nan=False),
+        "target_probability": json.dumps(config.target_probability, allow_nan=False),
+        "rows": group_rows(
+            "fpr", "expected_attempts", "expected_hours", "hours_to_target_probability", "zero_fpr"
+        ),
+    }, 2)
+    attack_entries = []
+    for k, fprs in enumerate(base.values[2::2]):
+        # stable over the sorted group index: ties keep group order, zero FPRs come last
+        order = np.argsort(-fprs, kind="stable")
+        zero = np.where(fprs[order] == 0.0, "true", "false").tolist()
+        attack_entries.append(template % (design[k], thresholds[0, k], *_cells(
+            quoted[order], fractions[0, 2 + 2 * k, order], *times[:, k, order], zero
+        )))
+
+    sections = {
+        "schema_version": str(SCHEMA_VERSION),
+        "config": _nested(config_as_dict(config), 1),
+        "warnings": _nested(list(report.warnings), 1),
+        "groups": _array([_object(_slots("group", "n_target", "n_nontarget"), 2)] * n, 1)
+        % _cells(quoted, map(str, n_target), map(str, n_nontarget)),
+        "unassigned_trials": str(int(base.sizes[:, -1].sum() - base.sizes[:, :-1].sum())),
+        "pooled": _nested({"n_target": n_target[-1], "n_nontarget": n_nontarget[-1]}, 1),
+        "base_metrics": _array(base_entries, 1),
+        "bias_measures": _array(bias_entries, 1),
+        "threshold_decomposition": _array(decomposition, 1),
+        "fdr_grid": _array(grid_entries, 1),
+        "nrb_suite": _array(nrb_entries, 1),
+        "attack_scenarios": _array(attack_entries, 1),
+    }
+    openings = _object(_slots(*sections), 0).split("%s")
+    chunks = [*chain.from_iterable(zip(openings, sections.values())), openings[-1] + "\n"]
+
+    measure_names, metric_names, references = zip(*heads)
+    tables = [
+        (TABLE_BASE_METRICS, ("metric", "group", "value_fraction", "value_percent"), [
+            _each(names, n + 1), (labels + ["pooled"]) * len(names),
+            fractions[1].ravel().tolist(), percents[1].ravel().tolist(),
+        ]),
+        (TABLE_BIAS_MEASURES, ("measure", "metric", "group", "value", "reference"), [
+            _each(measure_names, n), _each(metric_names, n), labels * len(heads),
+            bias[1].ravel().tolist(), _each(references, n),
+        ]),
+        (TABLE_DECOMPOSITION,
+         ("design_fpr", "threshold", "group", "fpr", "g2min_diff", "g2avg_log_ratio"), [
+            _each(design_csv, n), _each(thresholds[1].tolist(), n), labels * len(points),
+            fractions[1, 2::2, :n].ravel().tolist(), diffs[1].ravel().tolist(),
+            log_ratios[1, 2::2].ravel().tolist(),
+        ]),
+    ]
+    if config.emit_figures:
+        alphas_csv = [repr(float(alpha)) for alpha in grid.alphas]
+        tables += [
+            (FIG_FDR_GRID, ("design_fpr", "alpha", "fdr"), [
+                [design_csv[k] for k, _ in grid_cells], [alphas_csv[a] for _, a in grid_cells],
+                [fdr[1, k, a] for k, a in grid_cells],
+            ]),
+            (FIG_NRB_SUITE, ("metric_name", "nrb"), [names, nrb_values[1].tolist()]),
+        ]
+    return chunks, tables
 
 
 def report_to_dict(report: BiasReport) -> dict[str, Any]:
-    """JSON-ready view of the report (schema documented in the README).
+    """The report as report.json holds it: the parse of the text ``emit`` writes.
 
-    Every per-group section reads one row of the report's arrays, whose
-    columns follow the sorted group index. The FDR grid is listed by
-    ascending design FPR, and each attack block worst-exposed group first.
+    The schema is documented in the README. A non-finite value in a field
+    that report.json cannot hold raises ValueError, as ``emit`` does.
     """
-    base, measures, grid = report.base, report.measures, report.fdr_grid
-    labels = [key.label() for key in base.groups]
-    n_target, n_nontarget = base.sizes.tolist()
-
-    def per_group(row) -> list[dict[str, Any]]:
-        return [{"group": label, "value": v} for label, v in zip(labels, _json_floats(row))]
-
-    def decomposition(point: DesignPoint) -> dict[str, Any]:
-        i = base.row(MetricKey("fpr", point.design_fpr))
-        columns = (
-            base.values[i].tolist(),
-            measures.g2min_diff[i].tolist(),
-            _json_floats(measures.g2avg_log_ratio[i]),
-        )
-        return {
-            "design_fpr": point.design_fpr,
-            "threshold": json_float(point.threshold),
-            "pooled_fpr": base.aggregates[i].item(),
-            "pooled_fnr": base.aggregates[i + 1].item(),  # the fnr row follows the fpr row
-            "rows": [
-                {"group": label, "fpr": fpr, "g2min_diff": diff, "g2avg_log_ratio": log_ratio}
-                for label, fpr, diff, log_ratio in zip(labels, *columns)
-            ],
-        }
-
-    def attack_block(point: DesignPoint, fprs, times) -> dict[str, Any]:
-        # stable over the sorted group index: ties keep group order, zero FPRs come last
-        order = np.argsort(-fprs, kind="stable").tolist()
-        fprs = fprs.tolist()
-        attempts, hours, to_target = map(_json_floats, times)
-        return {
-            "design_fpr": point.design_fpr,
-            "threshold": json_float(point.threshold),
-            "attempts_per_hour": report.config.attempts_per_hour,
-            "target_probability": report.config.target_probability,
-            "rows": [
-                {
-                    "group": labels[j],
-                    "fpr": fprs[j],
-                    "expected_attempts": attempts[j],
-                    "expected_hours": hours[j],
-                    "hours_to_target_probability": to_target[j],
-                    "zero_fpr": fprs[j] == 0.0,
-                }
-                for j in order
-            ],
-        }
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": config_as_dict(report.config),
-        "warnings": list(report.warnings),
-        "groups": [
-            {"group": label, "n_target": t, "n_nontarget": n}
-            for label, t, n in zip(labels, n_target, n_nontarget)
-        ],
-        "unassigned_trials": int(base.sizes[:, -1].sum() - base.sizes[:, :-1].sum()),
-        "pooled": {"n_target": n_target[-1], "n_nontarget": n_nontarget[-1]},
-        "base_metrics": [
-            {
-                "metric": key.name,
-                "aggregate": _metric_entry(key, aggregate),
-                "per_group": [
-                    {"group": label, **_metric_entry(key, v)} for label, v in zip(labels, row)
-                ],
-            }
-            for key, row, aggregate in zip(
-                base.keys, base.values.tolist(), base.aggregates.tolist()
-            )
-        ],
-        "bias_measures": [
-            {
-                "measure": measure,
-                "metric": key.name,
-                "reference": reference,
-                "per_group": per_group(values),
-            }
-            for i, key in enumerate(base.keys)
-            for measure, reference, values in measures.row(i)
-        ],
-        "threshold_decomposition": [decomposition(point) for point in base.design_points],
-        "fdr_grid": [
-            {
-                "design_fpr": point.design_fpr,
-                "alpha": alpha,
-                "threshold": json_float(point.threshold),
-                "max_delta_fpr": max_delta_fpr,
-                "max_delta_fnr": max_delta_fnr,
-                "fdr": value,
-            }
-            for point, max_delta_fpr, max_delta_fnr, values in reversed(list(zip(
-                base.design_points,
-                grid.max_delta_fpr.tolist(),
-                grid.max_delta_fnr.tolist(),
-                grid.fdr.tolist(),
-            )))
-            for alpha, value in zip(grid.alphas, values)
-        ],
-        "nrb_suite": [
-            {
-                "metric": key.name,
-                "group_count": len(labels),
-                "nrb": json_float(value),
-                "per_group_log_ratios": per_group(log_ratios),
-                "zero_value_groups": [labels[j] for j in _zero_valued(log_ratios)],
-            }
-            for key, value, log_ratios in zip(
-                base.keys, report.nrb.tolist(), measures.g2avg_log_ratio
-            )
-        ],
-        "attack_scenarios": [
-            attack_block(*block)
-            for block in zip(base.design_points, base.values[2::2], report.exposure.swapaxes(0, 1))
-        ],
-    }
-
-
-class _Texts(dict):
-    """(type, value) -> the value's text under ``form``, computed once per distinct key.
-
-    One table lives for one output. The key holds the type because equal
-    values of different types can print differently (1, 1.0 and True; 30
-    and 30.0), and a value ``form`` rejects (``Fraction(1, 2)`` next to an
-    equal 0.5) must still be rejected. A float zero is never stored:
-    0.0 == -0.0.
-    """
-
-    __slots__ = ("_form",)
-
-    def __init__(self, form: Callable[[Any], str]) -> None:
-        super().__init__()
-        self._form = form
-
-    def __missing__(self, key: tuple[type, Any]) -> str:
-        value = key[1]
-        text = self._form(value)
-        if not (isinstance(value, float) and value == 0.0):
-            self[key] = text
-        return text
-
-    def of(self, values: Sequence[Any]) -> list[str]:
-        """The text of each value, in order."""
-        return list(map(self.__getitem__, zip(map(type, values), values)))
-
-
-def _fmt(value: float) -> str:
-    """A CSV number: the shortest round-trip decimal form; deterministic.
-
-    Payload values go through ``float`` first, so the JSON-safe strings
-    "Infinity", "-Infinity" and "NaN" print as inf, -inf and nan.
-    """
-    return repr(float(value))
-
-
-class _CsvFile(NamedTuple):
-    """One CSV mirror of the report: a row-for-row projection of a payload section."""
-
-    name: str
-    header: tuple[str, ...]
-    rows: Callable[[dict[str, Any]], Iterable[tuple[Any, ...]]]
-    numbers: tuple[int, ...]  # the columns written by ``_fmt``; the rest are str
-    figure: bool = False  # written only under ``emit_figures``
-
-
-_CSV_FILES = (
-    _CsvFile(
-        TABLE_BASE_METRICS, ("metric", "group", "value_fraction", "value_percent"),
-        lambda p: (
-            (m["metric"], r["group"], r["fraction"], r.get("percent", ""))
-            for m in p["base_metrics"]
-            for r in [*m["per_group"], {"group": "pooled", **m["aggregate"]}]
-        ),
-        numbers=(2, 3),
-    ),
-    _CsvFile(
-        TABLE_BIAS_MEASURES, ("measure", "metric", "group", "value", "reference"),
-        lambda p: (
-            (b["measure"], b["metric"], r["group"], r["value"], b["reference"])
-            for b in p["bias_measures"] for r in b["per_group"]
-        ),
-        numbers=(3,),
-    ),
-    _CsvFile(
-        TABLE_DECOMPOSITION,
-        ("design_fpr", "threshold", "group", "fpr", "g2min_diff", "g2avg_log_ratio"),
-        lambda p: (
-            (d["design_fpr"], d["threshold"], r["group"], r["fpr"], r["g2min_diff"],
-             r["g2avg_log_ratio"])
-            for d in p["threshold_decomposition"] for r in d["rows"]
-        ),
-        numbers=(0, 1, 3, 4, 5),
-    ),
-    _CsvFile(
-        FIG_FDR_GRID, ("design_fpr", "alpha", "fdr"),
-        lambda p: ((r["design_fpr"], r["alpha"], r["fdr"]) for r in p["fdr_grid"]),
-        numbers=(0, 1, 2),
-        figure=True,
-    ),
-    _CsvFile(
-        FIG_NRB_SUITE, ("metric_name", "nrb"),
-        lambda p: ((r["metric"], r["nrb"]) for r in p["nrb_suite"]),
-        numbers=(1,),
-        figure=True,
-    ),
-)
-
-
-# Item separator "\x00": ensure_ascii writes every control character inside a
-# string as an escape, so a raw "\x00" in its output only ever separates items.
-_SCALARS = json.JSONEncoder(separators=("\x00", ": "), allow_nan=False)
-_CONTAINERS = (list, tuple, dict)
-
-
-def _json_text(value) -> str:
-    """A scalar's text in ``json.dumps(..., allow_nan=False)``; raises as it does."""
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return _SCALARS.encode(value)
-
-
-def _keys(mapping, indent: str) -> list[str]:
-    """The openings of a non-empty dict's items: '{' or ',', a newline and '"key": '."""
-    items = _SCALARS.encode(dict.fromkeys(mapping, 0))[1:-1].split("\x00")
-    names = [indent + item[:-1] for item in items]
-    return ["{" + names[0], *("," + name for name in names[1:])]
-
-
-def _table(rows) -> list[Any] | None:
-    """The cells, row by row, of dicts that share one non-empty order of str keys."""
-    if not all(map(isinstance, rows, repeat(dict))):
-        return None
-    keys = tuple(rows[0])  # equal non-str keys can encode differently: 1 == True
-    if not keys or not all(map(isinstance, keys, repeat(str))):
-        return None
-    if not all(map(keys.__eq__, map(tuple, rows))):
-        return None
-    return list(chain.from_iterable(map(dict.values, rows)))
-
-
-def _indented(obj, out: list[str], texts: _Texts, level: int = 0) -> None:
-    """Append to ``out`` the chunks of ``json.dumps(obj, indent=2, allow_nan=False)``.
-
-    Python walks only the containers. When every value of a dict, a list or a
-    table (``_table``) is a scalar, each is joined to the opening that
-    precedes it, its text read from ``texts``.
-    """
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        out.append(_SCALARS.encode(obj))
-        return
-    close = "\n" + "  " * level
-    inner = close + "  "
-    depth = level + 1
-    if isinstance(obj, dict):
-        openings, values, end = _keys(obj, inner), list(obj.values()), close + "}"
-    elif (cells := _table(obj)) is not None:
-        row = _keys(obj[0], inner + "  ")
-        # a row's first key also closes the row before it
-        later = islice(cycle([inner + "}," + inner + row[0], *row[1:]]), 1, None)
-        openings = chain(["[" + inner + row[0]], later)
-        values, end, depth = cells, inner + "}" + close + "]", level + 2
-    else:
-        openings, values, end = chain(["[" + inner], repeat("," + inner)), obj, close + "]"
-    if not any(map(isinstance, values, repeat(_CONTAINERS))):
-        out.extend(chain.from_iterable(zip(openings, texts.of(values))))
-    else:
-        for opening, value in zip(openings, values):
-            out.append(opening)
-            _indented(value, out, texts, depth)
-    out.append(end)
-
-
-def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``, each distinct scalar encoded once."""
-    chunks: list[str] = []
-    _indented(obj, chunks, _Texts(_json_text))
-    return "".join(chunks)
+    chunks, _ = _render(report)
+    return json.loads("".join(chunks))
 
 
 def emit(report: BiasReport, output_dir: Union[str, Path]) -> list[Path]:
-    """Write report.json and the CSV projections of its payload; return their paths.
+    """Write report.json and its CSV mirrors; return their paths.
 
-    The figure CSVs (fig_*.csv) are written only under ``emit_figures``.
+    Everything is rendered before report.json is opened, so a value the
+    report cannot hold raises ValueError and writes nothing. The figure
+    CSVs (fig_*.csv) are written only under ``emit_figures``.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = report_to_dict(report)
+    chunks, tables = _render(report)
     report_path = out / REPORT_JSON
-    report_path.write_text(_dumps(payload) + "\n", encoding="utf-8")
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     written = [report_path]
-    texts = _Texts(_fmt)
-    texts[str, ""] = ""  # the pooled row of a metric that is no rate has no percent
-    for table in _CSV_FILES:
-        if table.figure and not report.config.emit_figures:
-            continue
-        columns = list(zip(*table.rows(payload)))
-        for i in table.numbers:
-            columns[i] = texts.of(columns[i])
-        path = out / table.name
+    for name, header, columns in tables:
+        path = out / name
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, table.header, columns)
+            write_csv(fh, header, columns)
         written.append(path)
     return written

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +44,18 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
-from biasaudit.trials import _LABELS, METADATA_ID_COLUMN, TRIAL_HEADER, Source
+from biasaudit.config import config_as_dict
+from biasaudit.report import (
+    FIG_FDR_GRID,
+    FIG_NRB_SUITE,
+    REPORT_JSON,
+    SCHEMA_VERSION,
+    TABLE_BASE_METRICS,
+    TABLE_BIAS_MEASURES,
+    TABLE_DECOMPOSITION,
+    json_float,
+)
+from biasaudit.trials import _LABELS, METADATA_ID_COLUMN, TRIAL_HEADER, Source, write_csv
 
 
 def gk(**attributes: str) -> GroupKey:
@@ -407,3 +419,201 @@ def reference_write_metadata(
     writer.writerow([METADATA_ID_COLUMN, *names])
     for r in records:
         writer.writerow([r.speaker_id, *(r.attributes.get(n, "") for n in names)])
+
+
+def _reference_floats(row) -> list[float | str]:
+    return [json_float(v) for v in row.tolist()]
+
+
+def _reference_metric_entry(key: MetricKey, value: float) -> dict[str, Any]:
+    if key.is_rate:  # error rates get a percent display field alongside the fraction
+        return {"unit": "fraction", "fraction": value, "percent": value * 100.0}
+    return {"unit": "fraction", "fraction": value}
+
+
+def reference_report_to_dict(report: BiasReport) -> dict[str, Any]:
+    """The report's JSON payload, built as nested dicts of Python values; a test reference.
+
+    Non-finite floats of the fields that can hold them are json_float strings;
+    any other non-finite value is left in place for json.dumps to reject.
+    """
+    base, measures, grid = report.base, report.measures, report.fdr_grid
+    labels = [key.label() for key in base.groups]
+    n_target, n_nontarget = base.sizes.tolist()
+
+    def per_group(row) -> list[dict[str, Any]]:
+        return [{"group": label, "value": v} for label, v in zip(labels, _reference_floats(row))]
+
+    def zero_valued(row) -> list[str]:
+        return [label for label, v in zip(labels, row.tolist()) if math.isinf(v)]
+
+    def decomposition(point: DesignPoint) -> dict[str, Any]:
+        i = base.row(MetricKey("fpr", point.design_fpr))
+        columns = (
+            base.values[i].tolist(),
+            measures.g2min_diff[i].tolist(),
+            _reference_floats(measures.g2avg_log_ratio[i]),
+        )
+        return {
+            "design_fpr": point.design_fpr,
+            "threshold": json_float(point.threshold),
+            "pooled_fpr": base.aggregates[i].item(),
+            "pooled_fnr": base.aggregates[i + 1].item(),
+            "rows": [
+                {"group": label, "fpr": fpr, "g2min_diff": diff, "g2avg_log_ratio": log_ratio}
+                for label, fpr, diff, log_ratio in zip(labels, *columns)
+            ],
+        }
+
+    def attack_block(point: DesignPoint, fprs, times) -> dict[str, Any]:
+        order = sorted(range(len(labels)), key=lambda j: -fprs[j])  # stable: ties keep group order
+        fprs = fprs.tolist()
+        attempts, hours, to_target = map(_reference_floats, times)
+        return {
+            "design_fpr": point.design_fpr,
+            "threshold": json_float(point.threshold),
+            "attempts_per_hour": report.config.attempts_per_hour,
+            "target_probability": report.config.target_probability,
+            "rows": [
+                {
+                    "group": labels[j],
+                    "fpr": fprs[j],
+                    "expected_attempts": attempts[j],
+                    "expected_hours": hours[j],
+                    "hours_to_target_probability": to_target[j],
+                    "zero_fpr": fprs[j] == 0.0,
+                }
+                for j in order
+            ],
+        }
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": config_as_dict(report.config),
+        "warnings": list(report.warnings),
+        "groups": [
+            {"group": label, "n_target": t, "n_nontarget": n}
+            for label, t, n in zip(labels, n_target, n_nontarget)
+        ],
+        "unassigned_trials": int(base.sizes[:, -1].sum() - base.sizes[:, :-1].sum()),
+        "pooled": {"n_target": n_target[-1], "n_nontarget": n_nontarget[-1]},
+        "base_metrics": [
+            {
+                "metric": key.name,
+                "aggregate": _reference_metric_entry(key, aggregate),
+                "per_group": [
+                    {"group": label, **_reference_metric_entry(key, v)}
+                    for label, v in zip(labels, row)
+                ],
+            }
+            for key, row, aggregate in zip(
+                base.keys, base.values.tolist(), base.aggregates.tolist()
+            )
+        ],
+        "bias_measures": [
+            {"measure": measure, "metric": key.name, "reference": reference,
+             "per_group": per_group(values)}
+            for i, key in enumerate(base.keys)
+            for measure, reference, values in measures.row(i)
+        ],
+        "threshold_decomposition": [decomposition(point) for point in base.design_points],
+        "fdr_grid": [
+            {
+                "design_fpr": point.design_fpr,
+                "alpha": alpha,
+                "threshold": json_float(point.threshold),
+                "max_delta_fpr": max_delta_fpr,
+                "max_delta_fnr": max_delta_fnr,
+                "fdr": value,
+            }
+            for point, max_delta_fpr, max_delta_fnr, values in reversed(list(zip(
+                base.design_points,
+                grid.max_delta_fpr.tolist(),
+                grid.max_delta_fnr.tolist(),
+                grid.fdr.tolist(),
+            )))
+            for alpha, value in zip(grid.alphas, values)
+        ],
+        "nrb_suite": [
+            {
+                "metric": key.name,
+                "group_count": len(labels),
+                "nrb": json_float(value),
+                "per_group_log_ratios": per_group(log_ratios),
+                "zero_value_groups": zero_valued(log_ratios),
+            }
+            for key, value, log_ratios in zip(
+                base.keys, report.nrb.tolist(), measures.g2avg_log_ratio
+            )
+        ],
+        "attack_scenarios": [
+            attack_block(*block)
+            for block in zip(base.design_points, base.values[2::2], report.exposure.swapaxes(0, 1))
+        ],
+    }
+
+
+# (file, header, rows of the payload, the columns holding numbers, figure only)
+_REFERENCE_CSV = (
+    (
+        TABLE_BASE_METRICS, ("metric", "group", "value_fraction", "value_percent"),
+        lambda p: (
+            (m["metric"], r["group"], r["fraction"], r.get("percent", ""))
+            for m in p["base_metrics"]
+            for r in [*m["per_group"], {"group": "pooled", **m["aggregate"]}]
+        ),
+        (2, 3), False,
+    ),
+    (
+        TABLE_BIAS_MEASURES, ("measure", "metric", "group", "value", "reference"),
+        lambda p: (
+            (b["measure"], b["metric"], r["group"], r["value"], b["reference"])
+            for b in p["bias_measures"] for r in b["per_group"]
+        ),
+        (3,), False,
+    ),
+    (
+        TABLE_DECOMPOSITION,
+        ("design_fpr", "threshold", "group", "fpr", "g2min_diff", "g2avg_log_ratio"),
+        lambda p: (
+            (d["design_fpr"], d["threshold"], r["group"], r["fpr"], r["g2min_diff"],
+             r["g2avg_log_ratio"])
+            for d in p["threshold_decomposition"] for r in d["rows"]
+        ),
+        (0, 1, 3, 4, 5), False,
+    ),
+    (
+        FIG_FDR_GRID, ("design_fpr", "alpha", "fdr"),
+        lambda p: ((r["design_fpr"], r["alpha"], r["fdr"]) for r in p["fdr_grid"]),
+        (0, 1, 2), True,
+    ),
+    (
+        FIG_NRB_SUITE, ("metric_name", "nrb"),
+        lambda p: ((r["metric"], r["nrb"]) for r in p["nrb_suite"]),
+        (1,), True,
+    ),
+)
+
+
+def reference_emit(report: BiasReport, output_dir: Union[str, Path]) -> list[Path]:
+    """report.json as json.dumps(indent=2, allow_nan=False) of the reference payload, and
+    each CSV mirror projected row for row from that payload, every number written as
+    ``repr(float(v))`` (so "Infinity" becomes inf); a test reference."""
+    payload = reference_report_to_dict(report)
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    report_path = out / REPORT_JSON
+    report_path.write_text(text, encoding="utf-8")
+    written = [report_path]
+    for name, header, rows, numbers, figure in _REFERENCE_CSV:
+        if figure and not report.config.emit_figures:
+            continue
+        columns = [list(column) for column in zip(*rows(payload))]
+        for i in numbers:
+            columns[i] = [v if v == "" else repr(float(v)) for v in columns[i]]
+        path = out / name
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, columns)
+        written.append(path)
+    return written

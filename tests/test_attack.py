@@ -140,9 +140,10 @@ def test_attempts_for_probability_round_trip(fpr, q):
 
 
 def test_exposure_planes_come_from_the_scalar_functions():
-    fprs = np.array([[0.001, 0.0], [1.0, 0.005]])
+    # repeated FPRs and zeros of both signs, each repeat scattered back to its own cell
+    fprs = np.array([[0.001, 0.0, 0.005], [1.0, 0.005, -0.0], [0.001, 0.001, 1.0]])
     times = exposure(fprs, attempts_per_hour=30.0, target_probability=0.9)
-    assert times.shape == (3, 2, 2)
+    assert times.shape == (3, 3, 3)
     assert not times.flags.writeable
     for index, fpr in np.ndenumerate(fprs):
         attempts, hours, to_target = times[(slice(None), *index)].tolist()

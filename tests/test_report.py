@@ -2,32 +2,40 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import sys
+import tempfile
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Any
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biasaudit import (
     AuditConfig,
+    BaseMetrics,
+    BiasMeasures,
+    BiasReport,
     DataError,
     DegenerateGroupError,
+    DesignPoint,
+    FdrGrid,
     GroupingPolicy,
     GroupScoreModel,
+    MetricKey,
     SpeakerTable,
     SynthSpec,
     TrialTable,
+    ZeroAggregateError,
+    ZeroGroupValueError,
     assign_groups,
     base_metrics,
     emit,
@@ -38,6 +46,7 @@ from biasaudit import (
     write_metadata,
     write_trials,
 )
+from biasaudit.measures import ZERO_POLICIES
 from biasaudit.report import (
     FIG_FDR_GRID,
     FIG_NRB_SUITE,
@@ -45,14 +54,17 @@ from biasaudit.report import (
     TABLE_BASE_METRICS,
     TABLE_BIAS_MEASURES,
     TABLE_DECOMPOSITION,
-    _dumps,
+    _nested,
+    _render,
 )
 from helpers import (
     gk,
     rate_metrics,
+    reference_emit,
     reference_exposure,
     reference_fdr,
     reference_nrb,
+    reference_report_to_dict,
     report_of,
 )
 
@@ -214,7 +226,7 @@ def test_row_order_moves_no_byte_of_the_report(rows, rng):
             np.array([score for *_, score in order], dtype=float),
         )
         base = base_metrics(assign_groups(table, speakers, ["g"]), (0.5, 0.1))
-        dumped.add(_dumps(report_to_dict(report_of(base, zero_policy="smooth"))))
+        dumped.add(repr(_render(report_of(base, zero_policy="smooth"))))
     assert len(dumped) == 1
 
 
@@ -474,79 +486,75 @@ _CSV_NAMES = (
 )
 
 
-def test_csv_mirrors_write_each_number_as_the_repr_of_its_float(tmp_path, monkeypatch):
-    """Signed zeros side by side in one column, 30.0 and the three non-finite
-    sentinel strings each print as ``repr(float(v))``, however often they repeat."""
-    def fraction(value, percent=None):
-        cell = {"unit": "fraction", "fraction": value}
-        return cell if percent is None else {**cell, "percent": percent}
+def read_files(paths) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in paths}
 
-    payload = {
-        "base_metrics": [
-            {
-                "metric": "fpr@0.5",
-                "aggregate": fraction(0.0, 0.0),
-                "per_group": [{"group": "a", **fraction(-0.0, -0.0)},
-                              {"group": "b", **fraction(0.0, 30.0)},
-                              {"group": "c", **fraction(-0.0, 30.0)}],
-            },
-            {
-                "metric": "dcf@0.5",
-                "aggregate": fraction(30.0),
-                "per_group": [{"group": "a", **fraction(0.0)}, {"group": "b", **fraction(-0.0)}],
-            },
-        ],
-        "bias_measures": [{
-            "measure": "g2avg_log_ratio", "metric": "fpr@0.5", "reference": "group_mean",
-            "per_group": [{"group": g, "value": v} for g, v in zip(
-                "abcdefg", ["Infinity", "-Infinity", "NaN", -0.0, 0.0, "Infinity", -0.0])],
-        }],
-        "threshold_decomposition": [{
-            "design_fpr": 0.5, "threshold": "Infinity", "pooled_fpr": 0.0, "pooled_fnr": 0.0,
-            "rows": [
-                {"group": "a", "fpr": 0.0, "g2min_diff": -0.0, "g2avg_log_ratio": "-Infinity"},
-                {"group": "b", "fpr": -0.0, "g2min_diff": 0.0, "g2avg_log_ratio": "NaN"},
-                {"group": "c", "fpr": 30.0, "g2min_diff": -0.0, "g2avg_log_ratio": 0.0},
-            ],
-        }],
-        "fdr_grid": [
-            {"design_fpr": 0.5, "alpha": alpha, "threshold": "Infinity", "max_delta_fpr": 0.0,
-             "max_delta_fnr": 0.0, "fdr": fdr}
-            for alpha, fdr in ((0.0, -0.0), (30.0, 0.0), (-0.0, 30.0))
-        ],
-        "nrb_suite": [
-            {"metric": name, "nrb": nrb}
-            for name, nrb in (("fpr@0.5", "Infinity"), ("fnr@0.5", -0.0), ("eer", 0.0),
-                              ("dcf@0.5", "NaN"), ("cllr", "-Infinity"))
-        ],
-    }
-    monkeypatch.setattr(sys.modules["biasaudit.report"], "report_to_dict", lambda _: payload)
-    emit(SimpleNamespace(config=SimpleNamespace(emit_figures=True)), tmp_path)
-    text = {name: (tmp_path / name).read_text(encoding="utf-8") for name in _CSV_NAMES}
-    assert text == {
-        TABLE_BASE_METRICS: (
-            "metric,group,value_fraction,value_percent\n"
-            "fpr@0.5,a,-0.0,-0.0\nfpr@0.5,b,0.0,30.0\nfpr@0.5,c,-0.0,30.0\n"
-            "fpr@0.5,pooled,0.0,0.0\n"
-            "dcf@0.5,a,0.0,\ndcf@0.5,b,-0.0,\ndcf@0.5,pooled,30.0,\n"
+
+def test_csv_mirrors_write_each_number_as_the_repr_of_its_float(tmp_path):
+    """Signed zeros side by side in one column, 30.0 and the three non-finite values
+    each print as ``repr(float(v))``, however often they repeat, and all six files
+    are the reference emitter's bytes."""
+    inf, nan = math.inf, math.nan
+    groups = (gk(g="a"), gk(g="b"), gk(g="c"))
+    zeros = np.array([[-0.0, 0.0, 30.0]] * 4)
+    report = BiasReport(
+        config=AuditConfig(
+            scores_path="s.csv", metadata_path="m.csv", group_attributes=("g",),
+            design_fprs=(0.5,),
         ),
-        TABLE_BIAS_MEASURES: (
-            "measure,metric,group,value,reference\n"
-            + "".join(f"g2avg_log_ratio,fpr@0.5,{g},{v},group_mean\n" for g, v in zip(
-                "abcdefg", ["inf", "-inf", "nan", "-0.0", "0.0", "inf", "-0.0"]))
+        warnings=[],
+        base=BaseMetrics(
+            groups=groups,
+            keys=(MetricKey("eer"), MetricKey("min_cdet"), MetricKey("fpr", 0.5),
+                  MetricKey("fnr", 0.5)),
+            values=np.array([[-0.0, 0.0, 30.0], [0.0, -0.0, 30.0], [30.0, -0.0, 0.0],
+                             [0.0, 0.0, -0.0]]),
+            aggregates=np.array([0.0, 30.0, -0.0, 0.0]),
+            errors=np.zeros((4, 4), dtype=np.int64),
+            sizes=np.ones((2, 4), dtype=np.int64),
+            design_points=(DesignPoint(0.5, inf),),
         ),
-        TABLE_DECOMPOSITION: (
-            "design_fpr,threshold,group,fpr,g2min_diff,g2avg_log_ratio\n"
-            "0.5,inf,a,0.0,-0.0,-inf\n0.5,inf,b,-0.0,0.0,nan\n0.5,inf,c,30.0,-0.0,0.0\n"
+        measures=BiasMeasures(
+            g2min_diff=zeros,
+            g2avg_ratio=zeros[:, ::-1],
+            g2avg_log_ratio=np.array([[inf, -inf, nan], [-0.0, 0.0, inf], [-inf, nan, 0.0],
+                                      [inf, inf, -0.0]]),
+            best_groups=groups[:1] * 4,
+            average_mode="group_mean",
         ),
-        FIG_FDR_GRID: "design_fpr,alpha,fdr\n0.5,0.0,-0.0\n0.5,30.0,0.0\n0.5,-0.0,30.0\n",
-        FIG_NRB_SUITE: (
-            "metric_name,nrb\nfpr@0.5,inf\nfnr@0.5,-0.0\neer,0.0\ndcf@0.5,nan\ncllr,-inf\n"
+        fdr_grid=FdrGrid(
+            (-0.0, 30.0, 0.0), np.array([0.0]), np.array([-0.0]), np.array([[-0.0, 30.0, 0.0]])
         ),
-    }
-    assert (tmp_path / REPORT_JSON).read_text(encoding="utf-8") == (
-        json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        nrb=np.array([inf, -0.0, nan, -inf]),
+        exposure=np.full((3, 1, 3), inf),
     )
+    written = emit(report, tmp_path / "out")
+    text = {path.name: path.read_text(encoding="utf-8") for path in written}
+    assert text[TABLE_BASE_METRICS] == (
+        "metric,group,value_fraction,value_percent\n"
+        "eer,g=a,-0.0,-0.0\neer,g=b,0.0,0.0\neer,g=c,30.0,3000.0\neer,pooled,0.0,0.0\n"
+        "min_cdet,g=a,0.0,\nmin_cdet,g=b,-0.0,\nmin_cdet,g=c,30.0,\nmin_cdet,pooled,30.0,\n"
+        "fpr@0.5,g=a,30.0,3000.0\nfpr@0.5,g=b,-0.0,-0.0\nfpr@0.5,g=c,0.0,0.0\n"
+        "fpr@0.5,pooled,-0.0,-0.0\n"
+        "fnr@0.5,g=a,0.0,0.0\nfnr@0.5,g=b,0.0,0.0\nfnr@0.5,g=c,-0.0,-0.0\n"
+        "fnr@0.5,pooled,0.0,0.0\n"
+    )
+    log_ratios = [["inf", "-inf", "nan"], ["-0.0", "0.0", "inf"], ["-inf", "nan", "0.0"],
+                  ["inf", "inf", "-0.0"]]
+    assert [line.split(",")[3] for line in text[TABLE_BIAS_MEASURES].splitlines()[1:]] == [
+        v for row in log_ratios for v in ["-0.0", "0.0", "30.0", "30.0", "0.0", "-0.0", *row]
+    ]
+    assert text[TABLE_DECOMPOSITION] == (
+        "design_fpr,threshold,group,fpr,g2min_diff,g2avg_log_ratio\n"
+        "0.5,inf,g=a,30.0,-0.0,-inf\n0.5,inf,g=b,-0.0,0.0,nan\n0.5,inf,g=c,0.0,30.0,0.0\n"
+    )
+    assert text[FIG_FDR_GRID] == (
+        "design_fpr,alpha,fdr\n0.5,-0.0,-0.0\n0.5,30.0,30.0\n0.5,0.0,0.0\n"
+    )
+    assert text[FIG_NRB_SUITE] == (
+        "metric_name,nrb\neer,inf\nmin_cdet,-0.0\nfpr@0.5,nan\nfnr@0.5,-inf\n"
+    )
+    assert read_files(written) == read_files(reference_emit(report, tmp_path / "reference"))
 
 
 def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):
@@ -604,34 +612,61 @@ def test_run_audit_evaluates_each_measure_once_per_metric_row(tmp_path, monkeypa
 
 
 def test_emit_formats_each_distinct_value_once_per_output(tmp_path, monkeypatch):
-    """report.json and the CSV mirrors each compute one text per distinct (type, value);
-    a float zero is not stored, since 0.0 == -0.0 but the two print differently."""
+    """Each number array's texts come from one formatter call per distinct float64 bit
+    pattern, so 0.0 and -0.0 are each formatted and no value is formatted twice."""
     report_module = sys.modules["biasaudit.report"]
-    made: Counter[tuple[str, type, Any]] = Counter()
-    for name in ("_json_text", "_fmt"):
-        original = getattr(report_module, name)
+    texts = report_module._texts
+    calls = []
 
-        def counted(value, _name=name, _original=original):
-            made[_name, type(value), value] += 1
-            return _original(value)
+    def counted(values, form):
+        made: Counter[int] = Counter()
 
-        monkeypatch.setattr(report_module, name, counted)
+        def counting(value):
+            made[np.float64(value).view(np.int64).item()] += 1
+            return form(value)
 
+        result = texts(values, counting)
+        calls.append((np.asarray(values, dtype=float), form, made))
+        return result
+
+    monkeypatch.setattr(report_module, "_texts", counted)
     config = base_config(tmp_path)
     written = emit(run_audit(config), config.output_dir)
     assert {path.name for path in written} == set(_CSV_NAMES) | {REPORT_JSON}
-    repeated = {
-        key: n for key, n in made.items()
-        if n > 1 and not (isinstance(key[2], float) and key[2] == 0.0)
-    }
-    assert repeated == {}
-    assert {name for name, _, _ in made} == {"_json_text", "_fmt"}
-    # the payload repeats its values, so the CSV mirrors make fewer texts than they write
-    cells = sum(
-        len(table.numbers) * (len((tmp_path / "out" / table.name).read_text().splitlines()) - 1)
-        for table in report_module._CSV_FILES
+    for values, _, made in calls:
+        assert set(made.values()) <= {1}
+        assert sorted(made) == np.unique(values.ravel().view(np.int64)).tolist()
+    assert {form for _, form, _ in calls} == {report_module._finite, report_module._json_number}
+    # the arrays repeat their values, so fewer texts are made than cells are formatted
+    assert sum(len(made) for *_, made in calls) < sum(values.size for values, *_ in calls)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("part, field", [
+    ("fdr_grid", "fdr"), ("fdr_grid", "max_delta_fpr"),
+    ("measures", "g2min_diff"),  # its fpr rows are the decomposition's g2min_diff column
+])
+def test_emit_rejects_a_non_finite_value_before_writing(tmp_path, part, field, bad):
+    """A NaN or inf where report.json needs a number raises ValueError, as json.dumps with
+    allow_nan=False does, and no report.json is written."""
+    report = run_audit(base_config(tmp_path))
+    section = getattr(report, part)
+    values = getattr(section, field).copy()
+    if part == "measures":
+        values[2, -1] = bad  # row 2 is the first fpr row
+    else:
+        values.flat[-1] = bad
+    report = dataclasses.replace(
+        report, **{part: dataclasses.replace(section, **{field: values})}
     )
-    assert sum(n for (name, _, _), n in made.items() if name == "_fmt") < cells
+    with pytest.raises(ValueError):
+        emit(report, tmp_path / "out")
+    assert not (tmp_path / "out" / REPORT_JSON).exists()
+    with pytest.raises(ValueError):
+        report_to_dict(report)
+    with pytest.raises(ValueError):
+        reference_emit(report, tmp_path / "reference")
+    assert not (tmp_path / "reference" / REPORT_JSON).exists()
 
 
 # Group keys with one or two attributes, so FPR ties are broken by GroupKey's own order.
@@ -647,9 +682,9 @@ _RATES = st.sampled_from([0.0, 1.0, 0.5, 0.001]) | st.floats(1e-6, 1.0)
 
 
 @st.composite
-def _rate_tables(draw):
+def _rate_tables(draw, group_keys=_GROUPS):
     """A BaseMetrics with drawn fpr/fnr rows, and the alphas and attack settings."""
-    groups = draw(_GROUPS)
+    groups = draw(group_keys)
     design_fprs = sorted(draw(st.lists(
         st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.25]), min_size=1, max_size=3, unique=True,
     )), reverse=True)
@@ -663,6 +698,14 @@ def _rate_tables(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_rate_tables())
+@example((  # repeated FPRs and zeros in every design point, so exposure meets each FPR again
+    rate_metrics(
+        {gk(g="a"): [0.5, 0.0], gk(g="b"): [0.5, 0.001], gk(g="c"): [0.0, 0.001],
+         gk(g="d"): [0.5, 0.0]},
+        design_fprs=(0.1, 0.01),
+    ),
+    [0.5], 60.0, 0.5,
+))
 def test_meta_measures_and_exposure_match_scalar_references(table):
     """FDR cells, NRB values and exposure rows, as the report lists them, equal
     the per-cell and per-group scalar forms bit for bit."""
@@ -699,7 +742,73 @@ def test_meta_measures_and_exposure_match_scalar_references(table):
         ] == [(labels[key], *rest) for key, *rest in expected]
 
 
-# Characters the encoder must escape or keep apart from its own item separator "\x00".
+# Group values that report.json must escape and the CSV mirrors must quote.
+_GROUP_VALUES = st.text(
+    st.sampled_from(["a", "b", "\u00e9", "\u4e2d", "\U0001f600", '"', ",", "\r", " "]),
+    min_size=1, max_size=4,
+)
+
+
+def assert_emits_the_reference_bytes(report: BiasReport) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        written = emit(report, Path(tmp, "out"))
+        assert read_files(written) == read_files(reference_emit(report, Path(tmp, "reference")))
+    assert report_to_dict(report) == reference_report_to_dict(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _rate_tables(st.lists(_GROUP_VALUES, min_size=1, max_size=8, unique=True).map(
+        lambda values: [gk(g=value) for value in values]
+    )),
+    st.sampled_from(ZERO_POLICIES),
+)
+def test_emit_writes_the_reference_bytes_for_drawn_rate_tables(table, zero_policy):
+    """All six files are the bytes of the payload-dict emitter, and report_to_dict is
+    that emitter's payload."""
+    base, alphas, rate, q = table
+    try:
+        report = report_of(base, alphas, rate, q, zero_policy=zero_policy)
+    except (ZeroAggregateError, ZeroGroupValueError):  # a zero rate under zero-policy 'error'
+        assume(False)
+    assert_emits_the_reference_bytes(report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(_GROUP_VALUES, min_size=1, max_size=4, unique=True),
+    st.sampled_from(ZERO_POLICIES),
+    st.lists(st.sampled_from([0.5, 0.25, 0.1, 0.01]), min_size=1, max_size=3, unique=True),
+    st.integers(0, 2**16),
+)
+def test_emit_writes_the_reference_bytes_for_synthetic_audits(
+    values, zero_policy, design_fprs, seed
+):
+    """The same for run_audit over a drawn synthetic spec."""
+    spec = SynthSpec(
+        models=tuple(
+            GroupScoreModel(gk(g=value), 1.0 + 0.5 * i, 0.0, 1.0, 30, 40)
+            for i, value in enumerate(values)
+        ),
+        seed=seed,
+    )
+    trials, metadata = generate(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trials(trials, Path(tmp, "s.csv"))
+        write_metadata(metadata, Path(tmp, "m.csv"))
+        config = AuditConfig(
+            scores_path=str(Path(tmp, "s.csv")), metadata_path=str(Path(tmp, "m.csv")),
+            group_attributes=("g",), design_fprs=tuple(design_fprs), alphas=(0.0, 0.5, 1.0),
+            zero_policy=zero_policy,
+        )
+        try:
+            report = run_audit(config)
+        except (ZeroAggregateError, ZeroGroupValueError):  # a zero rate under 'error'
+            assume(False)
+    assert_emits_the_reference_bytes(report)
+
+
+# Characters json.dumps must escape: a raw newline inside a string would break _nested.
 _TEXT = st.text(
     st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\u00e9", "\u2028", "\U0001f600",
                      "{", "}", "[", "]", ",", ":", " ", "a"]) | st.characters(),
@@ -740,14 +849,24 @@ _TREES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TREES)
-@example([{1: 0}, {True: 0}, {1.0: 0}])  # equal keys, three spellings
-@example([0.0, -0.0, 0.0, -0.0])  # equal values, two spellings
-@example([{"v": 30}, {"v": 30.0}, {"v": True}, {"v": 1}, {"v": 1.0}])  # equal table cells
-@example([0.5, np.float64(0.5), 0.5])  # equal values of two types, one spelling
-@example({"rows": [{"g": "a", "v": [1]}, {"g": "b", "v": 2}], "empty": [{}, [], ()]})
-def test_report_encoder_writes_the_bytes_of_json_dumps_indent_2(tree):
-    assert _dumps(tree) == json.dumps(tree, indent=2, allow_nan=False)
+@given(_TREES, st.integers(0, 3))
+@example([{1: 0}, {True: 0}, {1.0: 0}], 1)  # equal keys, three spellings
+@example([0.0, -0.0, 0.0, -0.0], 1)  # equal values, two spellings
+@example([{"v": 30}, {"v": 30.0}, {"v": True}, {"v": 1}, {"v": 1.0}], 2)  # equal table cells
+@example([0.5, np.float64(0.5), 0.5], 1)  # equal values of two types, one spelling
+@example({"rows": [{"g": "a", "v": [1]}, {"g": "b", "v": 2}], "empty": [{}, [], ()]}, 1)
+@example({"text": "a\nb", "rows": ["\n", {"\n": "\r\n"}]}, 3)  # escaped newlines stay put
+def test_report_encoder_writes_the_bytes_of_json_dumps_indent_2(tree, level):
+    """A section written by ``_nested`` at depth ``level`` reads as json.dumps(indent=2)
+    writes it inside ``level`` lists."""
+    wrapped = tree
+    for _ in range(level):
+        wrapped = [wrapped]
+    opening = "".join("[\n" + "  " * (depth + 1) for depth in range(level))
+    closing = "".join("\n" + "  " * depth + "]" for depth in reversed(range(level)))
+    assert opening + _nested(tree, level) + closing == json.dumps(
+        wrapped, indent=2, allow_nan=False
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -768,7 +887,7 @@ def test_report_encoder_rejects_non_finite_floats_at_every_depth(tree, bad, path
     with pytest.raises(ValueError):
         json.dumps(value, indent=2, allow_nan=False)
     with pytest.raises(ValueError):
-        _dumps(value)
+        _nested(value, 1)
 
 
 @pytest.mark.parametrize("wrap", [
@@ -788,10 +907,10 @@ def test_report_encoder_rejects_unsupported_objects(wrap, unsupported):
     with pytest.raises(TypeError):
         json.dumps(wrap(unsupported), indent=2, allow_nan=False)
     with pytest.raises(TypeError):
-        _dumps(wrap(unsupported))
+        _nested(wrap(unsupported), 1)
 
 
 def test_report_encoder_rejects_unsupported_keys():
     for value in ({(1, 2): 0}, [{(1, 2): 0}], {"a": {(1, 2): [0]}}):
         with pytest.raises(TypeError):
-            _dumps(value)
+            _nested(value, 1)
