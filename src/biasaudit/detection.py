@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -113,11 +112,11 @@ class BaseMetrics:
     """Every base metric of one audit; all tables and meta-measures derive from it.
 
     ``values[i, j]`` is metric ``keys[i]`` of group ``groups[j]`` and
-    ``aggregates[i]`` its pooled value. Rows are EER, minCDet, then an
-    FPR/FNR pair per design point; ``design_points`` are ordered by
-    descending design FPR. ``errors`` holds the error count behind each
-    fpr/fnr rate (0 on the other rows) and ``sizes`` the target and
-    nontarget counts, both with one column per group and the pooled
+    ``aggregates[i]`` its pooled value. Only ``base_metrics`` knows the row
+    order; readers find a row by key (``row``, ``design_rows``). Design
+    points are by descending design FPR. ``errors`` holds the error count
+    behind each fpr/fnr rate (0 on other rows) and ``sizes`` the target
+    and nontarget counts, both with one column per group and the pooled
     population last. Groups are sorted; every array is read-only.
     """
 
@@ -149,6 +148,10 @@ class BaseMetrics:
     def row(self, key: MetricKey) -> int:
         """Index of the row holding metric ``key``."""
         return self.keys.index(key)
+
+    def design_rows(self, kind: str) -> list[int]:
+        """The ``kind`` ("fpr" or "fnr") row of each design point, in ``design_points`` order."""
+        return [self.row(MetricKey(kind, point.design_fpr)) for point in self.design_points]
 
     def population(self, row: int) -> np.ndarray:
         """Trial counts behind the rates of an fpr (nontargets) or fnr (targets) row."""
@@ -245,10 +248,6 @@ def base_metrics(
     design threshold (one ``searchsorted``) are read off its sweep.
     """
     groups = tuple(sorted(grouped.groups))
-    for key in groups:
-        rows = grouped.groups[key]
-        if np.count_nonzero(grouped.trials.is_target[rows]) in (0, len(rows)):
-            raise DegenerateGroupError(key)
     pooled_curve = compute_sweep(*grouped.scores())
     designs = sorted(design_fprs, reverse=True)
     thresholds = [threshold_for_fpr(pooled_curve, d).threshold for d in designs]
@@ -259,8 +258,11 @@ def base_metrics(
     values = np.zeros((len(keys), len(groups) + 1))
     errors = np.zeros_like(values, dtype=np.int64)
     sizes = np.zeros((2, len(groups) + 1), dtype=np.int64)
-    curves = (compute_sweep(*grouped.scores(grouped.groups[k])) for k in groups)
-    for j, curve in enumerate(chain(curves, [pooled_curve])):
+    for j, key in enumerate(groups + (None,)):  # each group, then the pooled population
+        try:
+            curve = compute_sweep(*grouped.scores(grouped.groups[key])) if key else pooled_curve
+        except EmptyPopulationError as exc:  # a group without targets or nontargets
+            raise DegenerateGroupError(key) from exc
         at = np.searchsorted(curve.thresholds, thresholds, side="left")
         errors[2::2, j], errors[3::2, j] = curve.false_accepts[at], curve.misses[at]
         sizes[:, j] = curve.n_target, curve.n_nontarget

@@ -76,7 +76,7 @@ def fdr_grid(base: BaseMetrics, alphas: Sequence[float] = DEFAULT_ALPHAS) -> Fdr
     Each design point's shared threshold was calibrated on the pooled
     population; its fpr and fnr rows hold every group's rates at it.
     """
-    return fdr(base.values[2::2], base.values[3::2], alphas)
+    return fdr(base.values[base.design_rows("fpr")], base.values[base.design_rows("fnr")], alphas)
 
 
 def nrb(log_ratios: np.ndarray) -> np.ndarray:

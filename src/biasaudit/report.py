@@ -142,6 +142,11 @@ def run_audit(config: AuditConfig) -> BiasReport:
         if not len(table):
             raise DataError(f"in {path}: the file {empty}")
     grouped = assign_groups(trials, metadata, config.group_attributes, config.policy)
+    labels: dict[str, GroupKey] = {}
+    for key in grouped.groups:  # every table names a group by its label alone
+        if (other := labels.setdefault(key.label(), key)) != key:
+            raise DataError(f"groups {other.values} and {key.values} share the label "
+                            f"{key.label()!r}; change the values that hold ',' and '='")
     warnings = _empty_value_warnings(grouped)
     grouped, degenerate = _drop_degenerate(grouped, strict=config.strict)
     warnings += degenerate
@@ -160,9 +165,9 @@ def run_audit(config: AuditConfig) -> BiasReport:
                 f"nrb({key.name}) is infinite; zero-valued groups: "
                 + ", ".join(str(base.groups[j]) for j in zero_valued)
             )
-    fprs = base.values[2::2]
-    for key, row in zip(base.keys[2::2], fprs):
-        if (row == 0.0).any():
+    fprs = base.values[base.design_rows("fpr")]
+    for key, row in zip(base.keys, base.values):
+        if key.kind == "fpr" and (row == 0.0).any():
             warnings.append(
                 f"{key.name}: zero-FPR groups have unbounded expected attack time; "
                 "flagged in the exposure table"
@@ -279,7 +284,7 @@ def _render(report: BiasReport) -> tuple[list[str], list[_Csv]]:
     base, measures, grid, config = report.base, report.measures, report.fdr_grid, report.config
     labels = [key.label() for key in base.groups]
     quoted = np.array(list(map(encode_basestring_ascii, labels)), dtype=object)
-    n, points = len(labels), base.design_points
+    n, points, fpr_rows = len(labels), base.design_points, base.design_rows("fpr")
     names = [key.name for key in base.keys]
     design = [json.dumps(point.design_fpr, allow_nan=False) for point in points]
     design_csv = [repr(float(point.design_fpr)) for point in points]
@@ -329,18 +334,18 @@ def _render(report: BiasReport) -> tuple[list[str], list[_Csv]]:
     ]
     log_ratios = bias[:, :, 2]
 
-    # threshold decomposition: design point k's fpr row is row 2 + 2k, its fnr row the next
-    diffs = _texts(measures.g2min_diff[2::2], _finite)
+    # threshold decomposition: one block per design point
+    diffs = _texts(measures.g2min_diff[fpr_rows], _finite)
     template = _object({
         **_slots("design_fpr", "threshold", "pooled_fpr", "pooled_fnr"),
         "rows": group_rows("fpr", "g2min_diff", "g2avg_log_ratio"),
     }, 2)
     decomposition = [
         template % (
-            design[k], thresholds[0, k], fractions[0, i, n], fractions[0, i + 1, n],
+            design[k], thresholds[0, k], fractions[0, i, n], fractions[0, j, n],
             *_cells(quoted, fractions[0, i], diffs[0, k], log_ratios[0, i]),
         )
-        for k, i in enumerate(range(2, 2 + 2 * len(points), 2))
+        for k, (i, j) in enumerate(zip(fpr_rows, base.design_rows("fnr")))
     ]
 
     # FDR grid: one dict per (design point, alpha), ascending design FPR
@@ -383,12 +388,12 @@ def _render(report: BiasReport) -> tuple[list[str], list[_Csv]]:
         ),
     }, 2)
     attack_entries = []
-    for k, fprs in enumerate(base.values[2::2]):
+    for k, i in enumerate(fpr_rows):
         # stable over the sorted group index: ties keep group order, zero FPRs come last
-        order = np.argsort(-fprs, kind="stable")
-        zero = np.where(fprs[order] == 0.0, "true", "false").tolist()
+        order = np.argsort(-base.values[i], kind="stable")
+        zero = np.where(base.values[i, order] == 0.0, "true", "false").tolist()
         attack_entries.append(template % (design[k], thresholds[0, k], *_cells(
-            quoted[order], fractions[0, 2 + 2 * k, order], *times[:, k, order], zero
+            quoted[order], fractions[0, i, order], *times[:, k, order], zero
         )))
 
     sections = {
@@ -422,8 +427,8 @@ def _render(report: BiasReport) -> tuple[list[str], list[_Csv]]:
         (TABLE_DECOMPOSITION,
          ("design_fpr", "threshold", "group", "fpr", "g2min_diff", "g2avg_log_ratio"), [
             _each(design_csv, n), _each(thresholds[1].tolist(), n), labels * len(points),
-            fractions[1, 2::2, :n].ravel().tolist(), diffs[1].ravel().tolist(),
-            log_ratios[1, 2::2].ravel().tolist(),
+            fractions[1, fpr_rows, :n].ravel().tolist(), diffs[1].ravel().tolist(),
+            log_ratios[1, fpr_rows].ravel().tolist(),
         ]),
     ]
     if config.emit_figures:

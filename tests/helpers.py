@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -142,6 +143,23 @@ def rate_metrics(
     )
 
 
+def permute_rows(base: BaseMetrics, order: Sequence[int]) -> BaseMetrics:
+    """The same table with its rows in ``order``: row i is row ``order[i]`` of ``base``."""
+    order = list(order)
+    return dataclasses.replace(
+        base,
+        keys=tuple(base.keys[i] for i in order),
+        values=base.values[order],
+        aggregates=base.aggregates[order],
+        errors=base.errors[order],
+    )
+
+
+def fpr_rows(base: BaseMetrics) -> np.ndarray:
+    """Each design point's fpr row, found by its MetricKey; a test reference."""
+    return base.values[[base.row(MetricKey("fpr", p.design_fpr)) for p in base.design_points]]
+
+
 def report_of(
     base: BaseMetrics,
     alphas: Sequence[float] = (0.0, 0.5, 1.0),
@@ -168,7 +186,7 @@ def report_of(
         measures=measures,
         fdr_grid=fdr_grid(base, alphas),
         nrb=nrb(measures.g2avg_log_ratio),
-        exposure=exposure(base.values[2::2], attempts_per_hour, target_probability),
+        exposure=exposure(fpr_rows(base), attempts_per_hour, target_probability),
     )
 
 
@@ -448,7 +466,7 @@ def reference_report_to_dict(report: BiasReport) -> dict[str, Any]:
         return [label for label, v in zip(labels, row.tolist()) if math.isinf(v)]
 
     def decomposition(point: DesignPoint) -> dict[str, Any]:
-        i = base.row(MetricKey("fpr", point.design_fpr))
+        i, j = (base.row(MetricKey(kind, point.design_fpr)) for kind in ("fpr", "fnr"))
         columns = (
             base.values[i].tolist(),
             measures.g2min_diff[i].tolist(),
@@ -458,7 +476,7 @@ def reference_report_to_dict(report: BiasReport) -> dict[str, Any]:
             "design_fpr": point.design_fpr,
             "threshold": json_float(point.threshold),
             "pooled_fpr": base.aggregates[i].item(),
-            "pooled_fnr": base.aggregates[i + 1].item(),
+            "pooled_fnr": base.aggregates[j].item(),
             "rows": [
                 {"group": label, "fpr": fpr, "g2min_diff": diff, "g2avg_log_ratio": log_ratio}
                 for label, fpr, diff, log_ratio in zip(labels, *columns)
@@ -548,7 +566,7 @@ def reference_report_to_dict(report: BiasReport) -> dict[str, Any]:
         ],
         "attack_scenarios": [
             attack_block(*block)
-            for block in zip(base.design_points, base.values[2::2], report.exposure.swapaxes(0, 1))
+            for block in zip(base.design_points, fpr_rows(base), report.exposure.swapaxes(0, 1))
         ],
     }
 

@@ -435,6 +435,17 @@ def test_audit_with_only_degenerate_groups_says_why(tmp_path, capsys):
     )
 
 
+def test_audit_of_groups_that_share_a_label_exits_two_before_writing(tmp_path, capsys):
+    rows = [f"{s},{s},{label},{score}" for s in ("s1", "s2")
+            for label, score in (("target", 1), ("nontarget", 0))]
+    _write_audit_inputs(tmp_path, rows, 'speaker_id,a,b\ns1,"1,b=2",3\ns2,1,"2,b=3"\n')
+    assert _audit_in(
+        tmp_path, "--groups", "a,b", "--design-fprs", "0.5", "--zero-policy", "smooth"
+    ) == 2
+    assert "share the label 'a=1,b=2,b=3'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("score_rows, metadata_text, file_name, message", [
     ([], "speaker_id,g\na,x\n", "scores.csv", "the file holds no trials"),
     (["a,b,target,1", "a,b,nontarget,0"], "speaker_id,g\n", "metadata.csv",

@@ -13,9 +13,13 @@ from biasaudit import (
     DcfParams,
     DegenerateGroupError,
     EmptyPopulationError,
+    GroupScoreModel,
     MetricKey,
+    SynthSpec,
+    assign_groups,
     base_metrics,
     compute_sweep,
+    draw,
     eer,
     min_cdet,
     threshold_for_fpr,
@@ -254,12 +258,37 @@ def test_disaggregate_two_gaussian_groups():
 
 
 def test_disaggregate_degenerate_group_raises():
-    grouped = grouped_from_scores({
-        gk(g="a"): ([1.0], [0.0]),
-        gk(g="b"): ([1.0], []),  # targets only
-    })
-    with pytest.raises(DegenerateGroupError):
-        base_metrics(grouped, ())
+    good = ([1.0], [0.0])
+    for groups, degenerate in (
+        ({gk(g="a"): good, gk(g="b"): ([1.0], [])}, gk(g="b")),  # targets only
+        ({gk(g="a"): good, gk(g="b"): ([], [0.0])}, gk(g="b")),  # nontargets only
+        ({gk(g="a"): ([], [0.0]), gk(g="b"): good}, gk(g="a")),  # sorts before a good group
+    ):
+        with pytest.raises(DegenerateGroupError, match=f"^group {degenerate} has no target"):
+            base_metrics(grouped_from_scores(groups), ())
+    # the pooled population is swept first: with no nontarget at all, it is the empty one
+    with pytest.raises(EmptyPopulationError, match="no nontarget scores"):
+        base_metrics(grouped_from_scores({gk(g="a"): ([1.0], []), gk(g="b"): ([2.0], [])}), ())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), min_size=1, max_size=4),
+    st.lists(st.sampled_from([0.5, 0.25, 0.1, 0.05, 0.01]), max_size=4, unique=True),
+    st.integers(0, 2**16),
+)
+def test_design_rows_are_the_rows_base_metrics_builds(sizes, design_fprs, seed):
+    """EER, minCDet, then an fpr/fnr pair per design point by descending design FPR."""
+    spec = SynthSpec(models=tuple(
+        GroupScoreModel(gk(g=f"g{i}"), 1.0 + 0.5 * i, 0.0, 1.0, n_target, n_nontarget)
+        for i, (n_target, n_nontarget) in enumerate(sizes)
+    ), seed=seed)
+    base = base_metrics(assign_groups(*draw(spec), ["g"]), design_fprs)
+    n = len(design_fprs)
+    assert [p.design_fpr for p in base.design_points] == sorted(design_fprs, reverse=True)
+    assert base.keys[:2] == (MetricKey("eer"), MetricKey("min_cdet"))
+    assert base.design_rows("fpr") == list(range(2, 2 + 2 * n, 2))
+    assert base.design_rows("fnr") == list(range(3, 3 + 2 * n, 2))
 
 
 def test_disaggregate_min_cdet_uses_params():

@@ -59,6 +59,7 @@ from biasaudit.report import (
 )
 from helpers import (
     gk,
+    permute_rows,
     rate_metrics,
     reference_emit,
     reference_exposure,
@@ -243,6 +244,34 @@ def test_degenerate_group_raises_under_strict(tmp_path):
     )
     with pytest.raises(DegenerateGroupError):
         run_audit(config)
+
+
+@pytest.mark.parametrize("metadata, labels", [
+    # values holding ',' whose labels differ
+    ('speaker_id,a,b\ns1,"1,2",3\ns2,1,"2,3"\n', ["a=1,b=2,3", "a=1,2,b=3"]),
+    # both groups would be written a=1,b=2,b=3
+    ('speaker_id,a,b\ns1,"1,b=2",3\ns2,1,"2,b=3"\n', None),
+], ids=["distinct", "shared"])
+def test_groups_that_share_a_label_are_an_input_error(tmp_path, metadata, labels):
+    (tmp_path / "m.csv").write_text(metadata, encoding="utf-8")
+    (tmp_path / "s.csv").write_text("enroll_id,test_id,label,score\n" + "".join(
+        f"{s},{s},{label},{score}\n" for s in ("s1", "s2")
+        for label, score in (("target", 1.0), ("target", 0.25), ("nontarget", 0.5),
+                             ("nontarget", 0.0))
+    ), encoding="utf-8")
+    config = AuditConfig(
+        scores_path=str(tmp_path / "s.csv"), metadata_path=str(tmp_path / "m.csv"),
+        group_attributes=("a", "b"), design_fprs=(0.5,), zero_policy="smooth",
+    )
+    if labels is not None:
+        assert [key.label() for key in run_audit(config).base.groups] == labels
+        return
+    with pytest.raises(DataError) as info:
+        run_audit(config)
+    assert str(info.value) == (
+        "groups ('1', '2,b=3') and ('1,b=2', '3') share the label 'a=1,b=2,b=3'; "
+        "change the values that hold ',' and '='"
+    )
 
 
 def test_emit_writes_six_deterministic_files(tmp_path):
@@ -653,7 +682,7 @@ def test_emit_rejects_a_non_finite_value_before_writing(tmp_path, part, field, b
     section = getattr(report, part)
     values = getattr(section, field).copy()
     if part == "measures":
-        values[2, -1] = bad  # row 2 is the first fpr row
+        values[report.base.design_rows("fpr")[0], -1] = bad
     else:
         values.flat[-1] = bad
     report = dataclasses.replace(
@@ -692,8 +721,20 @@ def _rate_tables(draw, group_keys=_GROUPS):
     base = rate_metrics(
         {key: draw(rates) for key in groups}, {key: draw(rates) for key in groups}, design_fprs
     )
+    base = permute_rows(base, draw(st.permutations(range(len(base.keys)))))
     alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True))
     return base, alphas, draw(st.floats(0.5, 1000.0)), draw(st.floats(0.01, 0.99))
+
+
+# largest FPR gaps 0.1 and 0.05, with the rows reversed: no fpr row is where base_metrics
+# puts it, so a reader that finds rows by position reads other rows' gaps
+_REVERSED_ROWS = (
+    permute_rows(
+        rate_metrics({gk(g="a"): [0.2, 0.05], gk(g="b"): [0.1, 0.0]}, design_fprs=(0.1, 0.01)),
+        [5, 4, 3, 2, 1, 0],
+    ),
+    [0.0, 1.0], 60.0, 0.5,
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -706,6 +747,7 @@ def _rate_tables(draw, group_keys=_GROUPS):
     ),
     [0.5], 60.0, 0.5,
 ))
+@example(_REVERSED_ROWS)
 def test_meta_measures_and_exposure_match_scalar_references(table):
     """FDR cells, NRB values and exposure rows, as the report lists them, equal
     the per-cell and per-group scalar forms bit for bit."""
@@ -713,9 +755,11 @@ def test_meta_measures_and_exposure_match_scalar_references(table):
     report = report_of(base, alphas, rate, q)
     payload = report_to_dict(report)
     labels = {key: key.label() for key in base.groups}
-    # design point i's fpr and fnr rows are rows 2 + 2i and 3 + 2i
-    fpr_rows = dict(zip(base.design_points, base.values[2::2].tolist()))
-    fnr_rows = dict(zip(base.design_points, base.values[3::2].tolist()))
+    fpr_rows, fnr_rows = (
+        {point: base.values[base.row(MetricKey(kind, point.design_fpr))].tolist()
+         for point in base.design_points}
+        for kind in ("fpr", "fnr")
+    )
 
     def gap(row):
         return max(row) - min(row)
@@ -763,6 +807,7 @@ def assert_emits_the_reference_bytes(report: BiasReport) -> None:
     )),
     st.sampled_from(ZERO_POLICIES),
 )
+@example(_REVERSED_ROWS, "infinity")
 def test_emit_writes_the_reference_bytes_for_drawn_rate_tables(table, zero_policy):
     """All six files are the bytes of the payload-dict emitter, and report_to_dict is
     that emitter's payload."""
