@@ -2,7 +2,7 @@
 
 Config files are UTF-8 text (a leading BOM is skipped), one
 ``key = value`` pair per line ended by LF, CRLF or CR, ``#`` comments
-and blank lines ignored. List values are comma-separated.
+and blank lines ignored, each key set once. List values are comma-separated.
 Recognized keys are those of ``PARSERS``; the ``audit`` command's flags
 set the same keys and go through the same parsers.
 Defaults reproduce the standard audit preset: design FPRs
@@ -85,8 +85,9 @@ def _sharing_a_key(values: tuple[float, ...], key) -> list[float]:
 
 
 def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
-    """Read a flat key=value config file into a string mapping."""
+    """Read a flat key=value config file into a string mapping; a key may be set once."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -101,7 +102,10 @@ def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if (first := first_line.setdefault(key, lineno)) != lineno:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {first}")
+        values[key] = value.strip()
     return values
 
 

@@ -65,37 +65,41 @@ class BiasReport:
     exposure: np.ndarray
 
 
-def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrials, list[str]]:
-    """Move the rows of groups lacking targets or nontargets out of the group map.
+def _kept_groups(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrials, list[str]]:
+    """One pass in key order: check each label, warn on empty values, drop degenerate groups.
 
-    Their trials still count toward every pooled statistic (they join
-    the unassigned rows), they just get no per-group metrics. Under
-    strict mode a degenerate group is an error instead. When no group is
-    left, the error counts the unassigned trials and degenerate groups.
+    Tables name a group by its label alone, so a shared label raises at once. A group
+    lacking targets or nontargets moves, with a warning, to the unassigned rows, which count
+    toward pooled statistics only; under strict mode it raises once every label is checked.
+    With no group left, the error counts the unassigned trials and degenerate groups.
     """
-    warnings: list[str] = []
+    labels: dict[str, GroupKey] = {}
+    empty: list[str] = []
     kept: dict[GroupKey, np.ndarray] = {}
-    displaced = [grouped.unassigned]
+    degenerate: dict[GroupKey, str] = {}  # key -> its warning
     for key, rows in grouped.groups.items():
+        if (other := labels.setdefault(key.label(), key)) != key:
+            raise DataError(f"groups {other.values} and {key.values} share the label "
+                            f"{key.label()!r}; change the values that hold ',' and '='")
+        empty += [f"group {key} has an empty {name} value ({len(rows)} trials); check the "
+                  "metadata for missing values" for name, value in zip(key.names, key.values)
+                  if not value]
         n_target = np.count_nonzero(grouped.trials.is_target[rows])
         if 0 < n_target < len(rows):
             kept[key] = rows
-            continue
-        if strict:
-            raise DegenerateGroupError(key)
-        side = "target" if n_target == 0 else "nontarget"
-        warnings.append(
-            f"group {key} has no {side} trials; excluded from per-group metrics "
-            f"({len(rows)} trials kept in pooled statistics)"
-        )
-        displaced.append(rows)
+        else:
+            side = "target" if n_target == 0 else "nontarget"
+            degenerate[key] = (f"group {key} has no {side} trials; excluded from per-group "
+                               f"metrics ({len(rows)} trials kept in pooled statistics)")
+    if strict and degenerate:
+        raise DegenerateGroupError(next(iter(degenerate)))
     if not kept:
         n_trials, n_unassigned = len(grouped.trials), len(grouped.unassigned)
         share = "all" if n_unassigned == n_trials else f"{n_unassigned} of"
-        groups = "group is" if len(displaced) == 2 else "groups are"
+        groups = "group is" if len(degenerate) == 1 else "groups are"
         message = (
             f"no group has both target and nontarget trials: {share} {n_trials} trials "
-            f"are unassigned and {len(displaced) - 1} {groups} degenerate"
+            f"are unassigned and {len(degenerate)} {groups} degenerate"
         )
         if not grouped.groups:
             message += (
@@ -104,18 +108,13 @@ def _drop_degenerate(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrial
                 "of a trial share the grouping values)"
             )
         raise DataError(message)
-    return GroupedTrials(grouped.trials, kept, np.sort(np.concatenate(displaced))), warnings
-
-
-def _empty_value_warnings(grouped: GroupedTrials) -> list[str]:
-    """One warning per group whose key holds an empty attribute value."""
-    return [
-        f"group {key} has an empty {name} value ({len(rows)} trials); "
-        "check the metadata for missing values"
-        for key, rows in grouped.groups.items()
-        for name, value in zip(key.names, key.values)
-        if not value
-    ]
+    displaced = (grouped.groups[key] for key in degenerate)
+    unassigned = np.sort(np.concatenate([grouped.unassigned, *displaced]))
+    warnings = empty + list(degenerate.values())
+    if len(unassigned):
+        warnings.append(f"{len(unassigned)} trials are unassigned; they count toward "
+                        "pooled metrics only")
+    return GroupedTrials(grouped.trials, kept, unassigned), warnings
 
 
 def _load(loader: Callable[[str], Any], path: str, what: str) -> Any:
@@ -142,19 +141,7 @@ def run_audit(config: AuditConfig) -> BiasReport:
         if not len(table):
             raise DataError(f"in {path}: the file {empty}")
     grouped = assign_groups(trials, metadata, config.group_attributes, config.policy)
-    labels: dict[str, GroupKey] = {}
-    for key in grouped.groups:  # every table names a group by its label alone
-        if (other := labels.setdefault(key.label(), key)) != key:
-            raise DataError(f"groups {other.values} and {key.values} share the label "
-                            f"{key.label()!r}; change the values that hold ',' and '='")
-    warnings = _empty_value_warnings(grouped)
-    grouped, degenerate = _drop_degenerate(grouped, strict=config.strict)
-    warnings += degenerate
-    if len(grouped.unassigned):
-        warnings.append(
-            f"{len(grouped.unassigned)} trials are unassigned; they count toward "
-            "pooled metrics only"
-        )
+    grouped, warnings = _kept_groups(grouped, config.strict)
 
     base = base_metrics(grouped, config.design_fprs, config.dcf)
     measures = bias_measures(base, config.zero_policy, config.average_mode)

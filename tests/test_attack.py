@@ -38,6 +38,11 @@ def test_success_probability_certain_and_empty():
     assert success_probability(AttackScenario(fpr=0.3), 0) == 0.0
 
 
+def test_success_probability_rejects_negative_attempts():
+    with pytest.raises(ValueError, match="n_attempts must be nonnegative"):
+        success_probability(AttackScenario(0.1), -1)
+
+
 def test_success_probability_seventeen_hour_attack():
     # 1 - 0.999^1020 evaluated in the log domain: 0.63959
     value = success_probability(AttackScenario(fpr=0.001), 1020)

@@ -165,10 +165,11 @@ def _audit_config(monkeypatch, tmp_path, lines, flags=()):
 
     monkeypatch.setattr("biasaudit.cli.run_audit", capture)
     config_path = tmp_path / "audit.cfg"
-    config_path.write_text(
-        "scores = s.csv\nmetadata = m.csv\ngroups = gender\n" + "".join(lines),
-        encoding="utf-8",
-    )
+    given = {line.partition("=")[0].strip() for line in lines}  # a key may be set only once
+    required = [f"{key} = {value}\n" for key, value in
+                (("scores", "s.csv"), ("metadata", "m.csv"), ("groups", "gender"))
+                if key not in given]
+    config_path.write_text("".join(required + list(lines)), encoding="utf-8")
     with pytest.raises(_Captured) as info:
         main(["audit", "--config", str(config_path), *flags])
     return info.value.config
@@ -191,10 +192,52 @@ def test_flag_and_config_key_give_the_same_config(monkeypatch, tmp_path, key, fl
 @pytest.mark.parametrize("flags, message", [
     (("--dcf-pt", "x"), "dcf_p_target: bad value 'x'"),
     (("--design-fprs", "0.1,x"), "design_fprs: cannot parse float list"),
+    (("--scores", ""), "error: scores and metadata paths must be nonempty"),
+    (("--groups", ","), "error: at least one group attribute is required"),
+    (("--design-fprs", ","), "error: design_fprs must be nonempty, each in (0, 1]"),
+    (("--alphas", ","), "error: alphas must be nonempty, each in [0, 1]"),
+    (("--config", "missing.cfg"), "error: cannot read config file missing.cfg: "),
 ])
 def test_bad_flag_value_names_its_config_key(data_dir, capsys, flags, message):
     assert main(audit_args(data_dir, extra=flags)) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    # click's choices reject these two as flags, so only a config file reaches the check
+    ("zero_policy = bogus", "zero_policy must be one of ('error', 'infinity', 'smooth')"),
+    ("average_mode = bogus", "average_mode must be one of ('pooled', 'group_mean')"),
+    ("target_probability = 1", "target_probability must lie in (0, 1)"),
+    ("strict = maybe", "strict: cannot parse boolean from 'maybe'"),
+    ("policy = bogus", "policy must be one of ['both-match', 'enrollment-only'], got 'bogus'"),
+], ids=["zero_policy", "average_mode", "target_probability", "strict", "policy"])
+def test_bad_config_file_value_exits_one(tmp_path, capsys, line, message):
+    config_path = tmp_path / "audit.cfg"
+    config_path.write_text(f"scores = s.csv\nmetadata = m.csv\ngroups = g\n{line}\n",
+                           encoding="utf-8")
+    assert main(["audit", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("again", ["groups", "Groups", " GROUPS "])
+def test_a_config_key_set_twice_names_both_lines(tmp_path, capsys, again):
+    """The later line is no override: a key set twice is a config error naming both lines."""
+    config_path = tmp_path / "audit.cfg"
+    config_path.write_text(f"groups = g\n# then\n{again} = nope\n", encoding="utf-8")
+    message = f"{config_path}:3: groups is already set on line 1"
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(config_path)
+    assert str(info.value) == message
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(config_path), "--scores", "s.csv",
+                 "--metadata", "m.csv", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_build_config_rejects_an_unknown_preset():
+    with pytest.raises(ConfigError, match="^unknown preset 'x'$"):
+        build_config({"scores": "s.csv", "metadata": "m.csv", "groups": "g"}, preset="x")
 
 
 def test_config_file_with_cli_override(data_dir):
@@ -462,6 +505,37 @@ def test_audit_of_a_file_with_a_header_alone_names_the_file(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_shared_label_wins_over_strict(tmp_path, capsys):
+    """Every label is checked before --strict looks at degenerate groups."""
+    rows = ["s0,s0,target,1"] + [f"{s},{s},{label},{score}" for s in ("s1", "s2")
+                                 for label, score in (("target", 1), ("nontarget", 0))]
+    # group a=0,b=0 holds one target trial alone and sorts before the two that share a label
+    metadata = 'speaker_id,a,b\ns0,0,0\ns1,"1,b=2",3\ns2,1,"2,b=3"\n'
+    _write_audit_inputs(tmp_path, rows, metadata)
+    assert _audit_in(tmp_path, "--groups", "a,b", "--design-fprs", "0.5",
+                     "--zero-policy", "smooth", "--strict") == 2
+    assert "share the label 'a=1,b=2,b=3'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_strict_names_the_first_degenerate_group_in_key_order(tmp_path, capsys):
+    # in file order the nontarget-only group g=y comes first; in key order g=w does
+    rows = ["a,a,nontarget,0", "b,b,target,1", "b,b,nontarget,0", "c,c,target,1"]
+    _write_audit_inputs(tmp_path, rows, "speaker_id,g\na,y\nb,x\nc,w\n")
+    assert _audit_in(tmp_path, "--groups", "g", "--strict") == 3
+    assert capsys.readouterr().err == "error: group g=w has no target or no nontarget trials\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_metadata_columns_equal_after_lowercasing_exit_two(tmp_path, capsys):
+    _write_audit_inputs(tmp_path, ["a,a,target,1"], "speaker_id,Gender,gender\na,f,m\n")
+    assert _audit_in(tmp_path, "--groups", "gender") == 2
+    assert capsys.readouterr().err == (
+        f"error: in {tmp_path / 'metadata.csv'}: "
+        "duplicate metadata columns after lowercasing: ['gender', 'gender']\n"
+    )
+
+
 def test_strict_degenerate_exits_three(tmp_path):
     from biasaudit import Label, SpeakerMetadata, TrialRecord
 
@@ -608,6 +682,13 @@ def test_synth_bad_spec_exits_one(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"groups": []}', encoding="utf-8")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 1
+
+
+def test_synth_missing_spec_exits_two(tmp_path, capsys):
+    spec_path = tmp_path / "missing.json"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read spec {spec_path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_spec_with_a_bom_writes_the_same_files(tmp_path):

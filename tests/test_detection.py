@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -359,6 +360,12 @@ def test_disaggregate_at_threshold_records_counts():
 def test_base_metrics_rejects_empty_negative_and_non_finite_values(per_group, aggregate):
     with pytest.raises(ValueError):
         one_metric(per_group, aggregate)
+
+
+def test_base_metrics_rejects_arrays_that_do_not_match_its_keys():
+    base = one_metric({gk(g="a"): 0.1}, 0.1)
+    with pytest.raises(ValueError, match="do not match the metric keys and groups"):
+        dataclasses.replace(base, keys=(MetricKey("eer"), MetricKey("min_cdet")))
 
 
 def test_base_metrics_arrays_are_read_only():

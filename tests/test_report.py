@@ -421,6 +421,52 @@ def test_empty_attribute_value_is_flagged(tmp_path):
     ]
 
 
+def test_one_audit_gives_each_kind_of_warning_in_order(tmp_path):
+    """Empty values, degenerate groups and the unassigned count, then the measures' warnings."""
+    (tmp_path / "m.csv").write_text("speaker_id,g\na,\nc,x\ne,y\n", encoding="utf-8")
+    rows = [
+        "a,a,target,1", "a,a,target,2", "a,a,nontarget,0", "a,a,nontarget,0.5",  # g=: no FA
+        "c,c,target,1", "c,c,target,0.25", "c,c,nontarget,0.5", "c,c,nontarget,3",
+        "e,e,target,0.75",  # g=y holds a target alone
+        "z,z,nontarget,0.25",  # z has no metadata
+    ]
+    (tmp_path / "s.csv").write_text(
+        "enroll_id,test_id,label,score\n" + "".join(f"{row}\n" for row in rows), encoding="utf-8"
+    )
+    config = AuditConfig(
+        scores_path=str(tmp_path / "s.csv"), metadata_path=str(tmp_path / "m.csv"),
+        group_attributes=("g",), design_fprs=(0.5,), zero_policy="infinity",
+    )
+    assert run_audit(config).warnings == [
+        "group g= has an empty g value (4 trials); check the metadata for missing values",
+        "group g=y has no nontarget trials; excluded from per-group metrics "
+        "(1 trials kept in pooled statistics)",
+        "2 trials are unassigned; they count toward pooled metrics only",
+        *(f"nrb({name}) is infinite; zero-valued groups: g="
+          for name in ("eer", "min_cdet", "fpr@0.5", "fnr@0.5")),
+        "fpr@0.5: zero-FPR groups have unbounded expected attack time; "
+        "flagged in the exposure table",
+    ]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Library use\n"):]
+    block = section[section.index("```python\n") + len("```python\n"):section.index("\n```\n")]
+    write_two_group_fixture(tmp_path)
+    (tmp_path / "audit.cfg").write_text(
+        "scores = scores.csv\nmetadata = metadata.csv\ngroups = gender,nationality\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out
+    assert (tmp_path / "audit_out" / REPORT_JSON).exists()
+    assert namespace["config"].group_attributes == ("gender", "nationality")
+    assert namespace["config"].dcf.c_miss == 2.0
+
+
 def test_enrollment_only_policy_flows_through(tmp_path):
     scores_path, metadata_path = write_two_group_fixture(tmp_path)
     config = AuditConfig(

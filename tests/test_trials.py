@@ -64,6 +64,15 @@ def test_group_key_rejects_attribute_names_equal_after_lowercasing():
         GroupKey(("gender", "gender"), ("f", "m"))
 
 
+@pytest.mark.parametrize("names, values, message", [
+    (("age", "gender"), ("old",), "equal length"),
+    (("gender", "age"), ("f", "old"), "must be sorted"),
+], ids=["lengths", "unsorted"])
+def test_group_key_rejects_malformed_names(names, values, message):
+    with pytest.raises(ValueError, match=message):
+        GroupKey(names, values)
+
+
 def test_load_metadata_maps_rows():
     speakers = load_metadata(io.StringIO(
         "speaker_id,Gender,nationality\nid001,male,US\n"
@@ -620,6 +629,11 @@ def test_load_trials_label_case_insensitive_and_order_preserved():
     ))
     assert trials.is_target.tolist() == [True, False]
     assert trials.scores.tolist() == [1.5, 0.25]
+
+
+def test_load_trials_rejects_a_source_without_read():
+    with pytest.raises(TypeError, match="unsupported source type"):
+        load_trials(42)
 
 
 def test_load_trials_bad_label():
