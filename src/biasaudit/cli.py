@@ -31,7 +31,6 @@ from .config import build_config, parse_config_file
 from .errors import (
     AuditError,
     ConfigError,
-    DataError,
     DegenerateGroupError,
 )
 from .measures import AVERAGE_MODES, ZERO_POLICIES
@@ -187,7 +186,7 @@ def synth(spec_path, seed, out):
         spec = load_synth_spec(spec_path, seed=seed)
         trials, speakers = draw(spec)
     except OSError as exc:
-        raise DataError(f"cannot read spec {spec_path}: {exc}") from exc
+        raise ConfigError(f"cannot read spec {spec_path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad synthesis spec {spec_path}: {exc}") from exc
     out_dir = Path(out)

@@ -144,10 +144,17 @@ class BaseMetrics:
                 raise ValueError("metric values must be finite and nonnegative")
         for arr in (self.values, self.aggregates, self.errors, self.sizes):
             arr.flags.writeable = False
+        rows: dict[MetricKey, int] = {}
+        for i, key in enumerate(self.keys):
+            rows.setdefault(key, i)
+        object.__setattr__(self, "_rows", rows)
 
     def row(self, key: MetricKey) -> int:
-        """Index of the row holding metric ``key``."""
-        return self.keys.index(key)
+        """Index of the (first) row holding metric ``key``; ValueError if none does."""
+        try:
+            return self._rows[key]
+        except KeyError:
+            raise ValueError(f"no base-metric row holds {key!r}") from None
 
     def design_rows(self, kind: str) -> list[int]:
         """The ``kind`` ("fpr" or "fnr") row of each design point, in ``design_points`` order."""

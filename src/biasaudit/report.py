@@ -84,7 +84,7 @@ def _kept_groups(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrials, l
         empty += [f"group {key} has an empty {name} value ({len(rows)} trials); check the "
                   "metadata for missing values" for name, value in zip(key.names, key.values)
                   if not value]
-        n_target = np.count_nonzero(grouped.trials.is_target[rows])
+        n_target = grouped.targets[key]
         if 0 < n_target < len(rows):
             kept[key] = rows
         else:
@@ -114,7 +114,8 @@ def _kept_groups(grouped: GroupedTrials, strict: bool) -> tuple[GroupedTrials, l
     if len(unassigned):
         warnings.append(f"{len(unassigned)} trials are unassigned; they count toward "
                         "pooled metrics only")
-    return GroupedTrials(grouped.trials, kept, unassigned), warnings
+    targets = {key: grouped.targets[key] for key in kept}
+    return GroupedTrials(grouped.trials, kept, unassigned, targets), warnings
 
 
 def _load(loader: Callable[[str], Any], path: str, what: str) -> Any:

@@ -126,7 +126,8 @@ def draw(spec: SynthSpec) -> tuple[TrialTable, SpeakerTable]:
     targets: list[np.ndarray] = []
     scores: list[np.ndarray] = []
     names = sorted({n for m in spec.models for n in m.group.names})
-    columns: dict[str, list[str]] = {n: [] for n in names}
+    levels: dict[str, dict[str, int]] = {n: {} for n in names}  # value -> code, per attribute
+    codes: dict[str, list[np.ndarray]] = {n: [] for n in names}
     for gi, (model, stream) in enumerate(zip(spec.models, streams)):
         rng = np.random.default_rng(stream)
         target_scores = rng.normal(model.mu_target, model.sigma, model.n_target)
@@ -146,12 +147,19 @@ def draw(spec: SynthSpec) -> tuple[TrialTable, SpeakerTable]:
         speakers[::2], speakers[1::2] = enroll, test
         speaker_ids += speakers
         attributes = dict(zip(model.group.names, model.group.values))
-        for name, column in columns.items():
-            column += [attributes.get(name, "")] * (2 * n)
+        for name, parts in codes.items():
+            coder = levels[name]
+            code = coder.setdefault(attributes.get(name, ""), len(coder))
+            parts.append(np.full(2 * n, code, np.int32))
         targets.append(np.arange(n) < model.n_target)
         scores += [target_scores, nontarget_scores]
     trials = TrialTable(enroll_ids, test_ids, np.concatenate(targets), np.concatenate(scores))
-    return trials, SpeakerTable(speaker_ids, columns)
+    speakers = SpeakerTable.from_codes(
+        speaker_ids,
+        {name: np.concatenate(parts) for name, parts in codes.items()},
+        {name: list(coder) for name, coder in levels.items()},
+    )
+    return trials, speakers
 
 
 def generate(spec: SynthSpec) -> tuple[list[TrialRecord], list[SpeakerMetadata]]:

@@ -12,7 +12,9 @@ NUL) is split with ``str`` methods once each CRLF and CR is made an LF;
 from the first that is not plain, ``csv.reader`` reads runs of
 ``CHUNK_ROWS`` rows. Each chunk is checked column by column, and only a
 chunk that fails a check is walked row by row to report its first bad
-row. Loading is single-threaded; loaded tables are treated as immutable.
+row. Metadata values are coded as they are read, one int32 code array
+and one level list per attribute, and grouping works on those codes.
+Loading is single-threaded; loaded tables are treated as immutable.
 """
 
 from __future__ import annotations
@@ -174,16 +176,23 @@ class GroupedTrials:
 
     Each array holds read-only row numbers into ``trials`` in file
     order, every row is in exactly one array, and ``groups`` is in sorted
-    key order. Pooled statistics use every row, unassigned included.
+    key order. ``targets`` maps each group to its number of target
+    trials; when not given, it is counted from ``trials.is_target``.
+    Pooled statistics use every row, unassigned included.
     """
 
     trials: TrialTable
     groups: dict[GroupKey, np.ndarray]
     unassigned: np.ndarray
+    targets: dict[GroupKey, int] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         for rows in (*self.groups.values(), self.unassigned):
             rows.flags.writeable = False
+        if self.targets is None:
+            counts = {key: int(np.count_nonzero(self.trials.is_target[rows]))
+                      for key, rows in self.groups.items()}
+            object.__setattr__(self, "targets", counts)
 
     def scores(self, rows: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(target, nontarget) scores of ``rows``, in row order; by default every row."""
@@ -192,20 +201,60 @@ class GroupedTrials:
         return scores.compress(is_target), scores.compress(~is_target)
 
 
-@dataclass(frozen=True, eq=False)
-class SpeakerTable:
-    """Speaker metadata as columns; ``len`` counts the speakers.
+class _Codes(dict):
+    """value -> its code: the number of distinct values coded before it."""
 
-    ``columns`` maps each attribute name to its values, which line up
-    with ``speaker_ids``. ``load_metadata`` gives the lowercased names in
-    header order and keeps values verbatim.
+    def __missing__(self, value: str) -> int:
+        self[value] = code = len(self)
+        return code
+
+
+def _coded(values: Sequence[str], codes: _Codes) -> np.ndarray:
+    """The int32 codes of ``values``, coding each new value as ``codes`` does."""
+    return np.fromiter(map(codes.__getitem__, values), np.int32, len(values))
+
+
+class SpeakerTable:
+    """Speaker metadata as coded columns; ``len`` counts the speakers.
+
+    ``codes`` maps each attribute name to a read-only int32 array that
+    lines up with ``speaker_ids``, and ``levels`` maps it to the values
+    those codes index. ``columns`` gives the values themselves.
+    ``SpeakerTable(speaker_ids, columns)`` codes value columns, each
+    level list in order of first appearance. ``load_metadata`` gives the
+    lowercased names in header order and keeps values verbatim.
     """
 
-    speaker_ids: list[str]
-    columns: dict[str, list[str]]
+    def __init__(self, speaker_ids: list[str], columns: Mapping[str, Sequence[str]]):
+        coders = {name: _Codes() for name in columns}
+        codes = {name: _coded(values, coders[name]) for name, values in columns.items()}
+        self._fill(speaker_ids, codes, {name: list(coder) for name, coder in coders.items()})
+
+    @classmethod
+    def from_codes(
+        cls, speaker_ids: list[str], codes: dict[str, np.ndarray], levels: dict[str, list[str]]
+    ) -> "SpeakerTable":
+        """The table of int32 code arrays and the level lists they index, keyed alike."""
+        table = cls.__new__(cls)
+        table._fill(speaker_ids, codes, levels)
+        return table
+
+    def _fill(self, speaker_ids: list[str], codes: dict[str, np.ndarray],
+              levels: dict[str, list[str]]) -> None:
+        for arr in codes.values():
+            arr.flags.writeable = False
+        self.speaker_ids, self.codes, self.levels = speaker_ids, codes, levels
 
     def __len__(self) -> int:
         return len(self.speaker_ids)
+
+    @property
+    def columns(self) -> dict[str, list[str]]:
+        """Each attribute's values, one per speaker, derived from its codes and levels."""
+        return {
+            name: np.array(self.levels[name], dtype=object)[codes].tolist()
+            for name, codes in self.codes.items()
+        }
 
     @classmethod
     def from_records(cls, records: Iterable[SpeakerMetadata]) -> "SpeakerTable":
@@ -341,19 +390,18 @@ class _CsvReader:
         limit = csv.field_size_limit()
         for text in chain([self._block.read()], self._blocks):
             plain = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-            lines = plain.split("\n")
-            if not lines[-1]:
-                lines.pop()
             if any(map(plain.__contains__, _NOT_PLAIN)) or (
-                len(plain) > limit and max(map(len, lines)) > limit
+                len(plain) > limit and max(map(len, plain.split("\n"))) > limit
             ):
                 self._blocks = chain([text], self._blocks)
                 break
-            if lines:
-                rows = (line.split(",") if line else [] for line in lines)
-                yield first, _split_fields(lines, width), rows
-                first += len(lines)
-                self._lines_before += len(lines)
+            if plain:
+                if not plain.endswith("\n"):
+                    plain += "\n"  # the last line of the file
+                n_lines, fields = _scan_fields(plain, width) or _split_fields(plain, width)
+                yield first, fields, _plain_rows(plain)
+                first += n_lines
+                self._lines_before += n_lines
         return first
 
 
@@ -393,14 +441,50 @@ def _fields(rows: list[list[str]], width: int) -> list[tuple[str, ...]] | None:
     return list(zip(*rows)) if rows else [()] * width
 
 
-def _split_fields(lines: list[str], width: int) -> list[list[str]] | None:
-    """The columns of plain lines that are not blank, or None if one is not ``width`` wide."""
+_COMMA, _LF = np.frombuffer(b",\n", np.uint8)
+
+
+def _scan_fields(plain: str, width: int) -> tuple[int, list[list[str]]] | None:
+    """(line count, columns) of plain lines ended by LF, if every line is ``width`` wide.
+
+    One scan of the UTF-8 bytes (where a comma or LF is never part of a
+    longer sequence) picks out the commas and LFs in order. Every line
+    is ``width`` fields wide exactly when they are ``width - 1`` commas
+    and an LF, over and over. A blank line breaks that pattern, so a
+    block holding one gives None, as does a bad width.
+    """
+    data = np.frombuffer(plain.encode(), np.uint8)
+    separators = data.compress((data == _COMMA) | (data == _LF))
+    n_lines, rest = divmod(separators.size, width)
+    pattern = np.full(width, _COMMA)
+    pattern[-1] = _LF
+    if rest or not (separators.reshape(n_lines, width) == pattern).all():
+        return None
+    fields = plain.replace("\n", ",").split(",")
+    fields.pop()  # after the last LF
+    return n_lines, [fields[k::width] for k in range(width)]
+
+
+def _split_fields(plain: str, width: int) -> tuple[int, list[list[str]] | None]:
+    """(line count, columns of the lines that are not blank) of plain lines ended by LF.
+
+    The columns are None if a line that is not blank is not ``width`` wide.
+    """
+    lines = plain.split("\n")
+    lines.pop()  # after the last LF
+    n_lines = len(lines)
     if "" in lines:
         lines = list(filter(None, lines))
     if not set(map(str.count, lines, repeat(","))) <= {width - 1}:
-        return None
+        return n_lines, None
     fields = ",".join(lines).split(",") if lines else []
-    return [fields[k::width] for k in range(width)]
+    return n_lines, [fields[k::width] for k in range(width)]
+
+
+def _plain_rows(plain: str) -> Iterator[list[str]]:
+    """The rows of plain lines ended by LF, split as ``csv.reader`` splits them; for a walk."""
+    for line in plain.split("\n")[:-1]:
+        yield line.split(",") if line else []
 
 
 def _raise_at_bad_row(rows: Iterable[list[str]], first: int, width: int, check: Callable):
@@ -437,9 +521,9 @@ def load_metadata(source: Source) -> SpeakerTable:
             raise DataError(f"duplicate metadata columns after lowercasing: {attr_names}")
 
         speaker_ids: list[str] = []
-        columns: dict[str, list[str]] = {name: [] for name in attr_names}
+        coders = [_Codes() for _ in attr_names]
+        codes: list[list[np.ndarray]] = [[np.zeros(0, np.int32)] for _ in attr_names]
         seen: set[str] = set()
-        shared: dict[str, str] = {}  # one string object per distinct value
 
         def check(lineno: int, row: list[str]) -> None:
             speaker_id = row[0].strip()
@@ -450,15 +534,20 @@ def load_metadata(source: Source) -> SpeakerTable:
             seen.add(speaker_id)
         for first, fields, rows in reader.chunks(len(header)):
             ids = [] if fields is None else list(map(str.strip, fields[0]))
-            new_ids = set(ids)
-            unique = len(new_ids) == len(ids) and "" not in new_ids and seen.isdisjoint(new_ids)
-            if fields is None or not unique:
+            size = len(seen)
+            seen.update(ids)
+            if fields is None or len(seen) != size + len(ids) or "" in seen:
+                seen.clear()  # the walk checks each id against the accepted chunks' alone
+                seen.update(speaker_ids)
                 _raise_at_bad_row(rows, first, len(header), check)
-            seen |= new_ids
             speaker_ids += ids
-            for column, values in zip(columns.values(), fields[1:]):
-                column += map(shared.setdefault, values, values)
-        return SpeakerTable(speaker_ids, columns)
+            for coder, parts, values in zip(coders, codes, fields[1:]):
+                parts.append(_coded(values, coder))
+        return SpeakerTable.from_codes(
+            speaker_ids,
+            {name: np.concatenate(parts) for name, parts in zip(attr_names, codes)},
+            {name: list(coder) for name, coder in zip(attr_names, coders)},
+        )
 
 
 def _check_trial_row(lineno: int, row: list[str]) -> None:
@@ -479,17 +568,23 @@ def _parse_trial_fields(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """A chunk's label and score arrays, or None if a label or score does not parse.
 
-    Each distinct raw label is looked up once and added to ``is_target``;
-    scores are parsed by ``float``, so they read exactly as Python reads
-    them. ``float`` strips the whitespace ``str.strip`` strips except
-    U+001C..U+001F, so only a chunk where it fails is parsed again
-    stripped. Finiteness is left to the caller.
+    A chunk whose every label is exactly ``target`` or ``nontarget`` is
+    read by two counts and one compare; otherwise each distinct raw label
+    is looked up once and added to ``is_target``. Scores are parsed by
+    ``float``, so they read exactly as Python reads them. ``float``
+    strips the whitespace ``str.strip`` strips except U+001C..U+001F, so
+    only a chunk where it fails is parsed again stripped. Finiteness is
+    left to the caller.
     """
-    for raw in set(labels).difference(is_target):
-        label = _LABELS.get(raw.strip().lower())
-        if label is None:
-            return None
-        is_target[raw] = label is Label.TARGET
+    if labels.count("target") + labels.count("nontarget") == len(labels):
+        targets = map("target".__eq__, labels)
+    else:
+        for raw in set(labels).difference(is_target):
+            label = _LABELS.get(raw.strip().lower())
+            if label is None:
+                return None
+            is_target[raw] = label is Label.TARGET
+        targets = map(is_target.__getitem__, labels)
     try:
         scores = np.fromiter(map(float, raw_scores), float, len(raw_scores))
     except ValueError:
@@ -497,7 +592,7 @@ def _parse_trial_fields(
             scores = np.fromiter(map(float, map(str.strip, raw_scores)), float, len(raw_scores))
         except ValueError:
             return None
-    return np.fromiter(map(is_target.__getitem__, labels), bool, len(labels)), scores
+    return np.fromiter(targets, bool, len(labels)), scores
 
 
 def load_trials(source: Source) -> TrialTable:
@@ -563,27 +658,36 @@ class _QuotedFields(dict):
         return text
 
 
-def write_csv(
-    stream: IO[str], header: Sequence[str], columns: Sequence[Union[Sequence[str], np.ndarray]]
-) -> None:
+Column = Union[Sequence[str], np.ndarray, tuple[np.ndarray, Sequence[str]]]
+
+
+def write_csv(stream: IO[str], header: Sequence[str], columns: Sequence[Column]) -> None:
     """Write a header and equal-length columns as CSV rows ended by LF.
 
-    A column is a sequence of str or a float array; a float is written as
-    the ``repr`` of its value. Rows are written CHUNK_ROWS at a time, each
-    run with one ``stream.write``. A run of a str column is written
-    verbatim unless an ``in`` test finds a character of ``_MAY_QUOTE``;
-    then each value is written as ``_QuotedFields`` writes it, so quoting
-    and ``csv.Error`` are the stdlib's own. A header of fewer than two
-    fields raises ValueError: a row of one empty field reads back blank.
+    A column is a sequence of str, a float array, or a coded pair: an int
+    array and the level list its codes index. A float is written as the
+    ``repr`` of its value. Rows are written CHUNK_ROWS at a time, each
+    run with one ``stream.write``. A run of a str column, or the levels of
+    a coded one, is written verbatim unless an ``in`` test finds a
+    character of ``_MAY_QUOTE``; then each value is written as
+    ``_QuotedFields`` writes it, so quoting and ``csv.Error`` are the
+    stdlib's own. A header of fewer than two fields raises ValueError: a
+    row of one empty field reads back blank.
     """
     if len(header) < 2:
         raise ValueError(f"a CSV needs at least two columns, got {len(header)}")
     quoted = _QuotedFields()
     stream.write(",".join(map(quoted.__getitem__, header)) + "\n")
-    size = len(columns[0])
+    columns = [_level_texts(column, quoted) if isinstance(column, tuple) else column
+               for column in columns]
+    size = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
     for start in range(0, size, CHUNK_ROWS):
         run = []
         for column in columns:
+            if isinstance(column, tuple):
+                codes, texts = column
+                run.append(texts[codes[start:start + CHUNK_ROWS]].tolist())
+                continue
             part = column[start:start + CHUNK_ROWS]
             if isinstance(part, np.ndarray):
                 part = list(map(repr, part.tolist()))
@@ -591,6 +695,16 @@ def write_csv(
                 part = list(map(quoted.__getitem__, part))
             run.append(part)
         stream.write("\n".join(map(",".join, zip(*run))) + "\n")
+
+
+def _level_texts(
+    column: tuple[np.ndarray, Sequence[str]], quoted: _QuotedFields
+) -> tuple[np.ndarray, np.ndarray]:
+    """A coded column's codes and, as an object array, the CSV field text of each level."""
+    codes, levels = column
+    if any(map("".join(levels).__contains__, _MAY_QUOTE)):
+        levels = list(map(quoted.__getitem__, levels))
+    return codes, np.array(levels, dtype=object)
 
 
 @contextmanager
@@ -634,14 +748,25 @@ def write_metadata(
     """
     if not isinstance(speakers, SpeakerTable):
         speakers = SpeakerTable.from_records(speakers)
-    if not speakers.columns:
+    if not speakers.codes:
         raise ValueError("metadata needs at least one attribute column")
+    coded = [(codes, speakers.levels[name]) for name, codes in speakers.codes.items()]
     with _text_dest(dest) as stream:
-        write_csv(
-            stream,
-            [METADATA_ID_COLUMN, *speakers.columns],
-            [speakers.speaker_ids, *speakers.columns.values()],
-        )
+        write_csv(stream, [METADATA_ID_COLUMN, *speakers.codes], [speakers.speaker_ids, *coded])
+
+
+def _trial_codes(
+    trials: TrialTable, code_of: dict[str, int], policy: GroupingPolicy
+) -> np.ndarray:
+    """Each trial's group code under ``policy``: its speakers' code in ``code_of``, or -1."""
+
+    def codes(ids: list[str]) -> np.ndarray:
+        return np.fromiter(map(code_of.get, ids, repeat(-1)), np.intp, len(ids))
+
+    group = codes(trials.enroll_ids)
+    if policy is GroupingPolicy.BOTH_MATCH:
+        group = np.where(group == codes(trials.test_ids), group, -1)
+    return group
 
 
 def assign_groups(
@@ -655,33 +780,49 @@ def assign_groups(
     Under BOTH_MATCH a trial joins group g only if both its speakers
     carry exactly g's attribute tuple; under ENROLLMENT_ONLY the
     enrollment speaker's tuple decides alone. Trials whose deciding
-    speakers are missing from the metadata go to ``unassigned``. Row
-    numbers are ordered by group code with one stable sort, and each group
-    is a slice of that order, so it lists its rows in file order.
+    speakers are missing from the metadata go to ``unassigned``. Each
+    speaker's value tuple is one code, its attributes' level codes as the
+    digits of ``np.ravel_multi_index`` (or, when there could be more tuples
+    than speakers, its rank among the tuples that occur). Row numbers are
+    ordered by group code with one stable sort, and each group is a slice
+    of that order, so it lists its rows in file order; one sum over that
+    order gives each group's target count.
     """
     names = tuple(n.strip().lower() for n in attribute_names)
     if not names or any(not n for n in names) or len(set(names)) != len(names):
         raise ConfigError("attribute_names must be a nonempty list of distinct nonempty names")
     try:
-        columns = [speakers.columns[n] for n in names]
+        codes = tuple(speakers.codes[n] for n in names)
     except KeyError as exc:
         raise UnknownAttributeError(exc.args[0]) from None
-    # each distinct value tuple gets a code, in first-seen order
-    codes = {values: code for code, values in enumerate(dict.fromkeys(zip(*columns)))}
-    code_of = dict(zip(speakers.speaker_ids, map(codes.__getitem__, zip(*columns))))
-
-    def trial_codes(ids: list[str]) -> np.ndarray:
-        return np.fromiter(map(code_of.get, ids, repeat(-1)), np.intp, len(ids))
-
-    group = trial_codes(trials.enroll_ids)
-    if policy is GroupingPolicy.BOTH_MATCH:
-        group = np.where(group == trial_codes(trials.test_ids), group, -1)
+    levels = [speakers.levels[n] for n in names]
+    dims = tuple(map(len, levels))
+    combos = None  # each group code's level codes, when they are not its digits
+    if math.prod(dims) > len(speakers):  # code only the value tuples that occur
+        combos, inverse = np.unique(np.stack(codes, axis=1), axis=0, return_inverse=True)
+        codes, dims = (inverse.reshape(-1),), (len(combos),)
+    # one int object per code, shared by every speaker that carries it; the memoryview
+    # gives the codes one at a time, so no list of them is held
+    shared = list(range(math.prod(dims)))
+    speaker_codes = map(shared.__getitem__, memoryview(np.ravel_multi_index(codes, dims)))
+    group = _trial_codes(trials, dict(zip(speakers.speaker_ids, speaker_codes)), policy)
     order = np.argsort(group, kind="stable")
-    # bounds[c + 1] is where code c starts in sorted order; -1 (unassigned) comes first
-    bounds = np.searchsorted(group[order], np.arange(-1, len(codes) + 1)).tolist()
-    groups = {
-        GroupKey.from_attributes(dict(zip(names, values))): order[lo:hi]
-        for values, lo, hi in zip(codes, bounds[1:], bounds[2:])
-        if hi > lo
-    }
-    return GroupedTrials(trials, dict(sorted(groups.items())), order[bounds[0]:bounds[1]])
+    ordered = group[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-2))  # where each code that occurs starts
+    n_targets = np.add.reduceat(trials.is_target[order], starts, dtype=np.intp).tolist()
+    bounds = [*starts.tolist(), len(order)]
+    present = ordered[starts]
+    skip = int(present.size > 0 and present[0] < 0)  # -1 (unassigned) sorts first
+    group_codes = present[skip:]
+    digits = np.unravel_index(group_codes, dims) if combos is None else combos[group_codes].T
+    groups: dict[GroupKey, np.ndarray] = {}
+    targets: dict[GroupKey, int] = {}
+    for combo, lo, hi, n_target in zip(
+        zip(*map(np.ndarray.tolist, digits)), bounds[skip:], bounds[skip + 1:], n_targets[skip:]
+    ):
+        key = GroupKey.from_attributes(dict(zip(names, map(list.__getitem__, levels, combo))))
+        groups[key], targets[key] = order[lo:hi], n_target
+    keys = sorted(groups)
+    return GroupedTrials(
+        trials, {k: groups[k] for k in keys}, order[:bounds[skip]], {k: targets[k] for k in keys}
+    )

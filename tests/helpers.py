@@ -275,10 +275,10 @@ def trial_records(table: TrialTable) -> list[TrialRecord]:
 
 def speaker_records(table: SpeakerTable) -> list[SpeakerMetadata]:
     """The rows of a SpeakerTable as records, for comparing against record lists."""
-    rows = zip(*table.columns.values())
+    columns = table.columns  # derived on each access
     return [
-        SpeakerMetadata(speaker_id, dict(zip(table.columns, values)))
-        for speaker_id, values in zip(table.speaker_ids, rows)
+        SpeakerMetadata(speaker_id, dict(zip(columns, values)))
+        for speaker_id, values in zip(table.speaker_ids, zip(*columns.values()))
     ]
 
 
@@ -352,6 +352,31 @@ def reference_load_metadata(source: Source) -> list[SpeakerMetadata]:
             seen.add(speaker_id)
             records.append(SpeakerMetadata(speaker_id, dict(zip(attr_names, row[1:]))))
         return records
+
+
+def reference_assign_groups(
+    trials: TrialTable,
+    speakers: Iterable[SpeakerMetadata],
+    attribute_names: Sequence[str],
+    both_match: bool,
+) -> tuple[dict[GroupKey, list[int]], list[int]]:
+    """(each group's rows in sorted key order, the unassigned rows) by dicts of value tuples.
+
+    A speaker's tuple holds its values of the lowercased ``attribute_names``,
+    in their order; a test reference for ``assign_groups``.
+    """
+    names = [n.strip().lower() for n in attribute_names]
+    values_of = {s.speaker_id: tuple(s.attributes[n] for n in names) for s in speakers}
+    groups: dict[tuple[str, ...], list[int]] = {}
+    unassigned: list[int] = []
+    for row, (enroll, test) in enumerate(zip(trials.enroll_ids, trials.test_ids)):
+        values = values_of.get(enroll)
+        if values is None or (both_match and values_of.get(test) != values):
+            unassigned.append(row)
+        else:
+            groups.setdefault(values, []).append(row)
+    keyed = {GroupKey.from_attributes(dict(zip(names, v))): rows for v, rows in groups.items()}
+    return dict(sorted(keyed.items())), unassigned
 
 
 def reference_load_trials(source: Source) -> list[TrialRecord]:

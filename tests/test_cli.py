@@ -684,9 +684,10 @@ def test_synth_bad_spec_exits_one(tmp_path):
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 1
 
 
-def test_synth_missing_spec_exits_two(tmp_path, capsys):
+def test_synth_missing_spec_exits_one(tmp_path, capsys):
+    """A spec that cannot be opened is a config error, as a config file that cannot be is."""
     spec_path = tmp_path / "missing.json"
-    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read spec {spec_path}: ")
     assert not (tmp_path / "out").exists()
 

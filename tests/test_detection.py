@@ -25,7 +25,14 @@ from biasaudit import (
     min_cdet,
     threshold_for_fpr,
 )
-from helpers import by_group, gk, grouped_from_scores, one_metric, rates_at_threshold
+from helpers import (
+    by_group,
+    gk,
+    grouped_from_scores,
+    one_metric,
+    permute_rows,
+    rates_at_threshold,
+)
 
 
 score_lists = st.lists(
@@ -290,6 +297,28 @@ def test_design_rows_are_the_rows_base_metrics_builds(sizes, design_fprs, seed):
     assert base.keys[:2] == (MetricKey("eer"), MetricKey("min_cdet"))
     assert base.design_rows("fpr") == list(range(2, 2 + 2 * n, 2))
     assert base.design_rows("fnr") == list(range(3, 3 + 2 * n, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.5, 0.25, 0.1, 0.05, 0.01]), max_size=4, unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_row_and_design_rows_agree_with_keys_index_on_permuted_rows(design_fprs, order):
+    """``row`` looks a key up in a dict built once; it gives what ``keys.index`` gives,
+    whatever the row order, and an unknown key is still a ValueError."""
+    grouped = grouped_from_scores({gk(g="a"): ([1.0, 3.0], [0.0, 2.0]), gk(g="b"): ([2.0], [1.0])})
+    rows = list(range(2 + 2 * len(design_fprs)))
+    order.shuffle(rows)
+    base = permute_rows(base_metrics(grouped, design_fprs), rows)
+    for key in base.keys:
+        assert base.row(key) == base.keys.index(key)
+    for kind in ("fpr", "fnr"):
+        assert base.design_rows(kind) == [
+            base.keys.index(MetricKey(kind, p.design_fpr)) for p in base.design_points
+        ]
+    with pytest.raises(ValueError):
+        base.row(MetricKey("fpr", 0.3))
 
 
 def test_disaggregate_min_cdet_uses_params():

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
+from typing import Sequence
 from unittest.mock import patch
 
 import numpy as np
@@ -44,6 +45,7 @@ from biasaudit.trials import _MAY_QUOTE, _NOT_PLAIN, BLOCK_BYTES, _Echo, _text_b
 from helpers import (
     gk,
     grouped_from_scores,
+    reference_assign_groups,
     reference_load_metadata,
     reference_load_trials,
     reference_write_metadata,
@@ -81,6 +83,22 @@ def test_load_metadata_maps_rows():
     assert speakers.speaker_ids == ["id001"]
     # names lowercased, values verbatim
     assert speakers.columns == {"gender": ["male"], "nationality": ["US"]}
+
+
+def test_speaker_tables_hold_codes_and_levels_in_order_of_first_appearance():
+    """Each attribute is a read-only int32 code array and the level list it indexes;
+    loaded, built from value columns and built from records, the same speakers agree."""
+    text = "speaker_id,g,n\na,m,US\nb,f,US\nc,m,\nd,x,DE\n"
+    columns = {"g": ["m", "f", "m", "x"], "n": ["US", "US", "", "DE"]}
+    records = [SpeakerMetadata(s, {"g": g, "n": n}) for s, g, n in zip("abcd", *columns.values())]
+    for speakers in (load_metadata(io.StringIO(text)), SpeakerTable(list("abcd"), columns),
+                     SpeakerTable.from_records(records)):
+        assert speakers.levels == {"g": ["m", "f", "x"], "n": ["US", "", "DE"]}
+        assert {name: codes.tolist() for name, codes in speakers.codes.items()} == {
+            "g": [0, 1, 0, 2], "n": [0, 0, 1, 2]
+        }
+        assert all(c.dtype == np.int32 and not c.flags.writeable for c in speakers.codes.values())
+        assert speakers.columns == columns
 
 
 def test_load_metadata_header_only_is_valid_and_empty():
@@ -308,6 +326,11 @@ def test_loaders_report_a_bad_row_before_a_utf8_sequence_cut_off_at_the_end():
     )
 
 
+def cycle_labels(n: int) -> list[bytes]:
+    """``n`` labels that cycle through exact, capitalised and padded ones."""
+    return [(b"target", b"nontarget", b"Target", b" nontarget")[k % 4] for k in range(n)]
+
+
 LIMIT = csv.field_size_limit()
 OVERSIZE_FIELD = b"x" * (LIMIT + 1)
 SCORE_HEADER = b"enroll_id,test_id,label,score\n"
@@ -456,6 +479,79 @@ SMALL_CHUNK_CASES = {
         b'speaker_id,"gen\nder"\n' + b"".join(b"s%03d,x\n" % k for k in range(10)) + b" ,x\n",
         "row 12: empty speaker_id",
     ),
+    # a plain block's commas and LFs are found in its UTF-8 bytes, whose offsets differ
+    # from its characters' once an id is not ASCII
+    "metadata-non-ascii-ids": (
+        load_metadata, "speaker_id,g\nä,x\n中文,y\né,\nÅb,中\n".encode(), 4,
+    ),
+    "scores-non-ascii-ids-then-extra-comma": (
+        load_trials, SCORE_HEADER + "ä,中,target,1\né,b,target,2,\n".encode(),
+        "row 3: expected 4 columns, got 5",
+    ),
+    "metadata-blank-line-in-a-block": (load_metadata, b"speaker_id,g\na,x\n\nb,y\nc,z\n", 3),
+    "metadata-last-line-without-lf": (load_metadata, b"speaker_id,g\na,x\nb,y\nc,z", 3),
+    "metadata-duplicate-in-one-block": (
+        load_metadata, b"speaker_id,g\nab,x\nb,y\nab,z\n", "duplicate speaker_id 'ab'",
+    ),
+    # labels other than exactly target and nontarget take the lookup path
+    "scores-labels-off-the-fast-path": (
+        load_trials, SCORE_HEADER + b"a,b,Target,1\nc,d, nontarget,2\ne,f,target,3\n", 3,
+    ),
+}
+
+# thousands of rows in one block of the module's own size, most of them before the case's
+# point, and a second block after 64 KiB
+MANY_IDS = [b"s%05d" % k for k in range(9000)]
+MANY_ROWS = [speaker + b",x\n" for speaker in MANY_IDS]
+METADATA_HEADER = b"speaker_id,g\n"
+# loader, input, and the error message (or row count) it must give in whole blocks
+BLOCK_SCAN_CASES = {
+    "metadata-loads": (load_metadata, METADATA_HEADER + b"".join(MANY_ROWS), 9000),
+    "metadata-extra-comma-deep-in-a-block": (
+        load_metadata,
+        METADATA_HEADER + b"".join(MANY_ROWS[:2500]) + b"q,x,y\n" + b"".join(MANY_ROWS[2500:]),
+        "row 2502: expected 2 columns, got 3",
+    ),
+    "metadata-blank-line-deep-in-a-block": (
+        load_metadata,
+        METADATA_HEADER + b"".join(MANY_ROWS[:2500]) + b"\n" + b"".join(MANY_ROWS[2500:]),
+        9000,
+    ),
+    "metadata-blank-line-then-extra-comma": (
+        load_metadata,
+        METADATA_HEADER + b"".join(MANY_ROWS[:2500]) + b"\n" + b"".join(MANY_ROWS[2500:2600])
+        + b"q,x,y\n",
+        "row 2603: expected 2 columns, got 3",
+    ),
+    "metadata-last-line-without-lf": (
+        load_metadata, METADATA_HEADER + b"".join(MANY_ROWS)[:-1], 9000,
+    ),
+    "metadata-duplicate-in-one-block": (
+        load_metadata,
+        METADATA_HEADER + b"".join(MANY_ROWS[:3000]) + b"s00005,y\n",
+        "duplicate speaker_id 's00005'",
+    ),
+    "metadata-duplicate-across-blocks": (
+        load_metadata,
+        METADATA_HEADER + b"".join(MANY_ROWS) + b"s00005,y\n",
+        "duplicate speaker_id 's00005'",
+    ),
+    "metadata-bad-row-before-a-duplicate-in-one-block": (
+        load_metadata,
+        METADATA_HEADER + b"".join(MANY_ROWS[:3000]) + b" ,y\ns00005,y\n",
+        "row 3002: empty speaker_id",
+    ),
+    "metadata-non-ascii-ids-then-extra-comma": (
+        load_metadata,
+        METADATA_HEADER + "".join(f"ä{k}中,é\n" for k in range(3000)).encode() + b"q,x,y\n",
+        "row 3002: expected 2 columns, got 3",
+    ),
+    "scores-labels-off-the-fast-path": (
+        load_trials,
+        SCORE_HEADER + b"".join(b"%s,%s,%s,1\n" % (speaker, speaker, label)
+                                for speaker, label in zip(MANY_IDS, cycle_labels(9000))),
+        9000,
+    ),
 }
 
 
@@ -466,6 +562,16 @@ def test_loaders_match_reference_across_chunk_boundaries(monkeypatch, case):
     monkeypatch.setattr("biasaudit.trials.BLOCK_BYTES", 12)
     monkeypatch.setattr("biasaudit.trials.CHUNK_ROWS", 3)
     loader, raw, expected = SMALL_CHUNK_CASES[case]
+    loaded = load_or_error(loader, raw)
+    assert (len(loaded) if isinstance(expected, int) else loaded[1]) == expected
+    assert_loads_like_reference(loader, raw)
+
+
+@pytest.mark.parametrize("case", list(BLOCK_SCAN_CASES))
+def test_loaders_match_reference_in_whole_blocks(case):
+    """Rows thousands deep in one block: an extra comma or a duplicate id is named as a
+    row-by-row check names it, and a blank line or an odd label changes no value."""
+    loader, raw, expected = BLOCK_SCAN_CASES[case]
     loaded = load_or_error(loader, raw)
     assert (len(loaded) if isinstance(expected, int) else loaded[1]) == expected
     assert_loads_like_reference(loader, raw)
@@ -862,6 +968,85 @@ def test_round_trip_preserves_partition(raw_trials, metadata, policy):
     for key, rows in grouped.groups.items():
         assert_rows(regrouped, regrouped.groups[key], *grouped.scores(rows))
     assert_rows(regrouped, regrouped.unassigned, *grouped.scores(grouped.unassigned))
+
+
+# values a grouping column draws from: an empty value, non-ASCII text and plain ones
+GROUP_VALUES = ["", "é", "中x", *(f"v{k}" for k in range(30))]
+
+
+def coded_inputs(seed: int, n_speakers: int, levels: Sequence[int], n_trials: int):
+    """(trials, metadata CSV text) drawn from ``seed``: attribute k takes ``levels[k]`` values.
+
+    Trial speakers are drawn from five more ids than the metadata lists, so
+    some are missing from it, and most trials test their enrollment
+    speaker; the metadata is the canonical text
+    ``write_metadata`` writes.
+    """
+    rng = np.random.default_rng(seed)
+    names = ["region", "age", "lang"][:len(levels)]
+    rng.shuffle(names)  # the header's order
+    columns = {
+        name: [GROUP_VALUES[k] for k in rng.integers(0, n, n_speakers).tolist()]
+        for name, n in zip(names, levels)
+    }
+    buffer = io.StringIO()
+    write_metadata(SpeakerTable([f"s{i}" for i in range(n_speakers)], columns), buffer)
+    enroll = rng.integers(0, n_speakers + 5, n_trials)
+    test = np.where(rng.random(n_trials) < 0.7, enroll, rng.integers(0, n_speakers + 5, n_trials))
+    trials = TrialTable([f"s{i}" for i in enroll.tolist()], [f"s{i}" for i in test.tolist()],
+                        rng.random(n_trials) < 0.5, rng.random(n_trials))
+    return trials, buffer.getvalue()
+
+
+def assert_groups_like_reference(trials, metadata_csv, names, policy):
+    """``assign_groups`` over the loaded metadata gives the reference's groups, rows and
+    target counts, under either policy; the loaded file writes back byte for byte."""
+    speakers = load_metadata(metadata_csv.encode())
+    buffer = io.StringIO()
+    write_metadata(speakers, buffer)
+    assert buffer.getvalue() == metadata_csv
+    groups, unassigned = reference_assign_groups(
+        trials, speaker_records(speakers), names, policy is GroupingPolicy.BOTH_MATCH
+    )
+    grouped = assign_groups(trials, speakers, names, policy)
+    assert list(grouped.groups) == list(grouped.targets) == list(groups)
+    for key, rows in groups.items():
+        assert grouped.groups[key].tolist() == rows
+        assert grouped.targets[key] == np.count_nonzero(trials.is_target[rows])
+    assert grouped.unassigned.tolist() == unassigned
+    return grouped
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_speakers=st.integers(0, 120),
+    levels=st.lists(st.integers(1, len(GROUP_VALUES)), min_size=1, max_size=3),
+    n_trials=st.integers(0, 200),
+    order=st.randoms(use_true_random=False),
+    policy=st.sampled_from(list(GroupingPolicy)),
+)
+@settings(max_examples=60, deadline=None)
+def test_assign_groups_matches_value_tuple_reference(
+    seed, n_speakers, levels, n_trials, order, policy
+):
+    """Differential: few speakers over many value tuples or the other way round, with
+    empty and non-ASCII values and speakers missing from the metadata, grouped by the
+    attribute names in any order and case."""
+    trials, metadata_csv = coded_inputs(seed, n_speakers, levels, n_trials)
+    names = ["Region", "age", "LANG"][:len(levels)]
+    order.shuffle(names)
+    assert_groups_like_reference(trials, metadata_csv, names, policy)
+
+
+@pytest.mark.parametrize("levels", [(9, 9, 9), (18, 18)], ids=["more-tuples", "fewer-tuples"])
+@pytest.mark.parametrize("policy", list(GroupingPolicy))
+def test_assign_groups_matches_reference_past_256_groups(levels, policy):
+    """Over 256 groups, so group codes are not Python's cached small ints: 729 possible
+    value tuples outnumber 600 speakers, and 324 do not."""
+    trials, metadata_csv = coded_inputs(7, 600, levels, 6000)
+    names = ["AGE", "region", "Lang"][:len(levels)]
+    grouped = assert_groups_like_reference(trials, metadata_csv, names, policy)
+    assert len(grouped.groups) > 256
 
 
 def written(write, value) -> str | tuple:
