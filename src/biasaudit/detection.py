@@ -3,8 +3,10 @@
 The decision rule everywhere is accept iff score >= threshold. The
 threshold grid of a sweep is every distinct observed score plus a +inf
 sentinel, so at the lowest grid point fpr is 1 and fnr is 0, and at the
-sentinel fpr is 0 and fnr is 1. All operations here are pure functions
-of immutable inputs and safe to run concurrently per group.
+sentinel fpr is 0 and fnr is 1. ``base_metrics`` sorts an audit's
+scores once and sweeps the pooled population and then every group as
+segments of sorted runs, with no per-group call; ``compute_sweep``,
+``eer`` and ``min_cdet`` are the one-segment calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -165,6 +167,59 @@ class BaseMetrics:
         return self.sizes[1] if self.keys[row].kind == "fpr" else self.sizes[0]
 
 
+def _sweeps(
+    scores: np.ndarray, is_target: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep of every segment ``[bounds[k], bounds[k+1])`` of scores sorted within each.
+
+    Segments must be nonempty. The grids come concatenated: ``thresholds``
+    holds each segment's distinct scores and then +inf, ``false_accepts``
+    and ``misses`` the segment's counts at each grid point, and ``starts``
+    the index at which each segment's grid begins. One cumulative target
+    count gives every count: a grid point stands at the first row of a run
+    of equal scores, or at its segment's end for the sentinel.
+    """
+    first = np.empty(scores.size, dtype=bool)  # the first row of each run of equal scores
+    np.not_equal(scores[1:], scores[:-1], out=first[1:])  # -0.0 == 0.0: one run of zeros
+    first[bounds[:-1]] = True
+    runs = np.flatnonzero(first)
+    del first
+    run_bounds = np.searchsorted(runs, bounds)  # each segment's first run; its sentinel's place
+    taus = scores[runs]
+    rows = np.insert(runs, run_bounds[1:], bounds[1:])
+    del runs
+    taus += 0.0  # turns a -0.0 into 0.0, whichever zero a run starts with
+    thresholds = np.insert(taus, run_bounds[1:], np.inf)
+    del taus
+    before = np.zeros(scores.size + 1, dtype=np.int64)  # targets before each row
+    np.cumsum(is_target, dtype=np.int64, out=before[1:])
+    targets = before[bounds]
+    misses = before[rows]
+    del before
+    rows -= misses  # nontargets before each grid row
+    lengths = np.diff(run_bounds) + 1
+    misses -= np.repeat(targets[:-1], lengths)  # the segment's targets below each point
+    false_accepts = np.repeat((bounds - targets)[1:], lengths)
+    false_accepts -= rows  # the segment's nontargets from each point on
+    return thresholds, false_accepts, misses, run_bounds[:-1] + np.arange(lengths.size)
+
+
+def _sorted_sweep(
+    scores: np.ndarray, is_target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The order that sorts one population's scores, and its grid and counts."""
+    n_target = int(np.count_nonzero(is_target))
+    if n_target == 0:
+        raise EmptyPopulationError("target")
+    if n_target == scores.size:
+        raise EmptyPopulationError("nontarget")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    order = np.argsort(scores)
+    bounds = np.array([0, scores.size])
+    return (order, *_sweeps(scores[order], is_target[order], bounds)[:3])
+
+
 def compute_sweep(
     target_scores: Sequence[float],
     nontarget_scores: Sequence[float],
@@ -172,21 +227,33 @@ def compute_sweep(
     """Error counts, FPR and FNR over the exact threshold grid."""
     tar = np.asarray(target_scores, dtype=float)
     non = np.asarray(nontarget_scores, dtype=float)
-    if tar.size == 0:
-        raise EmptyPopulationError("target")
-    if non.size == 0:
-        raise EmptyPopulationError("nontarget")
-    if not (np.isfinite(tar).all() and np.isfinite(non).all()):
-        raise ValueError("scores must be finite")
-
-    # + 0.0 turns a -0.0 into 0.0: np.unique keeps whichever zero sorts first
-    taus = np.append(np.unique(np.concatenate([tar, non])) + 0.0, np.inf)
-    misses = np.searchsorted(np.sort(tar), taus, side="left")
-    false_accepts = non.size - np.searchsorted(np.sort(non), taus, side="left")
+    is_target = np.arange(tar.size + non.size) < tar.size
+    _, taus, false_accepts, misses = _sorted_sweep(np.concatenate([tar, non]), is_target)
     fpr, fnr = false_accepts / non.size, misses / tar.size
     for arr in (taus, false_accepts, misses, fpr, fnr):
         arr.flags.writeable = False
     return SweepCurve(taus, false_accepts, misses, fpr, fnr, int(tar.size), int(non.size))
+
+
+def _eers(
+    fpr: np.ndarray, fnr: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sweep's equal error rate and its threshold, as ``eer`` finds them.
+
+    fnr - fpr is -1 where a sweep starts, 1 at its sentinel and nondecreasing
+    in between, so each sweep's first nonnegative value follows the one place
+    where the sign changes from negative to nonnegative.
+    """
+    nonnegative = fnr >= fpr  # fnr - fpr >= 0, exactly
+    hi = np.flatnonzero(nonnegative[1:] > nonnegative[:-1]) + 1
+    lo = hi - 1
+    d_lo, d_hi = fnr[lo] - fpr[lo], fnr[hi] - fpr[hi]
+    exact = d_hi == 0.0
+    t = -d_lo / (d_hi - d_lo)
+    values = np.where(exact, fpr[hi], fpr[lo] + t * (fpr[hi] - fpr[lo]))
+    tau_lo, tau_hi = thresholds[lo], thresholds[hi]
+    taus = np.where(exact, tau_hi, tau_lo + t * (tau_hi - tau_lo))
+    return values, np.where(np.isinf(tau_hi), tau_lo, taus)
 
 
 def eer(curve: SweepCurve) -> tuple[float, float]:
@@ -198,32 +265,35 @@ def eer(curve: SweepCurve) -> tuple[float, float]:
     falls in the sentinel segment the rate interpolation is still well
     defined and the last finite threshold is reported.
     """
-    diff = curve.fnr - curve.fpr
-    idx = int(np.searchsorted(diff, 0.0, side="left"))
-    if diff[idx] == 0.0:
-        return float(curve.fpr[idx]), float(curve.thresholds[idx])
-    lo, hi = idx - 1, idx
-    t = -diff[lo] / (diff[hi] - diff[lo])
-    value = float(curve.fpr[lo] + t * (curve.fpr[hi] - curve.fpr[lo]))
-    tau_hi = curve.thresholds[hi]
-    if math.isinf(tau_hi):
-        threshold = float(curve.thresholds[lo])
-    else:
-        threshold = float(curve.thresholds[lo] + t * (tau_hi - curve.thresholds[lo]))
-    return value, threshold
+    values, taus = _eers(curve.fpr, curve.fnr, curve.thresholds)
+    return float(values[0]), float(taus[0])
+
+
+def _min_cdets(
+    fpr: np.ndarray, fnr: np.ndarray, starts: np.ndarray, params: DcfParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's minimum detection cost, and the cost at every grid point."""
+    cost = params.c_miss * params.p_target * fnr
+    cost += params.c_fa * (1.0 - params.p_target) * fpr
+    values = np.minimum.reduceat(cost, starts)
+    if params.normalize:
+        values /= min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
+    return values, cost
 
 
 def min_cdet(curve: SweepCurve, params: DcfParams = DcfParams()) -> tuple[float, float]:
     """Minimum detection cost over the grid and the smallest minimizing threshold."""
-    cost = (
-        params.c_miss * params.p_target * curve.fnr
-        + params.c_fa * (1.0 - params.p_target) * curve.fpr
-    )
+    values, cost = _min_cdets(curve.fpr, curve.fnr, np.zeros(1, dtype=np.intp), params)
     i = int(np.argmin(cost))  # first occurrence: ties break to the smallest threshold
-    value = float(cost[i])
-    if params.normalize:
-        value /= min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
-    return value, float(curve.thresholds[i])
+    return float(values[0]), float(curve.thresholds[i])
+
+
+def _calibrate(fpr: np.ndarray, target_fprs: Sequence[float]) -> np.ndarray:
+    """The first grid index whose FPR does not exceed each target, by one search."""
+    targets = np.asarray(target_fprs, dtype=float)
+    if not ((0.0 < targets) & (targets <= 1.0)).all():
+        raise ValueError("target_fpr must lie in (0, 1]")
+    return np.searchsorted(-fpr, -targets, "left")  # fpr nonincreasing; negation is exact
 
 
 def threshold_for_fpr(curve: SweepCurve, target_fpr: float) -> OperatingPoint:
@@ -232,9 +302,7 @@ def threshold_for_fpr(curve: SweepCurve, target_fpr: float) -> OperatingPoint:
     The achieved fpr may be below the target on finite data; a
     calibrated system never exceeds its design false-accept rate.
     """
-    if not (0.0 < target_fpr <= 1.0):
-        raise ValueError("target_fpr must lie in (0, 1]")
-    i = int(np.argmax(curve.fpr <= target_fpr))  # fpr nonincreasing: first True
+    i = int(_calibrate(curve.fpr, [target_fpr])[0])
     return OperatingPoint(
         threshold=float(curve.thresholds[i]),
         fpr=float(curve.fpr[i]),
@@ -247,33 +315,90 @@ def base_metrics(
     design_fprs: Sequence[float],
     dcf: DcfParams = DcfParams(),
 ) -> BaseMetrics:
-    """Every base metric of one audit, from one sweep per population.
+    """Every base metric of one audit, from one sort of the table's scores.
 
-    The pooled scores (every row of the table) are swept first and every
-    design threshold is calibrated on that sweep. Each group is then
-    swept once and dropped: its EER, minCDet and error counts at every
-    design threshold (one ``searchsorted``) are read off its sweep.
+    The pooled scores (every row of the table) are sorted and swept
+    first, and every design threshold is calibrated on that sweep. A
+    stable sort of the rows' group codes over that order puts each group's
+    scores, still sorted, in one segment, and one segmented sweep then
+    gives every group's EER, minCDet and error counts at the design
+    thresholds. Each array is dropped once read. A row listed in two
+    groups, or twice in one, raises ``ValueError`` before any group is
+    checked for targets and nontargets.
     """
-    groups = tuple(sorted(grouped.groups))
-    pooled_curve = compute_sweep(*grouped.scores())
+    trials = grouped.trials
+    order, taus, false_accepts, misses = _sorted_sweep(trials.scores, trials.is_target)
+    n_target, n_nontarget = int(misses[-1]), int(false_accepts[0])
     designs = sorted(design_fprs, reverse=True)
-    thresholds = [threshold_for_fpr(pooled_curve, d).threshold for d in designs]
+    fpr = false_accepts / n_nontarget
+    at = _calibrate(fpr, designs)
+    thresholds = taus[at].tolist()
     keys = [MetricKey("eer"), MetricKey("min_cdet")]
     keys += [MetricKey(kind, d) for d in designs for kind in ("fpr", "fnr")]
 
     # one column per group and the pooled population last; fpr and fnr rows alternate
-    values = np.zeros((len(keys), len(groups) + 1))
+    groups = tuple(sorted(grouped.groups))
+    n, n_groups = len(trials), len(groups)
+    values = np.zeros((len(keys), n_groups + 1))
     errors = np.zeros_like(values, dtype=np.int64)
-    sizes = np.zeros((2, len(groups) + 1), dtype=np.int64)
-    for j, key in enumerate(groups + (None,)):  # each group, then the pooled population
-        try:
-            curve = compute_sweep(*grouped.scores(grouped.groups[key])) if key else pooled_curve
-        except EmptyPopulationError as exc:  # a group without targets or nontargets
-            raise DegenerateGroupError(key) from exc
-        at = np.searchsorted(curve.thresholds, thresholds, side="left")
-        errors[2::2, j], errors[3::2, j] = curve.false_accepts[at], curve.misses[at]
-        sizes[:, j] = curve.n_target, curve.n_nontarget
-        values[:2, j] = eer(curve)[0], min_cdet(curve, dcf)[0]
+    sizes = np.zeros((2, n_groups + 1), dtype=np.int64)
+    errors[2::2, -1], errors[3::2, -1] = false_accepts[at], misses[at]
+    sizes[:, -1] = n_target, n_nontarget
+    # pooled rows below each design threshold: they come first in the sorted order
+    below = misses[at] + (n_nontarget - false_accepts[at])
+    del false_accepts
+    fnr = misses / n_target
+    del misses
+    values[0, -1] = _eers(fpr, fnr, taus)[0][0]
+    values[1, -1] = _min_cdets(fpr, fnr, np.zeros(1, dtype=np.intp), dcf)[0][0]
+    del fpr, fnr, taus
+
+    # each row's group code in key order, the unassigned rows last
+    code = np.full(n, n_groups, dtype=np.min_scalar_type(n_groups))
+    members = [grouped.groups[key] for key in groups]
+    lengths = np.array([len(rows) for rows in members], dtype=np.intp)
+    code[np.concatenate([np.empty(0, np.intp), *members])] = np.repeat(
+        np.arange(n_groups, dtype=code.dtype), lengths
+    )
+    if np.count_nonzero(code < n_groups) != lengths.sum():
+        raise ValueError("groups must not share rows")
+    n_targets = np.array([grouped.targets[key] for key in groups], dtype=np.int64)
+    degenerate = np.flatnonzero((n_targets == 0) | (n_targets == lengths))
+    if degenerate.size:  # the first group in key order without targets or nontargets
+        k = int(degenerate[0])
+        side = "target" if n_targets[k] == 0 else "nontarget"
+        raise DegenerateGroupError(groups[k]) from EmptyPopulationError(side)
+    sizes[:, :-1] = n_targets, lengths - n_targets
+
+    # group-major order: each group's pooled positions ascend, so its scores stay sorted
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    positions = np.argsort(code[order], kind="stable")[:bounds[-1]]
+    rows = order[positions]
+    del order, code
+    scores, is_target = trials.scores[rows], trials.is_target[rows]
+    del rows
+
+    # each group's rows and targets below each design threshold, by one search of
+    # the group-major pooled positions, offset so that they ascend across groups
+    offsets = np.arange(n_groups, dtype=np.int64) * n
+    positions += np.repeat(offsets, lengths)
+    probes = offsets[:, None] + below
+    rows_below = np.searchsorted(positions, probes) - bounds[:-1, None]
+    targets_below = np.searchsorted(positions[is_target], probes)
+    del positions
+    targets_below -= np.concatenate([[0], np.cumsum(n_targets)[:-1]])[:, None]
+    errors[2::2, :-1] = (sizes[1, :-1, None] - (rows_below - targets_below)).T
+    errors[3::2, :-1] = targets_below.T
+
+    taus, false_accepts, misses, starts = _sweeps(scores, is_target, bounds)
+    del scores, is_target
+    grid = np.diff(starts, append=taus.size)
+    fpr = false_accepts / np.repeat(sizes[1, :-1], grid)
+    del false_accepts
+    fnr = misses / np.repeat(sizes[0, :-1], grid)
+    del misses
+    values[0, :-1] = _eers(fpr, fnr, taus)[0]
+    values[1, :-1] = _min_cdets(fpr, fnr, starts, dcf)[0]
     values[2::2] = errors[2::2] / sizes[1]
     values[3::2] = errors[3::2] / sizes[0]
     return BaseMetrics(

@@ -20,17 +20,22 @@ from biasaudit import (
     BaseMetrics,
     BiasReport,
     DataError,
+    DcfParams,
+    DegenerateGroupError,
     DesignPoint,
     DuplicateSpeakerError,
     EmptyFileError,
+    EmptyPopulationError,
     GroupedTrials,
     GroupKey,
     Label,
     MetricKey,
     MissingHeaderError,
     NonFiniteScoreError,
+    OperatingPoint,
     SpeakerMetadata,
     SpeakerTable,
+    SweepCurve,
     SynthSpec,
     TrialRecord,
     TrialTable,
@@ -240,6 +245,108 @@ def rates_at_threshold(
     fpr = float(np.count_nonzero(non >= threshold)) / non.size if non.size else math.nan
     fnr = float(np.count_nonzero(tar < threshold)) / tar.size if tar.size else math.nan
     return fpr, fnr
+
+
+def reference_sweep(target_scores: Sequence[float], nontarget_scores: Sequence[float]) -> SweepCurve:
+    """``compute_sweep`` of one population by ``np.unique`` and two ``searchsorted``; a reference."""
+    tar = np.asarray(target_scores, dtype=float)
+    non = np.asarray(nontarget_scores, dtype=float)
+    if tar.size == 0:
+        raise EmptyPopulationError("target")
+    if non.size == 0:
+        raise EmptyPopulationError("nontarget")
+    if not (np.isfinite(tar).all() and np.isfinite(non).all()):
+        raise ValueError("scores must be finite")
+
+    # + 0.0 turns a -0.0 into 0.0: np.unique keeps whichever zero sorts first
+    taus = np.append(np.unique(np.concatenate([tar, non])) + 0.0, np.inf)
+    misses = np.searchsorted(np.sort(tar), taus, side="left")
+    false_accepts = non.size - np.searchsorted(np.sort(non), taus, side="left")
+    fpr, fnr = false_accepts / non.size, misses / tar.size
+    for arr in (taus, false_accepts, misses, fpr, fnr):
+        arr.flags.writeable = False
+    return SweepCurve(taus, false_accepts, misses, fpr, fnr, int(tar.size), int(non.size))
+
+
+def reference_eer(curve: SweepCurve) -> tuple[float, float]:
+    """``eer`` of one curve by one ``searchsorted`` and scalar interpolation; a reference."""
+    diff = curve.fnr - curve.fpr
+    idx = int(np.searchsorted(diff, 0.0, side="left"))
+    if diff[idx] == 0.0:
+        return float(curve.fpr[idx]), float(curve.thresholds[idx])
+    lo, hi = idx - 1, idx
+    t = -diff[lo] / (diff[hi] - diff[lo])
+    value = float(curve.fpr[lo] + t * (curve.fpr[hi] - curve.fpr[lo]))
+    tau_hi = curve.thresholds[hi]
+    if math.isinf(tau_hi):
+        threshold = float(curve.thresholds[lo])
+    else:
+        threshold = float(curve.thresholds[lo] + t * (tau_hi - curve.thresholds[lo]))
+    return value, threshold
+
+
+def reference_min_cdet(curve: SweepCurve, params: DcfParams = DcfParams()) -> tuple[float, float]:
+    """``min_cdet`` of one curve by ``np.argmin``; a reference."""
+    cost = (
+        params.c_miss * params.p_target * curve.fnr
+        + params.c_fa * (1.0 - params.p_target) * curve.fpr
+    )
+    i = int(np.argmin(cost))  # first occurrence: ties break to the smallest threshold
+    value = float(cost[i])
+    if params.normalize:
+        value /= min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
+    return value, float(curve.thresholds[i])
+
+
+def reference_threshold_for_fpr(curve: SweepCurve, target_fpr: float) -> OperatingPoint:
+    """``threshold_for_fpr`` by a scan for the first grid FPR within the target; a reference."""
+    if not (0.0 < target_fpr <= 1.0):
+        raise ValueError("target_fpr must lie in (0, 1]")
+    i = int(np.argmax(curve.fpr <= target_fpr))  # fpr nonincreasing: first True
+    return OperatingPoint(
+        threshold=float(curve.thresholds[i]),
+        fpr=float(curve.fpr[i]),
+        fnr=float(curve.fnr[i]),
+    )
+
+
+def reference_base_metrics(
+    grouped: GroupedTrials,
+    design_fprs: Sequence[float],
+    dcf: DcfParams = DcfParams(),
+) -> BaseMetrics:
+    """``base_metrics`` by one reference sweep per population, each group in key order."""
+    groups = tuple(sorted(grouped.groups))
+    pooled_curve = reference_sweep(*grouped.scores())
+    designs = sorted(design_fprs, reverse=True)
+    thresholds = [reference_threshold_for_fpr(pooled_curve, d).threshold for d in designs]
+    keys = [MetricKey("eer"), MetricKey("min_cdet")]
+    keys += [MetricKey(kind, d) for d in designs for kind in ("fpr", "fnr")]
+
+    # one column per group and the pooled population last; fpr and fnr rows alternate
+    values = np.zeros((len(keys), len(groups) + 1))
+    errors = np.zeros_like(values, dtype=np.int64)
+    sizes = np.zeros((2, len(groups) + 1), dtype=np.int64)
+    for j, key in enumerate(groups + (None,)):  # each group, then the pooled population
+        try:
+            curve = reference_sweep(*grouped.scores(grouped.groups[key])) if key else pooled_curve
+        except EmptyPopulationError as exc:  # a group without targets or nontargets
+            raise DegenerateGroupError(key) from exc
+        at = np.searchsorted(curve.thresholds, thresholds, side="left")
+        errors[2::2, j], errors[3::2, j] = curve.false_accepts[at], curve.misses[at]
+        sizes[:, j] = curve.n_target, curve.n_nontarget
+        values[:2, j] = reference_eer(curve)[0], reference_min_cdet(curve, dcf)[0]
+    values[2::2] = errors[2::2] / sizes[1]
+    values[3::2] = errors[3::2] / sizes[0]
+    return BaseMetrics(
+        groups=groups,
+        keys=tuple(keys),
+        values=values[:, :-1],
+        aggregates=values[:, -1],
+        errors=errors,
+        sizes=sizes,
+        design_points=tuple(map(DesignPoint, designs, thresholds)),
+    )
 
 
 def split_scores(trials: Iterable[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from biasaudit import (
     DcfParams,
     DegenerateGroupError,
     EmptyPopulationError,
+    GroupedTrials,
     GroupScoreModel,
     MetricKey,
     SynthSpec,
+    TrialTable,
     assign_groups,
     base_metrics,
     compute_sweep,
@@ -32,6 +35,11 @@ from helpers import (
     one_metric,
     permute_rows,
     rates_at_threshold,
+    reference_base_metrics,
+    reference_eer,
+    reference_min_cdet,
+    reference_sweep,
+    reference_threshold_for_fpr,
 )
 
 
@@ -418,3 +426,173 @@ def test_metric_key_name_and_rate_flag(key, name, is_rate):
 def test_metric_key_rejects_bad_rows(kind, design_fpr):
     with pytest.raises(ValueError):
         MetricKey(kind, design_fpr)
+
+
+# few distinct values (the two zeros among them) so scores tie within and across groups,
+# or any value, so they mostly do not
+fuzz_scores = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]) | st.floats(-1e3, 1e3)
+fuzz_population = st.tuples(
+    st.lists(fuzz_scores, min_size=1, max_size=10), st.lists(fuzz_scores, min_size=1, max_size=10)
+) | st.builds(  # every score of the group ties
+    lambda v, n_target, n_nontarget: ([v] * n_target, [v] * n_nontarget),
+    fuzz_scores, st.integers(1, 4), st.integers(1, 4),
+)
+# 1e-6 lies below 1/n_nontarget of every drawn table: it calibrates to the +inf sentinel
+fuzz_design_fprs = st.lists(
+    st.sampled_from([1.0, 0.5, 0.25, 0.1, 1e-6]) | st.floats(1e-6, 1.0), max_size=4, unique=True
+)
+fuzz_dcf = st.builds(
+    DcfParams, st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.01, 0.99), st.booleans()
+)
+
+
+def shuffled_groups(populations, unassigned, order) -> GroupedTrials:
+    """A GroupedTrials whose groups (g0, g1, ...) and unassigned rows are mixed in the table."""
+    cells = [(i, label, v) for i, pair in enumerate([*populations, unassigned])
+             for label, values in zip((True, False), pair) for v in values]
+    order.shuffle(cells)
+    ids = [""] * len(cells)
+    table = TrialTable(ids, ids, np.array([c[1] for c in cells], dtype=bool),
+                       np.array([c[2] for c in cells], dtype=float))
+    owner = np.array([c[0] for c in cells], dtype=np.intp)
+    rows = [np.flatnonzero(owner == i) for i in range(len(populations) + 1)]
+    groups = {gk(g=f"g{i}"): rows[i] for i in range(len(populations))}
+    return GroupedTrials(table, {key: groups[key] for key in sorted(groups)}, rows[-1])
+
+
+def outcome(fn, *args):
+    """What a call gives: its result, or its error's type, message and cause type."""
+    try:
+        return fn(*args)
+    except (ValueError, EmptyPopulationError, DegenerateGroupError) as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+
+
+def assert_same_bits(base, reference):
+    """Every array and threshold of two base-metric tables holds the same bytes."""
+    assert (base.groups, base.keys) == (reference.groups, reference.keys)
+    for name in ("values", "aggregates", "errors", "sizes"):
+        a, b = getattr(base, name), getattr(reference, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert [p.design_fpr for p in base.design_points] == [
+        p.design_fpr for p in reference.design_points]
+    assert np.array([p.threshold for p in base.design_points]).tobytes() == np.array(
+        [p.threshold for p in reference.design_points]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(fuzz_population, min_size=1, max_size=6),
+    st.tuples(st.lists(fuzz_scores, max_size=6), st.lists(fuzz_scores, max_size=6)),
+    fuzz_design_fprs,
+    fuzz_dcf,
+    st.randoms(use_true_random=False),
+)
+def test_base_metrics_equals_one_reference_sweep_per_population(
+    populations, unassigned, design_fprs, dcf, order
+):
+    """The segmented pass gives the bytes of one unique-and-searchsorted sweep per population."""
+    grouped = shuffled_groups(populations, unassigned, order)
+    base = base_metrics(grouped, design_fprs, dcf)
+    assert_same_bits(base, reference_base_metrics(grouped, design_fprs, dcf))
+    # the one-population calls are the one-segment case of the same kernels
+    thresholds = [p.threshold for p in base.design_points]
+    for j, key in enumerate([*base.groups, None]):
+        scores = grouped.scores(grouped.groups[key]) if key else grouped.scores()
+        curve, reference = compute_sweep(*scores), reference_sweep(*scores)
+        for name in ("thresholds", "false_accepts", "misses", "fpr", "fnr"):
+            a, b = getattr(curve, name), getattr(reference, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        assert (curve.n_target, curve.n_nontarget) == (reference.n_target, reference.n_nontarget)
+        assert np.array(eer(curve)).tobytes() == np.array(reference_eer(reference)).tobytes()
+        assert np.array(min_cdet(curve, dcf)).tobytes() == np.array(
+            reference_min_cdet(reference, dcf)).tobytes()
+        column = np.concatenate([base.values, base.aggregates[:, None]], axis=1)[:, j]
+        assert column[0] == eer(curve)[0] and column[1] == min_cdet(curve, dcf)[0]
+        at = np.searchsorted(curve.thresholds, thresholds, side="left")
+        assert base.errors[2::2, j].tolist() == curve.false_accepts[at].tolist()
+        assert base.errors[3::2, j].tolist() == curve.misses[at].tolist()
+        for d in design_fprs:
+            assert threshold_for_fpr(curve, d) == reference_threshold_for_fpr(reference, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(fuzz_scores, max_size=4), st.lists(fuzz_scores, max_size=4)),
+             min_size=1, max_size=5),
+    st.tuples(st.lists(fuzz_scores, max_size=3), st.lists(fuzz_scores, max_size=3)),
+    st.lists(st.sampled_from([0.5, 0.1, 1e-6, 0.0, 1.5, math.nan]), max_size=2),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_base_metrics_raises_what_the_reference_raises(
+    populations, unassigned, design_fprs, non_finite, order
+):
+    """Empty, degenerate and non-finite draws fail alike: same error, message and cause."""
+    if non_finite and populations[0][0]:
+        populations[0][0][0] = math.inf
+    grouped = shuffled_groups(populations, unassigned, order)
+    expected = outcome(reference_base_metrics, grouped, design_fprs)
+    actual = outcome(base_metrics, grouped, design_fprs)
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        assert_same_bits(actual, expected)
+
+
+@pytest.mark.parametrize("populations, unassigned, design_fprs, error", [
+    # a non-finite score is a ValueError, also next to a degenerate group
+    ([([math.nan, 1.0], [0.0]), ([1.0], [])], ((), ()), (), (ValueError, "scores must be finite")),
+    # the pooled population is checked before any group, and before the scores' values
+    ([([1.0], []), ([], [])], ((), ()), (), (EmptyPopulationError, "no nontarget scores")),
+    ([([math.nan], []), ([2.0], [])], ((), ()), (), (EmptyPopulationError, "no nontarget scores")),
+    # a design FPR outside (0, 1] fails before any group is checked
+    ([([1.0], [0.0]), ([1.0], [])], ((), ()), (0.0,), (ValueError, "target_fpr must lie")),
+    # the first degenerate group in key order is named: one without rows, then one of
+    # targets alone
+    ([([1.0], [0.0]), ([], []), ([1.0], [])], ((), ()), (0.5,), (DegenerateGroupError, "g1")),
+    ([([1.0], [0.0]), ([1.0], []), ([], [0.0])], ((), ()), (), (DegenerateGroupError, "g1")),
+    ([([], [0.0]), ([1.0], [])], (([2.0], [])), (), (DegenerateGroupError, "g0")),
+    # with no group at all, the table itself is rejected
+    ([], (([1.0], [0.0])), (0.5,), (ValueError, "needs at least one group")),
+])
+def test_base_metrics_error_precedence(populations, unassigned, design_fprs, error):
+    grouped = grouped_from_scores(
+        {gk(g=f"g{i}"): pair for i, pair in enumerate(populations)}, unassigned
+    )
+    actual = outcome(base_metrics, grouped, design_fprs)
+    assert actual == outcome(reference_base_metrics, grouped, design_fprs)
+    kind, text = error
+    assert actual[0] is kind and text in actual[1]
+    if kind is DegenerateGroupError:
+        assert actual[2] is EmptyPopulationError
+
+
+@pytest.mark.parametrize("rows", [
+    ([0, 1], [1, 2]),  # a row in two groups
+    ([0, 1, 1], [2, 3]),  # a row twice in one group
+    ([0, 1], [0]),  # shared rows win over the target-only group they make
+])
+def test_base_metrics_rejects_groups_that_share_rows(rows):
+    ids = [""] * 4
+    table = TrialTable(ids, ids, np.array([True, False, True, False]),
+                       np.array([1.0, 0.0, 2.0, 0.5]))
+    groups = {gk(g=f"g{i}"): np.array(r, dtype=np.intp) for i, r in enumerate(rows)}
+    grouped = GroupedTrials(table, groups, np.empty(0, dtype=np.intp))
+    with pytest.raises(ValueError, match="^groups must not share rows$"):
+        base_metrics(grouped, (0.5,))
+
+
+def test_base_metrics_equals_the_reference_past_255_groups():
+    """Group codes wider than 8 bits (here 16) sort the same way: 300 small groups, rounded
+    scores so that they tie within and across groups, and unassigned rows."""
+    rng = np.random.default_rng(5)
+    populations = [
+        (np.round(rng.normal(1.0, 1.0, rng.integers(1, 5)), 1).tolist(),
+         np.round(rng.normal(0.0, 1.0, rng.integers(1, 5)), 1).tolist())
+        for _ in range(300)
+    ]
+    grouped = shuffled_groups(populations, ([0.0, -0.0], [0.0, 0.5]), random.Random(6))
+    design_fprs = (0.5, 0.1, 0.01, 1e-6)
+    assert_same_bits(base_metrics(grouped, design_fprs),
+                     reference_base_metrics(grouped, design_fprs))

@@ -633,10 +633,12 @@ def test_csv_mirrors_write_each_number_as_the_repr_of_its_float(tmp_path):
 
 
 def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch):
-    """The row arrays hold every loaded trial once; one sweep per group plus the pooled."""
+    """The row arrays hold every loaded trial once; the segmented sweeps cover each group
+    and the pooled population once, in two passes and with no per-population sweep."""
     calls: Counter[str] = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("biasaudit.")]
-    for home, name in (("trials", "assign_groups"), ("detection", "compute_sweep")):
+    for home, name in (("trials", "assign_groups"), ("detection", "compute_sweep"),
+                       ("detection", "_sweeps")):
         original = getattr(sys.modules[f"biasaudit.{home}"], name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -645,6 +647,8 @@ def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch)
             if _name == "assign_groups":
                 arrays = [*result.groups.values(), result.unassigned]
                 calls["trials_bucketed"] += sum(len(rows) for rows in arrays)
+            if _name == "_sweeps":
+                calls["segments"] += len(args[2]) - 1
             return result
 
         for module in modules:
@@ -656,7 +660,7 @@ def test_run_audit_splits_and_sweeps_each_population_once(tmp_path, monkeypatch)
     populations = len(report.base.groups) + 1
     n_trials = len(load_trials(config.scores_path))
     assert calls == {
-        "assign_groups": 1, "compute_sweep": populations, "trials_bucketed": n_trials,
+        "assign_groups": 1, "_sweeps": 2, "segments": populations, "trials_bucketed": n_trials,
     }
 
 
